@@ -14,7 +14,6 @@ from .embedding import (
 )
 from .graphs import (
     Graph,
-    JoinLayout,
     complete_graph,
     disjoint_cliques,
     empty_graph,
@@ -26,8 +25,7 @@ from .graphs import (
 )
 from .independence import (
     BudgetExceeded,
-    caro_wei_bounds,
-    clique_refined_bound,
+    caro_wei_bound,
     independence_number,
     maximum_independent_set,
 )
@@ -38,7 +36,6 @@ from .solver import (
     decide_star_decomposition,
     decompose_complete,
     deficiency,
-    is_precentral,
     shrink_witness,
     two_star_decompose,
     validate_decomposition,
@@ -50,13 +47,11 @@ __all__ = [
     "DeficiencyWitness",
     "EmbeddingCertificate",
     "Graph",
-    "JoinLayout",
     "Rejection",
     "Star",
     "StarDecomposition",
     "bound_report",
-    "caro_wei_bounds",
-    "clique_refined_bound",
+    "caro_wei_bound",
     "complete_graph",
     "decide_star_decomposition",
     "decompose_complete",
@@ -70,7 +65,6 @@ __all__ = [
     "graph_from_edges",
     "guaranteed_s",
     "independence_number",
-    "is_precentral",
     "join",
     "join_edge_count",
     "maximum_independent_set",

@@ -22,7 +22,13 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import families, oracle
-from .embedding import bound_report, embed
+from .embedding import (
+    DEFAULT_GAMMA_SEARCH_BUDGET,
+    bound_report,
+    embed,
+    general_cap,
+    large_n_cap,
+)
 from .graphs import read_graph
 from .solver import (
     StarDecomposition,
@@ -126,7 +132,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = read_graph(args.leave)
-    budget = _env_budget(args.budget, 2000)
+    budget = _env_budget(args.budget, DEFAULT_GAMMA_SEARCH_BUDGET)
     try:
         cert = embed(g, args.k, max_s=args.max_s, gamma_budget=budget)
     except RuntimeError as exc:
@@ -153,17 +159,8 @@ def _sweep_cell(task: tuple[int, int, int, int]) -> dict:
     start = time.perf_counter()
     cert = embed(leave, k, gamma_budget=budget)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
-    if k % 2 == 1:
-        general_cap = 9 * k / 4
-        within = 4 * cert.s < 9 * k
-        s1_cap = 2 * k - 2
-    else:
-        from .exactnum import Surd
-
-        cap = Surd.of(6 * k, -2 * k, 2)
-        general_cap = float(cap)
-        within = cap > cert.s
-        s1_cap = 3 * k - 2
+    cap = general_cap(k)
+    s1_cap = large_n_cap(k)
     if k >= 3:
         above_threshold = bound_report(n, k).n_above_threshold()
     else:
@@ -174,8 +171,8 @@ def _sweep_cell(task: tuple[int, int, int, int]) -> dict:
         "seed": seed,
         "s": cert.s,
         "minimality": cert.minimality,
-        "general_cap": f"{general_cap:.6f}",
-        "within_general_cap": int(within),
+        "general_cap": f"{float(cap):.6f}",
+        "within_general_cap": int(cap > cert.s),
         "large_n_cap": s1_cap,
         "within_large_n_cap": int(cert.s <= s1_cap) if above_threshold else "",
         "runtime_ms": elapsed_ms,
@@ -213,7 +210,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    budget = _env_budget(args.budget, 2000)
+    budget = _env_budget(args.budget, DEFAULT_GAMMA_SEARCH_BUDGET)
     rows = run_sweep(
         _parse_int_list(args.k), _parse_range(args.n), args.seeds, budget, args.jobs
     )
@@ -300,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--flow-limit", type=int, default=5000, dest="flow_limit")
+    p.add_argument(
+        "--flow-limit",
+        type=int,
+        default=families.VerifyBudget().flow_edge_limit,
+        dest="flow_limit",
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_family)
 

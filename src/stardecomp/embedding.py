@@ -22,7 +22,7 @@ from .graphs import Graph, join, join_edge_count
 from .independence import (
     DEFAULT_ALPHA_BUDGET,
     BudgetExceeded,
-    caro_wei_bounds,
+    caro_wei_bound,
     independence_number,
     maximum_independent_set,
 )
@@ -124,18 +124,13 @@ def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
     return None
 
 
-def obstacle_check(
-    base: Graph,
-    k: int,
-    s: int,
-    alpha: int | None = None,
-    alpha_budget: int = DEFAULT_ALPHA_BUDGET,
-) -> ObstacleReport:
+def obstacle_check(base: Graph, k: int, s: int, alpha: int | None) -> ObstacleReport:
     """Necessary condition: alpha(L) >= n + s - |E(L v K_s)| / k.
 
-    With the exact independence number the verdict is definite either way.
-    If its search is cut off, a true lower bound can still certify a pass
-    ("passes-by-bound"); otherwise the check is inconclusive.
+    ``alpha`` is the caller's exact independence number of L, or None when
+    its search was cut off. With it the verdict is definite either way;
+    without it the Caro-Wei lower bound can still certify a pass
+    ("passes-by-bound"), otherwise the check is inconclusive.
     """
     m = join_edge_count(base, s)
     if m % k:
@@ -143,19 +138,14 @@ def obstacle_check(
     required = base.n + s - m // k
     if required <= 0:
         return ObstacleReport("passes", required)
-    if alpha is None:
-        try:
-            alpha = independence_number(base, alpha_budget)
-        except BudgetExceeded:
-            alpha = None
     if alpha is not None:
         if alpha >= required:
             return ObstacleReport("passes", required, alpha=alpha)
         return ObstacleReport("violated", required, alpha=alpha)
-    sum_form, _ = caro_wei_bounds(base)
-    if sum_form >= required:
-        return ObstacleReport("passes-by-bound", required, bound=sum_form)
-    return ObstacleReport("inconclusive", required, bound=sum_form)
+    bound = caro_wei_bound(base)
+    if bound >= required:
+        return ObstacleReport("passes-by-bound", required, bound=bound)
+    return ObstacleReport("inconclusive", required, bound=bound)
 
 
 def embed_small_case(
@@ -178,14 +168,14 @@ def embed_small_case(
         raise ValueError("edge count of the join must be divisible by k")
     if m > k * (n + s):
         raise ValueError("small-case construction needs |E| <= k(n+s)")
-    b = m // k
-    required = n + s - b
     zero_set: tuple[int, ...] = ()
-    if required > 0:
+    if m < k * (n + s):
+        # fewer than k(n+s) edges: some vertices must center no star
         best = maximum_independent_set(base, alpha_budget)
-        if len(best) < required:
-            raise ObstacleViolated(len(best), required)
-        zero_set = best[:required]
+        obstacle = obstacle_check(base, k, s, len(best))
+        if obstacle.status == "violated":
+            raise ObstacleViolated(obstacle.alpha, obstacle.required)
+        zero_set = best[: obstacle.required]
     gamma = [1] * (n + s)
     for x in zero_set:
         gamma[x] = 0
@@ -247,15 +237,28 @@ def greedy_star_removal(base: Graph, k: int) -> tuple[tuple[Star, ...], Graph]:
     return tuple(stars), Graph(base.n, edges)
 
 
+def general_cap(k: int) -> Fraction | Surd:
+    """The paper's cap for every n: s < 9k/4 for odd k, s < (6-2*sqrt(2))k
+    for even k. Compare as ``general_cap(k) > s``, exactly."""
+    if k % 2 == 1:
+        return Fraction(9 * k, 4)
+    return Surd.of(6 * k, -2 * k, 2)
+
+
+def large_n_cap(k: int) -> int:
+    """The paper's cap once n clears the threshold of ``bound_report``:
+    s <= 2k-2 for odd k, s <= 3k-2 for even k."""
+    return 2 * k - 2 if k % 2 == 1 else 3 * k - 2
+
+
 def guaranteed_s(n: int, k: int) -> tuple[int, str]:
     """An embedding size that always works for a leave with these (n, k).
 
-    Always strictly below (9/4)k for odd k and (6-2*sqrt(2))k for even k;
-    embed() succeeds at or before it. The case split: for large n any
-    divisible s past a fixed fraction of k clears the independence bound,
-    for middling n the target K_{4k} (or K_{3k} for odd k, where the leave
-    contains a large clique and the refined bound applies) works, and for
-    n <= k the partial decomposition is empty so K_{2k} absorbs it.
+    Always strictly below ``general_cap(k)``; embed() succeeds at or before
+    it. The case split: for large n any divisible s past a fixed fraction of
+    k clears the independence bound, for middling n the target K_{4k} works
+    (K_{3k} for odd k when 4n <= 7k), and for n <= k the partial
+    decomposition is empty so K_{2k} absorbs it.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
@@ -290,10 +293,8 @@ def guaranteed_s(n: int, k: int) -> tuple[int, str]:
         else:
             s = 2 * k - n
             tag = "odd-empty"
-    if k % 2 == 1 and k > 2:
-        assert Fraction(s) < Fraction(9 * k, 4)
-    else:
-        assert Surd.of(6 * k, -2 * k, 2) > s
+    if not general_cap(k) > s:
+        raise RuntimeError(f"guaranteed s={s} ({tag}) is not below the general cap")
     return s, tag
 
 
@@ -319,15 +320,10 @@ def embed(
     limit = guaranteed_s(n, k)[0] if max_s is None else max_s
     rejections: list[Rejection] = []
     definite = True
-    alpha_cache: list[int | None] = []  # lazily filled; [None] means cut off
-
-    def core_alpha() -> int | None:
-        if not alpha_cache:
-            try:
-                alpha_cache.append(independence_number(core, alpha_budget))
-            except BudgetExceeded:
-                alpha_cache.append(None)
-        return alpha_cache[0]
+    try:
+        alpha: int | None = independence_number(core, alpha_budget)
+    except BudgetExceeded:
+        alpha = None
 
     def success(s: int, found: StarDecomposition) -> EmbeddingCertificate:
         merged = StarDecomposition(k, removed + found.stars)
@@ -348,19 +344,16 @@ def embed(
                 Rejection(s, REASON_DEGREE_PAIR, {"edge": list(edge)})
             )
             continue
-        required = n + s - m // k
-        inconclusive = False
-        if required > 0:
-            alpha = core_alpha()
-            if alpha is not None and alpha < required:
-                rejections.append(
-                    Rejection(
-                        s, REASON_OBSTACLE, {"alpha": alpha, "required": required}
-                    )
+        obstacle = obstacle_check(core, k, s, alpha)
+        if obstacle.status == "violated":
+            rejections.append(
+                Rejection(
+                    s,
+                    REASON_OBSTACLE,
+                    {"alpha": obstacle.alpha, "required": obstacle.required},
                 )
-                continue
-            if alpha is None and caro_wei_bounds(core)[0] < required:
-                inconclusive = True
+            )
+            continue
         if k == 2:
             found = two_star_decompose(join(core, s))
             if found is None:
@@ -370,48 +363,32 @@ def embed(
                 continue
             return success(s, found)
         if s >= k:
-            if inconclusive:
-                # cannot build the small-case center set without exact alpha
+            if m >= k * (n + s) and n >= k:
+                return success(s, embed_large_case(core, k, s))
+            if obstacle.status != "passes":
+                # the small-case center set needs the exact alpha, which was cut off
                 rejections.append(Rejection(s, REASON_UNKNOWN, {"alpha": "budget"}))
                 definite = False
                 continue
-            if m >= k * (n + s) and n >= k:
-                return success(s, embed_large_case(core, k, s))
-            try:
-                return success(s, embed_small_case(core, k, s, alpha_budget))
-            except ObstacleViolated as exc:
-                rejections.append(
-                    Rejection(
-                        s,
-                        REASON_OBSTACLE,
-                        {"alpha": exc.alpha, "required": exc.required},
-                    )
-                )
-                continue
-        else:
-            target = join(core, s)
-            upper = oracle.count_gamma_candidates(target, k)
-            if upper > gamma_budget:
-                rejections.append(
-                    Rejection(s, REASON_UNKNOWN, {"gamma_candidates": upper})
-                )
-                definite = False
-                continue
-            transcript = oracle.exhaustive_gamma_search(target, k, budget=gamma_budget)
-            if transcript.outcome == oracle.FOUND:
-                return success(s, transcript.decomposition)
-            if transcript.outcome == oracle.EXHAUSTED:
-                rejections.append(
-                    Rejection(
-                        s,
-                        REASON_EXHAUSTED,
-                        {"gamma_candidates": transcript.nodes_explored},
-                    )
-                )
-                continue
-            rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget"}))
+            return success(s, embed_small_case(core, k, s, alpha_budget))
+        target = join(core, s)
+        upper = oracle.count_gamma_candidates(target, k)
+        if upper > gamma_budget:
+            rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_candidates": upper}))
             definite = False
             continue
+        transcript = oracle.exhaustive_gamma_search(target, k, budget=gamma_budget)
+        if transcript.outcome == oracle.FOUND:
+            return success(s, transcript.decomposition)
+        if transcript.outcome == oracle.EXHAUSTED:
+            rejections.append(
+                Rejection(
+                    s, REASON_EXHAUSTED, {"gamma_candidates": transcript.nodes_explored}
+                )
+            )
+            continue
+        rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget"}))
+        definite = False
     raise RuntimeError(
         f"no embedding found for s <= {limit}; either max_s was set below the "
         "guaranteed bound or the input is not the leave of a partial decomposition"
@@ -427,19 +404,11 @@ class BoundReport:
     s_lower_general: RootBound
     s_lower_clique: RootBound | None
     n_threshold: Surd
-    general_cap: Surd | Fraction
+    general_cap: Fraction | Surd
     large_n_cap: int
 
     def n_above_threshold(self) -> bool:
         return self.n_threshold < self.n
-
-    def general_cap_allows(self, s: int) -> bool:
-        if isinstance(self.general_cap, Fraction):
-            return Fraction(s) < self.general_cap
-        return self.general_cap > s
-
-    def large_n_cap_allows(self, s: int) -> bool:
-        return s <= self.large_n_cap
 
     def to_json_dict(self) -> dict:
         def root_entry(bound: RootBound | None) -> dict | None:
@@ -484,10 +453,4 @@ def bound_report(n: int, k: int) -> BoundReport:
         )
     thr = Fraction(k * (k - 1), 8 * k - 1)
     threshold = Surd.of(thr, thr, 8 * k)
-    if k % 2 == 1:
-        cap: Surd | Fraction = Fraction(9 * k, 4)
-        s1_cap = 2 * k - 2
-    else:
-        cap = Surd.of(6 * k, -2 * k, 2)
-        s1_cap = 3 * k - 2
-    return BoundReport(k, n, general, clique, threshold, cap, s1_cap)
+    return BoundReport(k, n, general, clique, threshold, general_cap(k), large_n_cap(k))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .embedding import degree_pair_check, embed_large_case
+from .embedding import degree_pair_check, embed_large_case, general_cap, obstacle_check
 from .graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
-from .independence import independence_number
+from .independence import DEFAULT_ALPHA_BUDGET, independence_number
 from .solver import (
     StarDecomposition,
     decide_star_decomposition,
@@ -71,9 +71,9 @@ class FamilyInstance:
 @dataclass(frozen=True)
 class VerifyBudget:
     flow_edge_limit: int = 5000
-    search_budget: int = 100_000_000
-    gamma_budget: int = 1_000_000
-    alpha_budget: int = 10_000_000
+    search_budget: int = oracle.DEFAULT_SEARCH_BUDGET
+    gamma_budget: int = oracle.DEFAULT_GAMMA_BUDGET
+    alpha_budget: int = DEFAULT_ALPHA_BUDGET
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,8 @@ def gen_bound_n(t: int) -> FamilyInstance:
         raise ValueError("this family needs odd t >= 7")
     k = 2**t
     m = 2 ** ((t + 1) // 2)
-    assert m * m == 2 * k
+    if m * m != 2 * k:
+        raise ValueError("internal block size failure")
     n = k * m // 4 - k
     if n % m:
         raise ValueError("internal congruence failure")
@@ -267,7 +268,8 @@ def gen_even_bound(t: int) -> FamilyInstance:
         raise ValueError("this family needs odd t >= 3")
     k = 2**t
     m = 2 ** ((t + 1) // 2)
-    assert m * m == 2 * k
+    if m * m != 2 * k:
+        raise ValueError("internal block size failure")
     n = m
     while not (n > m and (n - m) ** 2 > 4 * k * (2 * k + 1)):
         n += m
@@ -325,7 +327,8 @@ def gen_odd_bound(k: int) -> FamilyInstance:
     if r <= 0:
         raise ValueError(f"no valid instance: k={k} gives r={r}")
     leave = disjoint_cliques([m] * (m - 1) + [r])
-    assert leave.n == n
+    if leave.n != n:
+        raise ValueError("internal vertex count failure")
     candidates = [
         s for s in (2 * k - n, 2 * k - n + 1, 3 * k - n, 3 * k - n + 1) if s >= 0
     ]
@@ -481,13 +484,15 @@ def replay_tightness_t2_nonexistence(k: int, n: int) -> tuple[bool, list[dict]]:
 
 def _even_positivity(k: int, n: int, s: int) -> Fraction:
     m = math.isqrt(2 * k)
-    assert m * m == 2 * k
+    if m * m != 2 * k:
+        raise ValueError(f"even positivity needs 2k a square, got k={k}")
     return Fraction(n * (2 * k - 2 * m + 1) - s * (s + 2 * n - 2 * k - 1))
 
 
 def _odd_positivity(k: int, n: int, s: int) -> Fraction:
     m = math.isqrt(2 * n - 2 * k)
-    assert m * m == 2 * n - 2 * k
+    if m * m != 2 * n - 2 * k:
+        raise ValueError(f"odd positivity needs 2n-2k a square, got k={k}, n={n}")
     return Fraction(n * (6 * k - n + 1) - 4 * k * (k + m) - s * (s + 2 * n - 2 * k - 1))
 
 
@@ -495,16 +500,17 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, budget: VerifyB
     leave = inst.leave
     k = inst.k
     n = leave.n
-    complement = leave.complement()
     if n == 2 and leave.num_edges == 1:
         # the leave is K_2 itself; the empty partial decomposition realizes it
         return ClaimResult(claim, "verified", {"trivial": "empty decomposition"})
-    if complement.num_edges > budget.flow_edge_limit:
+    complement_edges = _realizability_conditions(leave, k)["complement_edges"]
+    if complement_edges > budget.flow_edge_limit:
         return ClaimResult(
             claim,
             "skipped-budget",
-            {"complement_edges": complement.num_edges, "limit": budget.flow_edge_limit},
+            {"complement_edges": complement_edges, "limit": budget.flow_edge_limit},
         )
+    complement = leave.complement()
     if claim.params.get("gamma") == "zero-on-small-clique":
         m = inst.meta["m"]
         small_start = (m - 1) * m
@@ -601,13 +607,13 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
 
     if claim.kind == "obstacle-at-s":
         s = claim.params["s"]
-        m = join_edge_count(leave, s)
-        if m % k:
+        if join_edge_count(leave, s) % k:
             return ClaimResult(claim, "refuted", {"error": "join not divisible"})
-        required = n + s - m // k
         alpha = independence_number(leave, budget.alpha_budget)
+        obstacle = obstacle_check(leave, k, s, alpha)
+        required = obstacle.required
         evidence: dict = {"s": s, "required": required, "alpha": alpha}
-        ok = alpha < required
+        ok = obstacle.status == "violated"
         if "expected_required" in claim.params:
             ok &= required == claim.params["expected_required"]
         if "expected_alpha" in claim.params:
@@ -673,12 +679,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
 
     if claim.kind == "cap-consistency":
         s = claim.params["s"]
-        if k % 2 == 1:
-            ok = 4 * s < 9 * k
-        else:
-            from .exactnum import Surd
-
-            ok = Surd.of(6 * k, -2 * k, 2) > s
+        ok = general_cap(k) > s
         return ClaimResult(claim, "verified" if ok else "refuted", {"s": s})
 
     if claim.kind == "no-embedding-below":

@@ -144,28 +144,6 @@ def join_edge_count(base: Graph, s: int) -> int:
     return base.num_edges + base.n * s + s * (s - 1) // 2
 
 
-@dataclass(frozen=True)
-class JoinLayout:
-    """A graph L together with a join size s, fixing the label convention."""
-
-    base: Graph
-    join_size: int
-
-    def __post_init__(self) -> None:
-        if self.join_size < 0:
-            raise ValueError("join size must be nonnegative")
-
-    @property
-    def join_vertices(self) -> range:
-        return range(self.base.n, self.base.n + self.join_size)
-
-    def realize(self) -> Graph:
-        return join(self.base, self.join_size)
-
-    def edge_count(self) -> int:
-        return join_edge_count(self.base, self.join_size)
-
-
 # ---------------------------------------------------------------------------
 # file formats: plain edge list and JSON, both written canonically
 

@@ -1,4 +1,4 @@
-"""Exact independence numbers plus the classical degree-based lower bounds.
+"""Exact independence numbers plus the Caro-Wei lower bound.
 
 The exact solver is a budgeted branch-and-bound. Components are solved
 independently; clique components and components of maximum degree at most 2
@@ -117,33 +117,7 @@ def _induced(g: Graph, vertices: set[int]) -> Graph:
     return Graph(len(order), edges)
 
 
-def caro_wei_bounds(g: Graph) -> tuple[Fraction, Fraction]:
-    """(sum form, ratio form) lower bounds on the independence number.
-
-    Sum form: sum of 1/(deg(x)+1) over vertices. Ratio form: n^2/(2m+n).
-    Both exact rationals; the sum form always dominates the ratio form.
-    """
-    if g.n == 0:
-        return Fraction(0), Fraction(0)
-    sum_form = sum((Fraction(1, d + 1) for d in g.degrees), Fraction(0))
-    ratio_form = Fraction(g.n * g.n, 2 * g.num_edges + g.n)
-    return sum_form, ratio_form
-
-
-def clique_refined_bound(g: Graph, r: int) -> Fraction:
-    """Lower bound on alpha for a graph known to contain K_r as a subgraph.
-
-    Requires 2|E| <= n(r-1); the caller certifies the clique (constructions
-    know theirs). Value: 1 + (n-r)^2 / (2|E| + n - r^2).
-    """
-    n = g.n
-    m = g.num_edges
-    if not 1 <= r <= n:
-        raise ValueError(f"clique size {r} out of range for n={n}")
-    if m < r * (r - 1) // 2:
-        raise ValueError("graph has too few edges to contain the claimed clique")
-    if 2 * m > n * (r - 1):
-        raise ValueError("edge count too large for the refined bound")
-    if n == r:
-        return Fraction(1)
-    return 1 + Fraction((n - r) ** 2, 2 * m + n - r * r)
+def caro_wei_bound(g: Graph) -> Fraction:
+    """Caro-Wei lower bound on the independence number: the exact rational
+    sum of 1/(deg(x)+1) over vertices."""
+    return sum((Fraction(1, d + 1) for d in g.degrees), Fraction(0))

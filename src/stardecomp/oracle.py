@@ -279,6 +279,8 @@ def sample_maximal_partial(n: int, k: int, seed: int) -> tuple[StarDecomposition
         (u, v) for u in range(n) for v in uncovered[u] if u < v
     )
     leave = Graph(n, leave_edges)
-    assert leave.max_degree() <= k - 1
-    assert complete_graph(n).num_edges == leave.num_edges + k * len(stars)
+    if leave.max_degree() > k - 1:
+        raise RuntimeError("sampled leave has a vertex of degree k or more")
+    if complete_graph(n).num_edges != leave.num_edges + k * len(stars):
+        raise RuntimeError("sampled stars and leave do not partition K_n")
     return StarDecomposition(k, tuple(stars)), leave

@@ -106,11 +106,6 @@ def _check_gamma(g: Graph, k: int, gamma) -> tuple[int, ...]:
     return gamma
 
 
-def is_precentral(g: Graph, k: int, gamma) -> bool:
-    gamma = _check_gamma(g, k, gamma)
-    return k * sum(gamma) == g.num_edges
-
-
 def deficiency(g: Graph, k: int, gamma, vertices) -> DeficiencyWitness:
     """Exact deficiency of a vertex set: incident edges minus k*sum(gamma)."""
     gamma = _check_gamma(g, k, gamma)

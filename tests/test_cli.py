@@ -1,10 +1,16 @@
 import csv
 import json
+from pathlib import Path
+
+import pytest
 
 from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
 from stardecomp.graphs import complete_graph, graph_from_edges, write_graph
 from stardecomp.solver import StarDecomposition, validate_decomposition
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(args):
@@ -174,6 +180,25 @@ def test_bounds_without_n(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
     assert rows[0]["n"] == ""
     assert rows[0]["n_threshold"] == "8.000000"
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_bounds_match_golden(tmp_path, k):
+    # odd and even cap strings, thresholds and lower bounds, byte for byte
+    out = tmp_path / "bounds.csv"
+    assert run(["bounds", "--k", str(k), "--n", "6:40", "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / f"bounds_k{k}_n6-40.csv").read_text()
+
+
+def test_sweep_matches_golden(tmp_path):
+    # k = 2 takes the even caps; every column but runtime_ms is deterministic
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--k", "2,3,4", "--n", "3:9", "--seeds", "2", "--out", str(out)]
+    assert run(args) == 0
+    header, *rows = out.read_text().splitlines()
+    stripped = [header] + [row.rsplit(",", 1)[0] for row in rows]
+    golden = (GOLDEN / "sweep_k2-4_n3-9_seeds2.csv").read_text().splitlines()
+    assert stripped == golden
 
 
 def test_sweep_small_grid(tmp_path):

@@ -24,6 +24,7 @@ from stardecomp.graphs import (
     join,
     join_edge_count,
 )
+from stardecomp.oracle import sample_maximal_partial
 from stardecomp.solver import validate_decomposition
 
 SINGLE_EDGE_8 = graph_from_edges(8, [(0, 1)])
@@ -52,28 +53,29 @@ def test_degree_pair_flags_join_edges_for_tiny_graphs():
 
 
 def test_obstacle_violated_for_clique_blocks():
-    report = obstacle_check(SEVEN_K4, 8, 4)
+    report = obstacle_check(SEVEN_K4, 8, 4, 7)
     assert report.status == "violated"
     assert report.required == 12
     assert report.alpha == 7
 
 
 def test_obstacle_passes_trivially_when_requirement_nonpositive():
-    report = obstacle_check(SINGLE_EDGE_8, 3, 4)
+    # no alpha is needed to pass a requirement of at most zero
+    report = obstacle_check(SINGLE_EDGE_8, 3, 4, None)
     assert report.status == "passes"
     assert report.required == -1
 
 
 def test_obstacle_passes_for_empty_leave():
-    report = obstacle_check(empty_graph(6), 3, 3)
+    report = obstacle_check(empty_graph(6), 3, 3, 6)
     assert report.status == "passes"
 
 
 def test_obstacle_passes_by_bound_when_alpha_cut_off():
-    # a claw needs real branching, so budget 0 cuts the exact solve off; the
-    # sum-form bound 7/4 still covers the requirement of 1
+    # without the exact alpha the Caro-Wei bound 7/4 still covers the
+    # requirement of 1
     claw = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    report = obstacle_check(claw, 3, 3, alpha_budget=0)
+    report = obstacle_check(claw, 3, 3, None)
     assert report.status == "passes-by-bound"
     assert report.required == 1
     assert report.bound == Fraction(7, 4)
@@ -81,7 +83,7 @@ def test_obstacle_passes_by_bound_when_alpha_cut_off():
 
 def test_obstacle_requires_divisibility():
     with pytest.raises(ValueError):
-        obstacle_check(SINGLE_EDGE_8, 3, 3)
+        obstacle_check(SINGLE_EDGE_8, 3, 3, None)
 
 
 def test_small_case_forced_all_ones():
@@ -244,6 +246,22 @@ def test_embed_conditional_when_search_skipped():
     assert cert.minimality == "conditional"
     reasons = {r.s: r.reason for r in cert.rejections}
     assert reasons[2] == "unknown-skipped"
+
+
+def test_embed_skips_small_case_when_alpha_cut_off():
+    # alpha budget 0 cuts the exact search off; Caro-Wei passes s = 4, but the
+    # small-case construction needs a maximum independent set, so s = 4 is
+    # skipped rather than built or rejected
+    _, leave = sample_maximal_partial(12, 4, 1)
+    cert = embed(leave, 4, alpha_budget=0)
+    assert cert.minimality == "conditional"
+    reasons = {r.s: (r.reason, r.detail) for r in cert.rejections}
+    assert reasons[4] == ("unknown-skipped", {"alpha": "budget"})
+    assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
+    again = EmbeddingCertificate.from_json_dict(
+        json.loads(json.dumps(cert.to_json_dict(), sort_keys=True))
+    )
+    assert again == cert
 
 
 def test_certificate_json_round_trip():

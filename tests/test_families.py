@@ -12,7 +12,7 @@ from stardecomp.families import (
     replay_tightness_t2_nonexistence,
     verify_instance,
 )
-from stardecomp.graphs import disjoint_cliques, graph_from_edges
+from stardecomp.graphs import Graph, disjoint_cliques, graph_from_edges
 
 
 def claim_results(report, kind):
@@ -83,12 +83,21 @@ def test_bound_n_t7_frozen_arithmetic():
     assert realizable.evidence["complement_edges"] == 70656
 
 
-def test_bound_n_t9_arithmetic_scales():
+def test_bound_n_t9_arithmetic_scales(monkeypatch):
+    # the 6.4 million complement edges are over the flow limit, so the
+    # complement must never be built
+    def no_complement(self):
+        raise RuntimeError("complement built before the flow limit was checked")
+
+    monkeypatch.setattr(Graph, "complement", no_complement)
     inst = gen_bound_n(9)
     assert inst.k == 512
     assert inst.n == 512 * 32 // 4 - 512
     report = verify_instance(inst)
     assert report.all_ok()
+    realizable = claim_results(report, "leave-realizable")[0]
+    assert realizable.status == "skipped-budget"
+    assert realizable.evidence == {"complement_edges": 6365184, "limit": 5000}
 
 
 def test_bound_n_rejects_bad_t():

@@ -4,7 +4,6 @@ import pytest
 
 from stardecomp.graphs import (
     Graph,
-    JoinLayout,
     complete_graph,
     disjoint_cliques,
     empty_graph,
@@ -58,13 +57,6 @@ def test_join_degrees_and_twins():
     for z1 in range(4, 7):
         for z2 in range(z1 + 1, 7):
             assert g.neighbors(z1) - {z2} == g.neighbors(z2) - {z1}
-
-
-def test_join_layout_realize():
-    layout = JoinLayout(graph_from_edges(3, [(0, 1)]), 2)
-    assert list(layout.join_vertices) == [3, 4]
-    assert layout.realize() == join(layout.base, 2)
-    assert layout.edge_count() == layout.realize().num_edges
 
 
 def test_complement_involution():

@@ -14,8 +14,7 @@ from stardecomp.graphs import (
 )
 from stardecomp.independence import (
     BudgetExceeded,
-    caro_wei_bounds,
-    clique_refined_bound,
+    caro_wei_bound,
     independence_number,
     maximum_independent_set,
 )
@@ -87,58 +86,14 @@ def test_maximum_independent_set_is_independent_and_maximum():
 
 
 def test_caro_wei_frozen_values():
-    assert caro_wei_bounds(empty_graph(5)) == (5, 5)
-    assert caro_wei_bounds(complete_graph(4)) == (1, 1)
+    assert caro_wei_bound(empty_graph(5)) == 5
+    assert caro_wei_bound(complete_graph(4)) == 1
     path3 = graph_from_edges(3, [(0, 1), (1, 2)])
-    assert caro_wei_bounds(path3) == (Fraction(4, 3), Fraction(9, 7))
+    assert caro_wei_bound(path3) == Fraction(4, 3)
 
 
 def test_caro_wei_order_and_validity_on_corpus():
     rng = random.Random(5)
     for trial in range(30):
         g = random_graph(4 + trial % 12, rng.choice([0.2, 0.5, 0.8]), rng)
-        sum_form, ratio_form = caro_wei_bounds(g)
-        alpha = independence_number(g)
-        assert ratio_form <= sum_form <= alpha
-
-
-def test_clique_refined_bound_frozen_values():
-    assert clique_refined_bound(disjoint_cliques([4, 1]), 4) == 2
-    assert clique_refined_bound(complete_graph(6), 6) == 1
-    assert clique_refined_bound(disjoint_cliques([3, 1, 1]), 3) == 3
-
-
-def test_clique_refined_bound_below_alpha_on_corpus():
-    rng = random.Random(11)
-    for r in (2, 3, 4):
-        for trial in range(15):
-            extra = rng.randrange(0, 5)
-            # a clique K_r plus sparse noise under the edge-count cap
-            n = r + extra + 2
-            edges = set(combinations(range(r), 2))
-            while True:
-                candidates = [
-                    e
-                    for e in combinations(range(n), 2)
-                    if e not in edges and min(e) >= 1
-                ]
-                if not candidates:
-                    break
-                e = rng.choice(candidates)
-                if 2 * (len(edges) + 1) > n * (r - 1):
-                    break
-                edges.add(e)
-                if rng.random() < 0.4:
-                    break
-            g = graph_from_edges(n, edges)
-            bound = clique_refined_bound(g, r)
-            assert bound <= independence_number(g)
-
-
-def test_clique_refined_bound_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        clique_refined_bound(disjoint_cliques([4, 1]), 6)
-    with pytest.raises(ValueError):
-        clique_refined_bound(complete_graph(6), 3)  # too many edges
-    with pytest.raises(ValueError):
-        clique_refined_bound(empty_graph(4), 2)  # no such clique
+        assert caro_wei_bound(g) <= independence_number(g)

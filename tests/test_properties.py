@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from stardecomp.embedding import greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
 from stardecomp.graphs import graph_from_edges, join
-from stardecomp.independence import caro_wei_bounds, independence_number
+from stardecomp.independence import caro_wei_bound, independence_number
 from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
@@ -72,8 +72,9 @@ def test_join_degrees(g, s):
 @SETTINGS
 @given(small_graphs())
 def test_caro_wei_sandwich(g):
-    sum_form, ratio_form = caro_wei_bounds(g)
-    assert ratio_form <= sum_form <= independence_number(g)
+    # each term 1/(deg+1) is at least 1/(maxdeg+1)
+    floor = Fraction(g.n, g.max_degree() + 1)
+    assert floor <= caro_wei_bound(g) <= independence_number(g)
 
 
 @SETTINGS

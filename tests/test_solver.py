@@ -21,7 +21,6 @@ from stardecomp.solver import (
     decompose_with_repair,
     decomposition_to_dot,
     deficiency,
-    is_precentral,
     shrink_witness,
     two_star_decompose,
     validate_decomposition,
@@ -40,12 +39,6 @@ def test_deficiency_hand_counts_on_claw():
     assert (center.delta_plus, center.delta_minus, center.delta) == (2, 2, 0)
     leaf = deficiency(g, 2, (1, 0, 0), [1])
     assert (leaf.delta_plus, leaf.delta_minus, leaf.delta) == (1, 0, 1)
-
-
-def test_is_precentral():
-    g = complete_graph(6)
-    assert is_precentral(g, 3, (1, 1, 1, 1, 1, 0))
-    assert not is_precentral(g, 3, (1, 1, 1, 1, 1, 1))
 
 
 def test_decide_on_k6_keeps_requested_centers():

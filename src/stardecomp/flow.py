@@ -1,8 +1,9 @@
-"""Deterministic integral max-flow (Dinic) for the star-orientation networks.
+"""Deterministic integral max-flow (Dinic) for the orientation-repair networks.
 
-Arcs are explored in insertion order, so identical inputs always produce the
-same flow and the same residual reachability, which keeps certificates
-reproducible.
+Augmenting paths are found with an explicit stack rather than recursion, so
+a path may be as long as the network has nodes. Arcs are explored in
+insertion order, so identical inputs always produce the same flow and the
+same residual reachability, which keeps certificates reproducible.
 """
 
 from __future__ import annotations
@@ -32,45 +33,56 @@ class MaxFlow:
         return self.cap[idx ^ 1]
 
     def _bfs(self, s: int, t: int) -> list[int] | None:
+        to, cap, adj = self.to, self.cap, self.adj
         level = [-1] * self.n
         level[s] = 0
         q = deque([s])
         while q:
             x = q.popleft()
-            for idx in self.adj[x]:
-                y = self.to[idx]
-                if self.cap[idx] > 0 and level[y] < 0:
+            for idx in adj[x]:
+                y = to[idx]
+                if cap[idx] > 0 and level[y] < 0:
                     level[y] = level[x] + 1
                     q.append(y)
         return level if level[t] >= 0 else None
 
-    def _dfs(self, x: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
-        if x == t:
-            return pushed
-        while it[x] < len(self.adj[x]):
-            idx = self.adj[x][it[x]]
-            y = self.to[idx]
-            if self.cap[idx] > 0 and level[y] == level[x] + 1:
-                got = self._dfs(y, t, min(pushed, self.cap[idx]), level, it)
-                if got > 0:
-                    self.cap[idx] -= got
-                    self.cap[idx ^ 1] += got
-                    return got
-            it[x] += 1
-        return 0
-
     def max_flow(self, s: int, t: int) -> int:
+        to, cap, adj = self.to, self.cap, self.adj
         total = 0
         while True:
             level = self._bfs(s, t)
             if level is None:
                 return total
             it = [0] * self.n
+            path: list[int] = []  # arc ids of the current s -> x path
+            x = s
             while True:
-                pushed = self._dfs(s, t, 1 << 62, level, it)
-                if pushed == 0:
+                if x == t:
+                    pushed = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    total += pushed
+                    # resume from the tail of the first saturated arc
+                    cut = next(i for i, a in enumerate(path) if cap[a] == 0)
+                    del path[cut:]
+                    x = to[path[-1]] if path else s
+                    continue
+                arcs = adj[x]
+                i = it[x]
+                want = level[x] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
+                    i += 1
+                it[x] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    x = to[arcs[i]]
+                elif path:
+                    # dead end: retreat and skip the arc that led here
+                    x = to[path.pop() ^ 1]
+                    it[x] += 1
+                else:
                     break
-                total += pushed
 
     def residual_reachable(self, s: int) -> list[bool]:
         """Nodes reachable from s in the residual graph (source side of a min cut)."""

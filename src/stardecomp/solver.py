@@ -2,12 +2,16 @@
 
 A k-precentral function assigns each vertex the number of stars to be
 centered there, subject to k * sum(gamma) = |E|. Such a decomposition exists
-iff the edges can be oriented so that exactly k*gamma(x) edges leave each x,
-which is an integral flow feasibility question: source -> vertex x with
-capacity k*gamma(x), vertex -> incident edge node with capacity 1, edge node
--> sink with capacity 1. Flow value |E| yields the orientation and hence the
-stars; anything less yields a vertex set T whose incident-edge count falls
-short of k * sum(gamma over T), certifying infeasibility.
+iff the edges can be oriented so that exactly k*gamma(x) edges leave each x
+(Tarsi's criterion). The decision first orients every edge greedily, then
+repairs the orientation with one max-flow on the n vertices alone (Hakimi's
+degree-constrained orientation): each edge is a unit arc along its current
+direction, the source feeds every vertex with too many out-edges and every
+vertex with too few drains to the sink. Each unit of flow reverses a
+directed path from a surplus vertex to a deficit vertex. A full flow yields
+the orientation and hence the stars; anything less leaves a vertex set T,
+the vertices the source cannot reach, whose incident-edge count falls short
+of k * sum(gamma over T), certifying infeasibility.
 """
 
 from __future__ import annotations
@@ -125,15 +129,20 @@ def shrink_witness(g: Graph, k: int, gamma, vertices) -> tuple[int, ...]:
     """
     gamma = _check_gamma(g, k, gamma)
     current = set(vertices)
-    delta = deficiency(g, k, gamma, current).delta
-    if delta >= 0:
+    if deficiency(g, k, gamma, current).delta >= 0:
         raise ValueError("shrink_witness expects a set with negative deficiency")
+    # Dropping x loses its edges to vertices outside the current set and
+    # k*gamma(x) of demand, so the deficiency does not grow iff
+    # k*gamma(x) <= deg(x) - inside[x].
+    inside = [0] * g.n
+    for x in current:
+        for y in g.neighbors(x):
+            inside[y] += 1
     for x in sorted(current, reverse=True):
-        trial = current - {x}
-        d = deficiency(g, k, gamma, trial).delta
-        if d <= delta:
-            current = trial
-            delta = d
+        if k * gamma[x] <= g.degree(x) - inside[x]:
+            current.remove(x)
+            for y in g.neighbors(x):
+                inside[y] -= 1
     return tuple(sorted(current))
 
 
@@ -146,33 +155,36 @@ def decide_star_decomposition(
     deficiency is negative.
     """
     gamma = _check_gamma(g, k, gamma)
-    m = g.num_edges
-    if k * sum(gamma) != m:
+    if k * sum(gamma) != g.num_edges:
         raise ValueError("gamma is not k-precentral for this graph")
 
-    edges = g.sorted_edges
-    source = 0
-    vnode = 1
-    enode = 1 + g.n
-    sink = 1 + g.n + m
-    net = MaxFlow(sink + 1)
-    for x in range(g.n):
-        net.add_edge(source, vnode + x, k * gamma[x])
-    arc_of: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(edges):
-        a = net.add_edge(vnode + u, enode + i, 1)
-        b = net.add_edge(vnode + v, enode + i, 1)
-        net.add_edge(enode + i, sink, 1)
-        arc_of.append((a, b))
+    # Each edge leaves the endpoint with the larger remaining need, ties
+    # going to the lower label.
+    need = [k * c for c in gamma]
+    oriented: list[tuple[int, int]] = []
+    for u, v in g.sorted_edges:
+        if need[v] > need[u]:
+            u, v = v, u
+        need[u] -= 1
+        oriented.append((u, v))
 
-    value = net.max_flow(source, sink)
-    if value == m:
+    source, sink = g.n, g.n + 1
+    net = MaxFlow(g.n + 2)
+    arcs = [net.add_edge(u, v, 1) for u, v in oriented]
+    excess = 0
+    for x in range(g.n):
+        if need[x] < 0:
+            net.add_edge(source, x, -need[x])
+            excess -= need[x]
+        elif need[x] > 0:
+            net.add_edge(x, sink, need[x])
+
+    if net.max_flow(source, sink) == excess:
         out_leaves: list[list[int]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(edges):
-            if net.flow_on(arc_of[i][0]) == 1:
-                out_leaves[u].append(v)
-            else:
-                out_leaves[v].append(u)
+        for (u, v), a in zip(oriented, arcs):
+            if net.flow_on(a):
+                u, v = v, u
+            out_leaves[u].append(v)
         stars: list[Star] = []
         for x in range(g.n):
             leaves = sorted(out_leaves[x])
@@ -182,8 +194,10 @@ def decide_star_decomposition(
                 stars.append(Star(x, tuple(leaves[j * k : (j + 1) * k])))
         return StarDecomposition(k, tuple(stars))
 
+    # Every edge between the unreachable set T and the rest now leaves T and
+    # all unmet demand lies inside T, so |E incident to T| = out(T) < k*gamma(T).
     reach = net.residual_reachable(source)
-    raw = [x for x in range(g.n) if reach[vnode + x]]
+    raw = [x for x in range(g.n) if not reach[x]]
     witness = deficiency(g, k, gamma, raw)
     if witness.delta >= 0:
         raise RuntimeError("min cut did not produce a deficient set")

@@ -9,8 +9,14 @@ from itertools import combinations
 import pytest
 
 from stardecomp.flow import MaxFlow
-from stardecomp.graphs import graph_from_edges
+from stardecomp.graphs import graph_from_edges, join, join_edge_count
 from stardecomp.independence import independence_number
+from stardecomp.solver import (
+    DeficiencyWitness,
+    decide_star_decomposition,
+    deficiency,
+    validate_decomposition,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -33,6 +39,62 @@ def test_max_flow_matches_networkx():
                 ref.add_edge(u, v, capacity=cap)
         source, sink = rng.sample(range(n), 2)
         assert net.max_flow(source, sink) == nx.maximum_flow_value(ref, source, sink)
+
+
+def _edge_node_network_feasible(g, k, gamma):
+    """The textbook network: source -> vertex x (capacity k*gamma(x)) ->
+    each incident edge node (1) -> sink (1); feasible iff it carries |E|."""
+    ref = nx.DiGraph()
+    ref.add_nodes_from(["s", "t"])
+    for x in range(g.n):
+        ref.add_edge("s", ("v", x), capacity=k * gamma[x])
+    for e in g.sorted_edges:
+        for x in e:
+            ref.add_edge(("v", x), ("e", e), capacity=1)
+        ref.add_edge(("e", e), "t", capacity=1)
+    return nx.maximum_flow_value(ref, "s", "t") == g.num_edges
+
+
+def test_decide_matches_edge_node_network():
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for trial in range(80):
+        k = rng.randint(2, 5)
+        n = rng.randint(2, 30)
+        s = rng.randint(1, 40 - n)
+        p = rng.choice([0.1, 0.3, 0.6])
+        base = graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        drop = join_edge_count(base, s) % k
+        if drop > base.num_edges:
+            continue
+        g = join(base.without_edges(set(base.sorted_edges[:drop])), s)
+        gamma = [0] * g.n
+        if trial % 2:
+            # about half of each vertex's degree, then one center moved:
+            # mostly feasible, sometimes just not
+            for _ in range(g.num_edges // k):
+                x = max(range(g.n), key=lambda x: g.degree(x) - 2 * k * gamma[x])
+                gamma[x] += 1
+            if trial % 4 == 1:
+                donor = rng.choice([x for x in range(g.n) if gamma[x]])
+                gamma[donor] -= 1
+                gamma[rng.randrange(g.n)] += 1
+        else:
+            # piled on a few vertices: mostly infeasible
+            pool = rng.sample(range(g.n), rng.randint(1, g.n))
+            for _ in range(g.num_edges // k):
+                gamma[rng.choice(pool)] += 1
+        result = decide_star_decomposition(g, k, gamma)
+        feasible = _edge_node_network_feasible(g, k, gamma)
+        assert isinstance(result, DeficiencyWitness) != feasible
+        verdicts[feasible] += 1
+        if feasible:
+            assert validate_decomposition(g, result) is None
+        else:
+            assert result.delta < 0
+            assert all(gamma[x] > 0 for x in result.vertices)
+            assert deficiency(g, k, gamma, result.vertices) == result
+    assert min(verdicts.values()) >= 10, verdicts
 
 
 def test_independence_number_matches_networkx():

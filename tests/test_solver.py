@@ -1,8 +1,11 @@
 import json
-from itertools import product
+import random
+import sys
+from itertools import combinations, product
 
 import pytest
 
+from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
     complete_graph,
     disjoint_cliques,
@@ -187,6 +190,66 @@ def test_shrink_requires_negative_deficiency():
     # T = {1} has deficiency 2 - 0 = 2, not a witness
     with pytest.raises(ValueError):
         shrink_witness(g, 3, (1, 0, 0), [1])
+
+
+def _naive_shrink(g, k, gamma, vertices):
+    """Reference greedy: one full deficiency count per trial drop."""
+    current = set(vertices)
+    delta = deficiency(g, k, gamma, current).delta
+    for x in sorted(current, reverse=True):
+        trial = current - {x}
+        d = deficiency(g, k, gamma, trial).delta
+        if d <= delta:
+            current, delta = trial, d
+    return tuple(sorted(current))
+
+
+def test_shrink_matches_naive_greedy_on_corpus():
+    rng = random.Random(17)
+    checked = 0
+    for trial in range(300):
+        if trial % 2:
+            g = disjoint_cliques([rng.randint(1, 6) for _ in range(rng.randint(1, 4))])
+        else:
+            n = rng.randint(2, 14)
+            p = rng.choice([0.2, 0.5, 0.8])
+            g = graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        k = rng.randint(2, 4)
+        gamma = tuple(rng.randint(0, 3) for _ in range(g.n))
+        t = [x for x in range(g.n) if rng.random() < 0.6]
+        if deficiency(g, k, gamma, t).delta >= 0:
+            continue
+        checked += 1
+        assert shrink_witness(g, k, gamma, t) == _naive_shrink(g, k, gamma, t)
+    assert checked >= 100
+
+
+def test_max_flow_chain_longer_than_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    net = MaxFlow(n)
+    for x in range(n - 1):
+        net.add_edge(x, x + 1, 2)
+    assert net.max_flow(0, n - 1) == 2
+
+
+def test_decide_repairs_along_path_longer_than_recursion_limit():
+    # Caterpillar: spine 0..N, a pendant N+i on each spine vertex i >= 1 and
+    # four pendants on 0. gamma = 2 at 0 and 1 on the spine forces every
+    # spine edge to point towards 0, but the greedy orientation points them
+    # all away from 0, leaving the surplus at 0 and the deficit at N.
+    spine = sys.getrecursionlimit() + 200
+    edges = [(i - 1, i) for i in range(1, spine + 1)]
+    edges += [(i, spine + i) for i in range(1, spine + 1)]
+    edges += [(0, 2 * spine + j) for j in range(1, 5)]
+    g = graph_from_edges(2 * spine + 5, edges)
+    gamma = [0] * g.n
+    gamma[0] = 2
+    for i in range(1, spine + 1):
+        gamma[i] = 1
+    dec = decide_star_decomposition(g, 2, gamma)
+    assert isinstance(dec, StarDecomposition)
+    assert validate_decomposition(g, dec) is None
+    assert dec.central_function(g.n) == tuple(gamma)
 
 
 def test_decomposition_json_round_trip():

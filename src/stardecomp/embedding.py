@@ -6,9 +6,10 @@ endpoints, or an independence-number obstruction) or attempted. For s >= k
 the construction is complete: a small-edge-count instance succeeds exactly
 when L has a large enough independent set, and a large-edge-count instance
 always succeeds, with center counts 1 on the base and near-uniform d/d+1 on
-the join set. For s < k no complete procedure is known, so an exact bounded
-search runs and honest "unknown-skipped" entries appear in the certificate
-when it is cut off.
+the join set. For s < k no complete procedure is known, so every such s runs
+the exact gamma search of ``oracle.exhaustive_gamma_search``, budgeted in
+twin-reduced candidates, and honest "unknown-skipped" entries appear in the
+certificate when the budget cuts it off.
 """
 
 from __future__ import annotations
@@ -371,13 +372,7 @@ def embed(
                 definite = False
                 continue
             return success(s, embed_small_case(core, k, s, alpha_budget))
-        target = join(core, s)
-        upper = oracle.count_gamma_candidates(target, k)
-        if upper > gamma_budget:
-            rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_candidates": upper}))
-            definite = False
-            continue
-        transcript = oracle.exhaustive_gamma_search(target, k, budget=gamma_budget)
+        transcript = oracle.exhaustive_gamma_search(join(core, s), k, budget=gamma_budget)
         if transcript.outcome == oracle.FOUND:
             return success(s, transcript.decomposition)
         if transcript.outcome == oracle.EXHAUSTED:

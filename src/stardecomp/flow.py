@@ -3,7 +3,9 @@
 Augmenting paths are found with an explicit stack rather than recursion, so
 a path may be as long as the network has nodes. Arcs are explored in
 insertion order, so identical inputs always produce the same flow and the
-same residual reachability, which keeps certificates reproducible.
+same residual reachability, which keeps certificates reproducible. After a
+maximum flow, the nodes that still reach the sink in the residual graph are
+the smallest sink side over all minimum cuts.
 """
 
 from __future__ import annotations
@@ -86,14 +88,24 @@ class MaxFlow:
 
     def residual_reachable(self, s: int) -> list[bool]:
         """Nodes reachable from s in the residual graph (source side of a min cut)."""
+        return self._residual_closure(s, 0)
+
+    def residual_reaching(self, t: int) -> list[bool]:
+        """Nodes that reach t in the residual graph (smallest sink side of a min cut)."""
+        return self._residual_closure(t, 1)
+
+    def _residual_closure(self, start: int, backward: int) -> list[bool]:
+        # arc idx runs x -> to[idx]; its partner idx ^ 1 runs to[idx] -> x,
+        # so backward = 1 follows residual arcs against their direction
+        to, cap = self.to, self.cap
         seen = [False] * self.n
-        seen[s] = True
-        stack = [s]
+        seen[start] = True
+        stack = [start]
         while stack:
             x = stack.pop()
             for idx in self.adj[x]:
-                y = self.to[idx]
-                if self.cap[idx] > 0 and not seen[y]:
+                y = to[idx]
+                if cap[idx ^ backward] > 0 and not seen[y]:
                     seen[y] = True
                     stack.append(y)
         return seen

@@ -1,10 +1,17 @@
-"""Brute-force ground truth for the flow-based solver.
+"""Exhaustive searches: ground truth for the flow solver, and the sub-k
+decision procedure of the embedder.
 
-Everything in here works by definition-level search: backtracking over edge
-assignments, full subset enumeration for deficiencies, and enumeration of
-candidate center-count functions. The only pruning allowed is counting
-arguments that follow directly from what a star is, so these searches remain
-an independent check on the flow formulation.
+``exhaustive_decomposition`` backtracks over edge assignments and
+``enumerate_min_deficiency`` over all vertex subsets. They use no flow and
+prune only by counting arguments that follow directly from what a star is,
+so they remain an independent check on the flow formulation.
+
+``exhaustive_gamma_search`` enumerates candidate center-count functions and
+tests each with the flow solver. It prunes by automorphisms (twin vertices
+are interchangeable, so one gamma per orbit under swapping twins is
+enumerated) and by deficiency (a witness set refused for one candidate rules
+out every later candidate that puts as many centers in it). Both prunings
+are exact, which the flow-free searches check in the tests.
 """
 
 from __future__ import annotations
@@ -186,7 +193,7 @@ def gamma_caps(g: Graph, k: int) -> list[int]:
 
 def count_gamma_candidates(g: Graph, k: int) -> int:
     """Upper bound on the number of k-precentral gamma with k*gamma(x) <= deg(x)
-    (ignores the edge-coverage pruning the enumerator applies)."""
+    (ignores the edge-coverage and twin pruning the enumerator applies)."""
     if g.num_edges % k:
         return 0
     b = g.num_edges // k
@@ -202,52 +209,102 @@ def count_gamma_candidates(g: Graph, k: int) -> int:
     return counts[b]
 
 
+def _twin_predecessors(g: Graph) -> list[int]:
+    """For each vertex, the previous vertex of its twin class, or -1.
+
+    Twins have equal open neighbourhoods (non-adjacent) or equal closed ones
+    (adjacent), so swapping two of them is an automorphism of g. An open
+    neighbourhood never equals a closed one, so one table serves both.
+    """
+    last: dict[frozenset[int], int] = {}
+    prev = [-1] * g.n
+    for x in range(g.n):
+        for key in (g.adjacency[x], g.adjacency[x] | {x}):
+            if key in last:
+                prev[x] = last[key]
+            last[key] = x
+    return prev
+
+
 def iter_gamma_candidates(g: Graph, k: int):
     """All k-precentral gamma with k*gamma(x) <= deg(x), pruned by the edge
-    condition gamma(u) + gamma(v) >= 1, in lexicographic order."""
+    condition gamma(u) + gamma(v) >= 1 and reduced by twin symmetry (gamma is
+    non-increasing in label order within each twin class), in lexicographic
+    order. The walk keeps its position in arrays rather than on the call
+    stack, so any number of vertices is fine."""
     if g.num_edges % k:
         return
+    n = g.n
     b = g.num_edges // k
     caps = gamma_caps(g, k)
-    suffix = [0] * (g.n + 1)
-    for x in range(g.n - 1, -1, -1):
+    suffix = [0] * (n + 1)
+    for x in range(n - 1, -1, -1):
         suffix[x] = suffix[x + 1] + caps[x]
-    earlier = [sorted(w for w in g.neighbors(x) if w < x) for x in range(g.n)]
-    gamma = [0] * g.n
-
-    def assign(x: int, total: int):
-        if x == g.n:
-            if total == b:
-                yield tuple(gamma)
-            return
-        if total + suffix[x] < b:
-            return
-        lo = 0
-        if any(gamma[w] == 0 for w in earlier[x]):
-            lo = 1
-        for val in range(lo, min(caps[x], b - total) + 1):
-            gamma[x] = val
-            yield from assign(x + 1, total + val)
-        gamma[x] = 0
-
-    yield from assign(0, 0)
+    earlier = [sorted(w for w in g.neighbors(x) if w < x) for x in range(n)]
+    twin = _twin_predecessors(g)
+    gamma = [0] * n
+    top = [0] * n  # the largest value vertex x may take under the current prefix
+    x = 0
+    total = 0  # sum of gamma over the vertices below x
+    while True:
+        if x == n:
+            # lo and hi below force total == b once every vertex has a value
+            yield tuple(gamma)
+        else:
+            # below b - total - suffix[x + 1] the later caps cannot reach b
+            lo = b - total - suffix[x + 1]
+            if lo < 1 and any(gamma[w] == 0 for w in earlier[x]):
+                lo = 1
+            hi = min(caps[x], b - total)
+            if twin[x] >= 0 and gamma[twin[x]] < hi:
+                hi = gamma[twin[x]]
+            if lo <= hi:
+                gamma[x] = max(lo, 0)
+                top[x] = hi
+                total += gamma[x]
+                x += 1
+                continue
+        # move to the next value at the deepest vertex that has one
+        while True:
+            x -= 1
+            if x < 0:
+                return
+            if gamma[x] < top[x]:
+                gamma[x] += 1
+                total += 1
+                x += 1
+                break
+            total -= gamma[x]
+            gamma[x] = 0
 
 
 def exhaustive_gamma_search(
     g: Graph, k: int, budget: int = DEFAULT_GAMMA_BUDGET
 ) -> SearchTranscript:
     """Decide whether any k-star decomposition exists by enumerating candidate
-    center-count functions and testing each with the flow solver."""
+    center-count functions and testing each with the flow solver.
+
+    Every refused candidate leaves a deficient set T, whose |E(T)| incident
+    edges cannot carry |E(T)|//k + 1 stars centered in T; a later candidate
+    putting at least that many centers in T is skipped without a flow. Skipped
+    candidates count toward ``nodes_explored`` and the budget like tested
+    ones, so the outcome, the count and the first feasible candidate are
+    those of testing every candidate.
+    """
     if k < 2:
         raise ValueError("star size k must be at least 2")
     tried = 0
+    cuts: list[tuple[tuple[int, ...], int]] = []
     for gamma in iter_gamma_candidates(g, k):
         tried += 1
         if tried > budget:
             return SearchTranscript(tried, BUDGET_EXCEEDED)
+        if any(sum(map(gamma.__getitem__, t)) >= most for t, most in cuts):
+            continue
         result = decide_star_decomposition(g, k, gamma)
         if isinstance(result, StarDecomposition):
             return SearchTranscript(tried, FOUND, result)
+        cuts.append((result.vertices, result.delta_plus // k + 1))
     return SearchTranscript(tried, EXHAUSTED)
 
 

@@ -10,8 +10,9 @@ direction, the source feeds every vertex with too many out-edges and every
 vertex with too few drains to the sink. Each unit of flow reverses a
 directed path from a surplus vertex to a deficit vertex. A full flow yields
 the orientation and hence the stars; anything less leaves a vertex set T,
-the vertices the source cannot reach, whose incident-edge count falls short
-of k * sum(gamma over T), certifying infeasibility.
+the vertices that still reach the sink, whose incident-edge count falls
+short of k * sum(gamma over T), certifying infeasibility. T is the smallest
+set of minimum deficiency, so it lies inside the support of gamma.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def decide_star_decomposition(
 ) -> StarDecomposition | DeficiencyWitness:
     """Either a decomposition with center counts exactly gamma, or a witness set.
 
-    The witness is shrunk so all of its vertices carry positive gamma and its
-    deficiency is negative.
+    The witness is the smallest vertex set of minimum deficiency: its
+    deficiency is negative and all of its vertices carry positive gamma.
     """
     gamma = _check_gamma(g, k, gamma)
     if k * sum(gamma) != g.num_edges:
@@ -194,15 +195,18 @@ def decide_star_decomposition(
                 stars.append(Star(x, tuple(leaves[j * k : (j + 1) * k])))
         return StarDecomposition(k, tuple(stars))
 
-    # Every edge between the unreachable set T and the rest now leaves T and
-    # all unmet demand lies inside T, so |E incident to T| = out(T) < k*gamma(T).
-    reach = net.residual_reachable(source)
-    raw = [x for x in range(g.n) if not reach[x]]
-    witness = deficiency(g, k, gamma, raw)
+    # Every edge between the set T that still reaches the sink and the rest
+    # now leaves T and all unmet demand lies inside T, so
+    # |E incident to T| = out(T) < k*gamma(T). A cut with sink side T + sink
+    # has capacity (total surplus) + deficiency(T), so T has minimum
+    # deficiency and, being the smallest such sink side, lies inside every
+    # set that does: dropping a vertex always raises the deficiency, which
+    # is why no shrinking follows.
+    reach = net.residual_reaching(sink)
+    witness = deficiency(g, k, gamma, [x for x in range(g.n) if reach[x]])
     if witness.delta >= 0:
         raise RuntimeError("min cut did not produce a deficient set")
-    shrunk = shrink_witness(g, k, gamma, raw)
-    return deficiency(g, k, gamma, shrunk)
+    return witness
 
 
 def validate_decomposition(

@@ -88,7 +88,7 @@ def test_decompose_gamma_witness(tmp_path):
 
 
 def test_decompose_search_budget_exit_code(tmp_path, monkeypatch):
-    # an infeasible join with 7 candidate center functions: budget 2 trips
+    # an infeasible join with 3 twin-reduced candidate center functions: budget 2 trips
     from stardecomp.graphs import join
 
     gpath = tmp_path / "g.json"
@@ -102,6 +102,18 @@ def test_decompose_search_budget_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("STARDEC_BUDGET", "50")
     assert run(["decompose", "--graph", str(gpath), "--k", "3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["exists"] is False
+
+
+def test_decompose_many_disjoint_claws(tmp_path):
+    # 2400 vertices: the gamma enumeration must not recurse once per vertex
+    g = graph_from_edges(2400, [(4 * i, 4 * i + j) for i in range(600) for j in (1, 2, 3)])
+    gpath = tmp_path / "claws.txt"
+    write_graph(g, gpath)
+    out = tmp_path / "out.json"
+    assert run(["decompose", "--graph", str(gpath), "--k", "3", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["exists"] is True
+    assert validate_decomposition(g, StarDecomposition.from_json_dict(data["decomposition"])) is None
 
 
 def test_decompose_malformed_input(tmp_path, capsys):

@@ -24,7 +24,7 @@ from stardecomp.graphs import (
     join,
     join_edge_count,
 )
-from stardecomp.oracle import sample_maximal_partial
+from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, sample_maximal_partial
 from stardecomp.solver import validate_decomposition
 
 SINGLE_EDGE_8 = graph_from_edges(8, [(0, 1)])
@@ -246,6 +246,26 @@ def test_embed_conditional_when_search_skipped():
     assert cert.minimality == "conditional"
     reasons = {r.s: r.reason for r in cert.rejections}
     assert reasons[2] == "unknown-skipped"
+
+
+def test_sub_k_exhaustions_agree_with_edge_search():
+    # the gamma search prunes by twins and witness cuts; the edge-assignment
+    # search uses no flow, no twins and no cuts, so it must agree
+    checked = sub_k = 0
+    for k in (3, 4):
+        for n in range(k + 1, 10):
+            for seed in range(8):
+                _, leave = sample_maximal_partial(n, k, seed)
+                cert = embed(leave, k)
+                _, core = greedy_star_removal(leave, k)
+                for r in cert.rejections:
+                    if r.reason == "exhausted-nonexistence" and r.s < k:
+                        checked += 1
+                        assert exhaustive_decomposition(join(core, r.s), k).outcome == EXHAUSTED
+                if cert.s < k:
+                    sub_k += 1
+                    assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
+    assert checked >= 20 and sub_k >= 20
 
 
 def test_embed_skips_small_case_when_alpha_cut_off():

@@ -28,17 +28,24 @@ def test_max_flow_matches_networkx():
         net = MaxFlow(n)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
+        arcs = []
         for _ in range(rng.randint(0, 4 * n)):
             u, v = rng.sample(range(n), 2)
             cap = rng.randint(0, 9)
             net.add_edge(u, v, cap)
+            arcs.append((u, v, cap))
             # networkx keeps one arc per ordered pair, so parallel arcs merge
             if ref.has_edge(u, v):
                 ref[u][v]["capacity"] += cap
             else:
                 ref.add_edge(u, v, capacity=cap)
         source, sink = rng.sample(range(n), 2)
-        assert net.max_flow(source, sink) == nx.maximum_flow_value(ref, source, sink)
+        value = net.max_flow(source, sink)
+        assert value == nx.maximum_flow_value(ref, source, sink)
+        # the nodes that still reach the sink are the sink side of a min cut
+        sink_side = net.residual_reaching(sink)
+        assert not sink_side[source]
+        assert sum(c for u, v, c in arcs if not sink_side[u] and sink_side[v]) == value
 
 
 def _edge_node_network_feasible(g, k, gamma):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -71,21 +71,75 @@ def test_gamma_search_agrees_with_edge_search():
     assert exhaustive_gamma_search(g, 3).outcome == EXHAUSTED
 
 
+def _two_single_edge_joins():
+    # two disjoint copies of (single edge on 8 vertices) v K_2: no 3-star
+    # decomposition, and no twins across the copies
+    j = join(graph_from_edges(8, [(0, 1)]), 2)
+    return graph_from_edges(20, list(j.edges) + [(u + 10, v + 10) for u, v in j.edges])
+
+
 def test_gamma_search_budget():
-    tr = exhaustive_gamma_search(complete_graph(9), 2, budget=3)
+    g = _two_single_edge_joins()
+    assert len(list(iter_gamma_candidates(g, 3))) == 25
+    tr = exhaustive_gamma_search(g, 3, budget=3)
     assert tr.outcome == BUDGET_EXCEEDED
+    assert tr.nodes_explored == 4
+    tr = exhaustive_gamma_search(g, 3, budget=25)
+    assert tr.outcome == EXHAUSTED
+    assert tr.nodes_explored == 25
+
+
+def _full_gamma_enumeration(g, k):
+    """Every gamma meeting the sum, cap and edge conditions, in lex order."""
+    if g.num_edges % k:
+        return []
+    ranges = [range(g.degree(x) // k + 1) for x in range(g.n)]
+    return [
+        gamma
+        for gamma in product(*ranges)
+        if k * sum(gamma) == g.num_edges
+        and all(gamma[u] + gamma[v] >= 1 for u, v in g.edges)
+    ]
+
+
+def _twin_classes(g):
+    classes = {}
+    for x in range(g.n):
+        open_nbrs = frozenset(g.neighbors(x))
+        classes.setdefault(("open", open_nbrs), []).append(x)
+        classes.setdefault(("closed", open_nbrs | {x}), []).append(x)
+    return [c for c in classes.values() if len(c) > 1]
 
 
 def test_gamma_enumeration_matches_count_and_conditions():
-    g = join(graph_from_edges(8, [(0, 1)]), 2)
-    candidates = list(iter_gamma_candidates(g, 3))
-    # the upper-bound count ignores the edge condition, which removes one here
-    assert count_gamma_candidates(g, 3) == 8
-    assert len(candidates) == 7
-    for gamma in candidates:
-        assert 3 * sum(gamma) == g.num_edges
-        assert all(3 * gamma[x] <= g.degree(x) for x in range(g.n))
-        assert all(gamma[u] + gamma[v] >= 1 for u, v in g.edges)
+    rng = random.Random(8)
+    graphs = [(join(graph_from_edges(8, [(0, 1)]), 2), 3)]
+    for _ in range(12):
+        base_n = rng.randint(3, 6)
+        edges = [e for e in combinations(range(base_n), 2) if rng.random() < 0.4]
+        graphs.append((join(graph_from_edges(base_n, edges), rng.randint(0, 3)), rng.choice([2, 3])))
+    sizes = []
+    for g, k in graphs:
+        full = _full_gamma_enumeration(g, k)
+        classes = _twin_classes(g)
+        reduced = [
+            gamma
+            for gamma in full
+            if all(gamma[a] >= gamma[b] for c in classes for a, b in zip(c, c[1:]))
+        ]
+        candidates = list(iter_gamma_candidates(g, k))
+        assert candidates == reduced
+        # the upper-bound count ignores the edge condition and the twins
+        upper = count_gamma_candidates(g, k)
+        assert upper >= len(full) >= len(candidates)
+        sizes.append((upper, len(full), len(candidates)))
+        for gamma in candidates:
+            assert k * sum(gamma) == g.num_edges
+            assert all(k * gamma[x] <= g.degree(x) for x in range(g.n))
+            assert all(gamma[u] + gamma[v] >= 1 for u, v in g.edges)
+    assert sizes[0] == (8, 7, 3)
+    # most graphs of the corpus have twins that remove candidates
+    assert sum(full > reduced for _, full, reduced in sizes) >= 8, sizes
 
 
 def test_min_deficiency_never_positive_and_supported():

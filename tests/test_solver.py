@@ -92,6 +92,41 @@ def test_witness_is_within_gamma_support_and_matches_oracle():
     assert result.delta >= best_delta
 
 
+def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
+    # record, for each refused gamma, the vertices the source cannot reach
+    unreached = []
+    reaching = MaxFlow.residual_reaching
+
+    def spy(net, t):
+        source = net.n - 2
+        seen = net.residual_reachable(source)
+        unreached.append({x for x in range(source) if not seen[x]})
+        return reaching(net, t)
+
+    monkeypatch.setattr(MaxFlow, "residual_reaching", spy)
+    rng = random.Random(41)
+    checked = 0
+    for trial in range(400):
+        n = rng.randint(2, 12)
+        k = rng.choice([2, 3])
+        g = graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        if g.num_edges % k:
+            continue
+        gamma = [0] * n
+        for _ in range(g.num_edges // k):
+            gamma[rng.randrange(n)] += 1
+        result = decide_star_decomposition(g, k, gamma)
+        if not isinstance(result, DeficiencyWitness):
+            continue
+        checked += 1
+        delta, smallest = enumerate_min_deficiency(g, k, gamma)
+        assert result.delta == delta < 0
+        assert [result.vertices] == smallest
+        assert all(gamma[x] >= 1 for x in result.vertices)
+        assert set(result.vertices) <= unreached[-1]
+    assert checked >= 100
+
+
 def test_validate_reports_duplicate_and_missing_edges():
     g = complete_graph(4)
     dup = StarDecomposition(

@@ -25,7 +25,6 @@ from .graphs import (
 )
 from .independence import (
     BudgetExceeded,
-    caro_wei_bound,
     independence_number,
     maximum_independent_set,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "Star",
     "StarDecomposition",
     "bound_report",
-    "caro_wei_bound",
     "complete_graph",
     "decide_star_decomposition",
     "decompose_complete",

@@ -2,11 +2,11 @@
 
 Subcommands: decompose, embed, family, sweep, bounds. All outputs are
 deterministic JSON or CSV; the sweep's runtime column is the only field that
-varies between runs. Budgets come from flags first, then the STARDEC_BUDGET
-environment variable, then defaults.
+varies between runs. Each budget is a flag with a fixed default.
 
-Exit codes: 0 decision reached, 1 malformed input, 2 budget or search limit
-exceeded, 4 a family claim was refuted, 5 a sweep row broke its cap.
+Exit codes: 0 decision reached, 1 malformed input (including usage errors),
+2 budget or search limit exceeded, 3 internal error, 4 a family claim was
+refuted, 5 a sweep row broke its cap.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,12 +23,13 @@ from pathlib import Path
 from . import families, oracle
 from .embedding import (
     DEFAULT_GAMMA_SEARCH_BUDGET,
+    NoEmbeddingFound,
     bound_report,
     embed,
     general_cap,
     large_n_cap,
 )
-from .graphs import read_graph
+from .graphs import complete_graph, read_graph
 from .solver import (
     StarDecomposition,
     decide_star_decomposition,
@@ -53,21 +53,11 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _env_budget(flag_value: int | None, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("STARDEC_BUDGET")
-    if env is not None:
-        return int(env)
-    return default
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are malformed input, reported by ``main`` with exit 1."""
 
-
-def _dump_json(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -77,65 +67,60 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _dump_json(data: dict, out: str | None) -> None:
+    _write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     k = args.k
+    code = 0
     if args.complete is not None:
         dec = decompose_complete(args.complete, k)
-        if dec is None:
-            _dump_json({"exists": False, "n": args.complete, "k": k}, args.out)
-        else:
-            _dump_json(
-                {"exists": True, "n": args.complete, "k": k, "decomposition": dec.to_json_dict()},
-                args.out,
-            )
-        return 0
-    g = read_graph(args.graph)
-    if args.gamma is not None:
-        gamma = json.loads(Path(args.gamma).read_text())
-        result = decide_star_decomposition(g, k, gamma)
-        if isinstance(result, StarDecomposition):
-            payload = {"exists": True, "decomposition": result.to_json_dict()}
-            if args.dot:
-                Path(args.dot).write_text(decomposition_to_dot(g, result))
-        else:
-            payload = {"exists": False, "witness": result.to_json_dict()}
-        _dump_json(payload, args.out)
-        return 0
-    if k == 2:
-        dec = two_star_decompose(g)
-        if dec is None:
-            odd = [
-                comp
-                for comp in g.components()
-                if g.induced_edge_count(set(comp)) % 2 == 1
-            ]
-            _dump_json({"exists": False, "odd_components": odd}, args.out)
-        else:
-            _dump_json({"exists": True, "decomposition": dec.to_json_dict()}, args.out)
-            if args.dot:
-                Path(args.dot).write_text(decomposition_to_dot(g, dec))
-        return 0
-    budget = _env_budget(args.budget, oracle.DEFAULT_GAMMA_BUDGET)
-    transcript = oracle.exhaustive_gamma_search(g, k, budget)
-    if transcript.outcome == oracle.BUDGET_EXCEEDED:
-        _dump_json({"outcome": transcript.outcome, "tried": transcript.nodes_explored}, args.out)
-        return 2
-    if transcript.outcome == oracle.FOUND:
-        payload = {"exists": True, "decomposition": transcript.decomposition.to_json_dict()}
-        if args.dot:
-            Path(args.dot).write_text(decomposition_to_dot(g, transcript.decomposition))
+        payload = {"exists": dec is not None, "n": args.complete, "k": k}
+        g = complete_graph(args.complete) if dec is not None and args.dot else None
     else:
-        payload = {"exists": False, "gamma_candidates_tried": transcript.nodes_explored}
+        g = read_graph(args.graph)
+        if args.gamma is not None:
+            gamma = json.loads(Path(args.gamma).read_text())
+            if not isinstance(gamma, list) or any(type(x) is not int for x in gamma):
+                raise ValueError("--gamma must be a JSON list of integers")
+            result = decide_star_decomposition(g, k, gamma)
+            dec = result if isinstance(result, StarDecomposition) else None
+            payload = {"exists": dec is not None}
+            if dec is None:
+                payload["witness"] = result.to_json_dict()
+        elif k == 2:
+            dec = two_star_decompose(g)
+            payload = {"exists": dec is not None}
+            if dec is None:
+                payload["odd_components"] = [
+                    comp
+                    for comp in g.components()
+                    if g.induced_edge_count(set(comp)) % 2 == 1
+                ]
+        else:
+            transcript = oracle.exhaustive_gamma_search(g, k, args.budget)
+            dec = transcript.decomposition
+            if transcript.outcome == oracle.BUDGET_EXCEEDED:
+                payload = {"outcome": transcript.outcome, "tried": transcript.nodes_explored}
+                code = 2
+            else:
+                payload = {"exists": dec is not None}
+                if dec is None:
+                    payload["gamma_candidates_tried"] = transcript.nodes_explored
+    if dec is not None:
+        payload["decomposition"] = dec.to_json_dict()
+        if args.dot:
+            _write_text(decomposition_to_dot(g, dec), args.dot)
     _dump_json(payload, args.out)
-    return 0
+    return code
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = read_graph(args.leave)
-    budget = _env_budget(args.budget, DEFAULT_GAMMA_SEARCH_BUDGET)
     try:
-        cert = embed(g, args.k, max_s=args.max_s, gamma_budget=budget)
-    except RuntimeError as exc:
+        cert = embed(g, args.k, max_s=args.max_s, gamma_budget=args.budget)
+    except NoEmbeddingFound as exc:
         print(f"no embedding within limits: {exc}", file=sys.stderr)
         return 2
     _dump_json(cert.to_json_dict(), args.out)
@@ -147,8 +132,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if not args.verify:
         _dump_json(inst.to_json_dict(), args.out)
         return 0
-    budget = families.VerifyBudget(flow_edge_limit=args.flow_limit)
-    report = families.verify_instance(inst, budget)
+    report = families.verify_instance(inst, args.flow_limit)
     _dump_json(report.to_json_dict(), args.out)
     return 0 if report.all_ok() else 4
 
@@ -210,9 +194,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    budget = _env_budget(args.budget, DEFAULT_GAMMA_SEARCH_BUDGET)
     rows = run_sweep(
-        _parse_int_list(args.k), _parse_range(args.n), args.seeds, budget, args.jobs
+        _parse_int_list(args.k), _parse_range(args.n), args.seeds, args.budget, args.jobs
     )
     buf = io.StringIO()
     buf.write(SWEEP_HEADER + "\n")
@@ -267,7 +250,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stardecomp",
         description="Exact k-star decomposition solver, embedder, and family verifier",
     )
@@ -275,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a graph into k-stars")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--complete", type=int, help="use K_n for the given n")
-    p.add_argument("--graph", help="graph file (edge list or JSON)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--complete", type=int, help="use K_n for the given n")
+    source.add_argument("--graph", help="graph file (edge list or JSON)")
     p.add_argument("--gamma", help="JSON list of per-vertex center counts")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=oracle.DEFAULT_GAMMA_BUDGET)
     p.add_argument("--out")
     p.add_argument("--dot", help="write a DOT rendering of the decomposition")
     p.set_defaults(func=_cmd_decompose)
@@ -287,7 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leave", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-s", type=int, dest="max_s")
-    p.add_argument("--budget", type=int, help="gamma candidates tried per sub-k s")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_GAMMA_SEARCH_BUDGET,
+        help="gamma candidates tried per sub-k s",
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_embed)
 
@@ -297,12 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--verify", action="store_true")
-    p.add_argument(
-        "--flow-limit",
-        type=int,
-        default=families.VerifyBudget().flow_edge_limit,
-        dest="flow_limit",
-    )
+    p.add_argument("--flow-limit", type=int, default=families.FLOW_EDGE_LIMIT, dest="flow_limit")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_family)
 
@@ -311,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="range lo:hi or comma list")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_GAMMA_SEARCH_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
@@ -325,13 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

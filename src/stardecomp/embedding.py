@@ -23,7 +23,6 @@ from .graphs import Graph, join, join_edge_count
 from .independence import (
     DEFAULT_ALPHA_BUDGET,
     BudgetExceeded,
-    caro_wei_bound,
     independence_number,
     maximum_independent_set,
 )
@@ -42,6 +41,10 @@ REASON_EXHAUSTED = "exhausted-nonexistence"
 REASON_UNKNOWN = "unknown-skipped"
 
 DEFAULT_GAMMA_SEARCH_BUDGET = 2000
+
+
+class NoEmbeddingFound(RuntimeError):
+    """No embedding was found for any s up to the search limit."""
 
 
 class ObstacleViolated(Exception):
@@ -99,10 +102,9 @@ class EmbeddingCertificate:
 
 @dataclass(frozen=True)
 class ObstacleReport:
-    status: str  # "passes" | "passes-by-bound" | "violated" | "inconclusive"
+    status: str  # "passes" | "violated" | "unknown"
     required: int
     alpha: int | None = None
-    bound: Fraction | None = None
 
 
 def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
@@ -130,8 +132,8 @@ def obstacle_check(base: Graph, k: int, s: int, alpha: int | None) -> ObstacleRe
 
     ``alpha`` is the caller's exact independence number of L, or None when
     its search was cut off. With it the verdict is definite either way;
-    without it the Caro-Wei lower bound can still certify a pass
-    ("passes-by-bound"), otherwise the check is inconclusive.
+    without it only a requirement of at most zero passes, and anything
+    else is "unknown".
     """
     m = join_edge_count(base, s)
     if m % k:
@@ -143,10 +145,7 @@ def obstacle_check(base: Graph, k: int, s: int, alpha: int | None) -> ObstacleRe
         if alpha >= required:
             return ObstacleReport("passes", required, alpha=alpha)
         return ObstacleReport("violated", required, alpha=alpha)
-    bound = caro_wei_bound(base)
-    if bound >= required:
-        return ObstacleReport("passes-by-bound", required, bound=bound)
-    return ObstacleReport("inconclusive", required, bound=bound)
+    return ObstacleReport("unknown", required)
 
 
 def embed_small_case(
@@ -313,6 +312,7 @@ def embed(
     against the reduced leave, which has the same embeddability. Minimality
     is "exact" when every smaller divisible s was rejected for a definite
     reason and "conditional" when any search was cut off by its budget.
+    Raises NoEmbeddingFound when no s up to the limit works.
     """
     if k < 2:
         raise ValueError("star size k must be at least 2")
@@ -384,7 +384,7 @@ def embed(
             continue
         rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget"}))
         definite = False
-    raise RuntimeError(
+    raise NoEmbeddingFound(
         f"no embedding found for s <= {limit}; either max_s was set below the "
         "guaranteed bound or the input is not the leave of a partial decomposition"
     )

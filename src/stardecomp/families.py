@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import oracle
 from .embedding import degree_pair_check, embed_large_case, general_cap, obstacle_check
 from .graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
-from .independence import DEFAULT_ALPHA_BUDGET, independence_number
+from .independence import independence_number
 from .solver import (
     StarDecomposition,
     decide_star_decomposition,
@@ -26,6 +26,7 @@ from .solver import (
 )
 
 EXHAUSTIVE_NONEXISTENCE_EDGE_LIMIT = 24
+FLOW_EDGE_LIMIT = 5000  # largest graph a flow-construction claim builds by default
 
 FAMILY_IDS = ("single-edge", "bound-n", "tightness-T2", "even-bound", "odd-bound")
 
@@ -66,14 +67,6 @@ class FamilyInstance:
                 for c in self.claims
             ],
         }
-
-
-@dataclass(frozen=True)
-class VerifyBudget:
-    flow_edge_limit: int = 5000
-    search_budget: int = oracle.DEFAULT_SEARCH_BUDGET
-    gamma_budget: int = oracle.DEFAULT_GAMMA_BUDGET
-    alpha_budget: int = DEFAULT_ALPHA_BUDGET
 
 
 @dataclass(frozen=True)
@@ -496,7 +489,7 @@ def _odd_positivity(k: int, n: int, s: int) -> Fraction:
     return Fraction(n * (6 * k - n + 1) - 4 * k * (k + m) - s * (s + 2 * n - 2 * k - 1))
 
 
-def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> ClaimResult:
+def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> ClaimResult:
     leave = inst.leave
     k = inst.k
     n = leave.n
@@ -504,11 +497,11 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, budget: VerifyB
         # the leave is K_2 itself; the empty partial decomposition realizes it
         return ClaimResult(claim, "verified", {"trivial": "empty decomposition"})
     complement_edges = _realizability_conditions(leave, k)["complement_edges"]
-    if complement_edges > budget.flow_edge_limit:
+    if complement_edges > flow_edge_limit:
         return ClaimResult(
             claim,
             "skipped-budget",
-            {"complement_edges": complement_edges, "limit": budget.flow_edge_limit},
+            {"complement_edges": complement_edges, "limit": flow_edge_limit},
         )
     complement = leave.complement()
     if claim.params.get("gamma") == "zero-on-small-clique":
@@ -536,7 +529,7 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, budget: VerifyB
     )
 
 
-def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> ClaimResult:
+def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> ClaimResult:
     leave = inst.leave
     k = inst.k
     n = inst.n
@@ -576,7 +569,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
         )
 
     if claim.kind == "alpha":
-        alpha = independence_number(leave, budget.alpha_budget)
+        alpha = independence_number(leave)
         ok = alpha == claim.params["expected"]
         return ClaimResult(claim, "verified" if ok else "refuted", {"alpha": alpha})
 
@@ -587,7 +580,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
         return ClaimResult(claim, "verified" if ok else "refuted", facts)
 
     if claim.kind == "leave-realizable":
-        return _verify_leave_realizable(inst, claim, budget)
+        return _verify_leave_realizable(inst, claim, flow_edge_limit)
 
     if claim.kind == "divisible-candidates":
         found = _divisible_candidates(leave, k, claim.params["below"])
@@ -609,7 +602,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
         s = claim.params["s"]
         if join_edge_count(leave, s) % k:
             return ClaimResult(claim, "refuted", {"error": "join not divisible"})
-        alpha = independence_number(leave, budget.alpha_budget)
+        alpha = independence_number(leave)
         obstacle = obstacle_check(leave, k, s, alpha)
         required = obstacle.required
         evidence: dict = {"s": s, "required": required, "alpha": alpha}
@@ -635,8 +628,8 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
         s = claim.params["s"]
         if claim.method == "exhaustive":
             target = join(leave, s)
-            transcript = oracle.exhaustive_decomposition(target, k, budget.search_budget)
-            gamma_transcript = oracle.exhaustive_gamma_search(target, k, budget.gamma_budget)
+            transcript = oracle.exhaustive_decomposition(target, k)
+            gamma_transcript = oracle.exhaustive_gamma_search(target, k)
             evidence = {
                 "search": transcript.to_json_dict() | {"decomposition": None},
                 "gamma_search": gamma_transcript.to_json_dict() | {"decomposition": None},
@@ -656,7 +649,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
 
     if claim.kind == "success-at-s":
         s = claim.params["s"]
-        if join_edge_count(leave, s) > budget.flow_edge_limit:
+        if join_edge_count(leave, s) > flow_edge_limit:
             return ClaimResult(
                 claim,
                 "skipped-budget",
@@ -704,7 +697,8 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, budget: VerifyBudget) -> C
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 
 
-def verify_instance(inst: FamilyInstance, budget: VerifyBudget | None = None) -> VerificationReport:
-    budget = budget or VerifyBudget()
-    results = tuple(_verify_claim(inst, claim, budget) for claim in inst.claims)
+def verify_instance(inst: FamilyInstance, flow_edge_limit: int = FLOW_EDGE_LIMIT) -> VerificationReport:
+    """Check every claim; flow constructions on graphs with more than
+    ``flow_edge_limit`` edges are reported as skipped-budget."""
+    results = tuple(_verify_claim(inst, claim, flow_edge_limit) for claim in inst.claims)
     return VerificationReport(inst.family_id, inst.k, inst.n, results)

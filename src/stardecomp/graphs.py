@@ -98,9 +98,6 @@ class Graph:
     def without_edges(self, drop: set[Edge]) -> "Graph":
         return Graph(self.n, self.edges - frozenset(drop))
 
-    def is_clique(self, vertices: list[int]) -> bool:
-        return all(self.has_edge(u, v) for u, v in combinations(vertices, 2))
-
 
 def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
@@ -153,7 +150,17 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> Graph:
-    return graph_from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+    """Read ``{"n": int, "edges": [[int, int], ...]}``; bools and floats are
+    rejected rather than converted."""
+    if not isinstance(data, dict) or type(data.get("n")) is not int:
+        raise ValueError('a JSON graph needs an integer "n"')
+    edges = data.get("edges")
+    if not isinstance(edges, list):
+        raise ValueError('a JSON graph needs an "edges" list')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise ValueError(f"bad edge {e!r}: want a pair of integers")
+    return graph_from_edges(data["n"], [tuple(e) for e in edges])
 
 
 def format_edge_list(g: Graph) -> str:

@@ -1,14 +1,13 @@
-"""Exact independence numbers plus the Caro-Wei lower bound.
+"""Exact independence numbers and lexicographically smallest maximum
+independent sets.
 
-The exact solver is a budgeted branch-and-bound. Components are solved
+The solver is a budgeted branch-and-bound. Components are solved
 independently; clique components and components of maximum degree at most 2
 (paths and cycles) are answered in closed form, which covers the disjoint
 clique unions the tightness families use even at hundreds of vertices.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .graphs import Graph
 
@@ -22,8 +21,8 @@ class BudgetExceeded(Exception):
 def _component_alpha(g: Graph, comp: list[int], budget: list[int]) -> int:
     size = len(comp)
     degs = [g.degree(v) for v in comp]
-    within = all(d == size - 1 for d in degs)
-    if within and g.is_clique(comp):
+    if all(d == size - 1 for d in degs):
+        # every neighbour lies in the component, so each vertex sees all the others
         return 1
     if max(degs) <= 2:
         # path or cycle: every vertex has degree <= 2 and the component is
@@ -115,9 +114,3 @@ def _induced(g: Graph, vertices: set[int]) -> Graph:
         (index[u], index[v]) for u, v in g.edges if u in vertices and v in vertices
     )
     return Graph(len(order), edges)
-
-
-def caro_wei_bound(g: Graph) -> Fraction:
-    """Caro-Wei lower bound on the independence number: the exact rational
-    sum of 1/(deg(x)+1) over vertices."""
-    return sum((Fraction(1, d + 1) for d in g.degrees), Fraction(0))

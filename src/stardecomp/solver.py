@@ -254,9 +254,7 @@ class RepairLimitReached(RuntimeError):
     """The gamma-repair loop gave up without reaching a decomposition."""
 
 
-def decompose_with_repair(
-    g: Graph, k: int, gamma=None, max_repairs: int | None = None
-) -> StarDecomposition:
+def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
     """Decompose with a balanced gamma, repairing it via witness feedback.
 
     Each failed attempt moves one unit of gamma from the lowest-labeled
@@ -264,10 +262,8 @@ def decompose_with_repair(
     Aborts after n^2 repairs; the callers use this only where a suitable
     gamma is known to exist.
     """
-    gamma = list(balanced_gamma(g, k)) if gamma is None else list(_check_gamma(g, k, gamma))
-    if max_repairs is None:
-        max_repairs = g.n * g.n
-    for _ in range(max_repairs + 1):
+    gamma = list(balanced_gamma(g, k))
+    for _ in range(g.n * g.n + 1):
         result = decide_star_decomposition(g, k, gamma)
         if isinstance(result, StarDecomposition):
             return result
@@ -282,7 +278,7 @@ def decompose_with_repair(
             raise RepairLimitReached("no repair move available")
         gamma[donors[0]] -= 1
         gamma[takers[0]] += 1
-    raise RepairLimitReached(f"gave up after {max_repairs} repairs")
+    raise RepairLimitReached(f"gave up after {g.n * g.n} repairs")
 
 
 def decompose_complete(n: int, k: int) -> StarDecomposition | None:

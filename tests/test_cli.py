@@ -7,7 +7,7 @@ import pytest
 from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
 from stardecomp.graphs import complete_graph, graph_from_edges, write_graph
-from stardecomp.solver import StarDecomposition, validate_decomposition
+from stardecomp.solver import RepairLimitReached, StarDecomposition, validate_decomposition
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +25,16 @@ def test_decompose_complete_k6(tmp_path, capsys):
     dec = StarDecomposition.from_json_dict(data["decomposition"])
     assert len(dec.stars) == 5
     assert validate_decomposition(complete_graph(6), dec) is None
+
+
+def test_decompose_complete_writes_dot(tmp_path):
+    out = tmp_path / "dec.json"
+    dot = tmp_path / "dec.dot"
+    assert run(["decompose", "--complete", "6", "--k", "3", "--out", str(out), "--dot", str(dot)]) == 0
+    text = dot.read_text()
+    assert text.startswith("graph stars {")
+    assert text.count(" -- ") == 15
+    assert "gray" not in text
 
 
 def test_decompose_complete_none_exists(tmp_path):
@@ -87,7 +97,7 @@ def test_decompose_gamma_witness(tmp_path):
     assert data["witness"]["delta"] < 0
 
 
-def test_decompose_search_budget_exit_code(tmp_path, monkeypatch):
+def test_decompose_search_budget_exit_code(tmp_path):
     # an infeasible join with 3 twin-reduced candidate center functions: budget 2 trips
     from stardecomp.graphs import join
 
@@ -96,11 +106,8 @@ def test_decompose_search_budget_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     code = run(["decompose", "--graph", str(gpath), "--k", "3", "--budget", "2", "--out", str(out)])
     assert code == 2
-    # the environment override kicks in when no flag is given
-    monkeypatch.setenv("STARDEC_BUDGET", "2")
-    assert run(["decompose", "--graph", str(gpath), "--k", "3", "--out", str(out)]) == 2
-    monkeypatch.setenv("STARDEC_BUDGET", "50")
-    assert run(["decompose", "--graph", str(gpath), "--k", "3", "--out", str(out)]) == 0
+    code = run(["decompose", "--graph", str(gpath), "--k", "3", "--budget", "50", "--out", str(out)])
+    assert code == 0
     assert json.loads(out.read_text())["exists"] is False
 
 
@@ -121,6 +128,45 @@ def test_decompose_malformed_input(tmp_path, capsys):
     bad.write_text("not a graph\n")
     assert run(["decompose", "--graph", str(bad), "--k", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "files, args",
+    [
+        ({"g.json": '{"edges": [[0, 1]]}'}, ["decompose", "--graph", "g.json", "--k", "3"]),
+        ({"g.json": '{"n": 3, "edges": [[0, 1.5]]}'}, ["embed", "--leave", "g.json", "--k", "3"]),
+        ({}, ["decompose", "--k", "3"]),
+        ({}, ["decompose", "--complete", "6", "--graph", "g.json", "--k", "3"]),
+        (
+            {"g.json": '{"n": 3, "edges": [[0, 1], [1, 2]]}', "gamma.json": "[1.5, 0, 0]"},
+            ["decompose", "--graph", "g.json", "--k", "2", "--gamma", "gamma.json"],
+        ),
+    ],
+)
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, files, args):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    gpath = tmp_path / "leave.json"
+    write_graph(graph_from_edges(8, [(0, 1)]), gpath)
+    monkeypatch.setattr("stardecomp.embedding.validate_decomposition", lambda g, d: "forced")
+    assert run(["embed", "--leave", str(gpath), "--k", "3"]) == 3
+    assert capsys.readouterr().err == "internal error: embedding failed validation: forced\n"
+
+    def give_up(n, k):
+        raise RepairLimitReached("no repair move available")
+
+    monkeypatch.setattr("stardecomp.cli.decompose_complete", give_up)
+    assert run(["decompose", "--complete", "6", "--k", "3"]) == 3
+    assert capsys.readouterr().err == "internal error: no repair move available\n"
 
 
 def test_embed_single_edge(tmp_path):

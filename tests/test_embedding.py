@@ -71,14 +71,13 @@ def test_obstacle_passes_for_empty_leave():
     assert report.status == "passes"
 
 
-def test_obstacle_passes_by_bound_when_alpha_cut_off():
-    # without the exact alpha the Caro-Wei bound 7/4 still covers the
-    # requirement of 1
+def test_obstacle_unknown_when_alpha_cut_off():
+    # a positive requirement cannot be decided without the exact alpha
     claw = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     report = obstacle_check(claw, 3, 3, None)
-    assert report.status == "passes-by-bound"
+    assert report.status == "unknown"
     assert report.required == 1
-    assert report.bound == Fraction(7, 4)
+    assert report.alpha is None
 
 
 def test_obstacle_requires_divisibility():
@@ -269,9 +268,9 @@ def test_sub_k_exhaustions_agree_with_edge_search():
 
 
 def test_embed_skips_small_case_when_alpha_cut_off():
-    # alpha budget 0 cuts the exact search off; Caro-Wei passes s = 4, but the
-    # small-case construction needs a maximum independent set, so s = 4 is
-    # skipped rather than built or rejected
+    # alpha budget 0 cuts the exact search off, so the obstruction at s = 4 is
+    # unknown and the small-case construction, which needs a maximum
+    # independent set, is skipped rather than built or rejected
     _, leave = sample_maximal_partial(12, 4, 1)
     cert = embed(leave, 4, alpha_budget=0)
     assert cert.minimality == "conditional"

@@ -1,7 +1,6 @@
 import pytest
 
 from stardecomp.families import (
-    VerifyBudget,
     gen_bound_n,
     gen_even_bound,
     gen_odd_bound,
@@ -164,7 +163,7 @@ def test_even_bound_t5_arithmetic():
     inst = gen_even_bound(5)
     assert (inst.k, inst.n, inst.meta["m"]) == (32, 104, 8)
     # keep the verification cheap: skip the big flow constructions
-    report = verify_instance(inst, VerifyBudget(flow_edge_limit=2000))
+    report = verify_instance(inst, flow_edge_limit=2000)
     assert report.all_ok()
     skipped = [r for r in report.results if r.status == "skipped-budget"]
     assert {r.claim.kind for r in skipped} == {"leave-realizable", "success-at-s"}

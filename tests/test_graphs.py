@@ -107,3 +107,23 @@ def test_parse_edge_list_rejects_garbage():
         parse_edge_list("")
     with pytest.raises(ValueError):
         parse_edge_list("3\n0 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[0, 1]],
+        {"edges": [[0, 1]]},
+        {"n": 3},
+        {"n": 3.0, "edges": []},
+        {"n": True, "edges": []},
+        {"n": 3, "edges": [[0, 1.5]]},
+        {"n": 3, "edges": [[0, True]]},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 3, "edges": [0, 1]},
+        {"n": 3, "edges": [["0", 1]]},
+    ],
+)
+def test_json_graph_rejects_non_integer_data(data):
+    with pytest.raises(ValueError):
+        graph_from_json_dict(data)

@@ -1,7 +1,6 @@
-"""Exact alpha solver against a subset-enumeration oracle, plus the bounds."""
+"""Exact alpha solver against a subset-enumeration oracle."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,7 +13,6 @@ from stardecomp.graphs import (
 )
 from stardecomp.independence import (
     BudgetExceeded,
-    caro_wei_bound,
     independence_number,
     maximum_independent_set,
 )
@@ -83,17 +81,3 @@ def test_maximum_independent_set_is_independent_and_maximum():
         best = maximum_independent_set(g)
         assert len(best) == independence_number(g)
         assert all(not g.has_edge(u, v) for u, v in combinations(best, 2))
-
-
-def test_caro_wei_frozen_values():
-    assert caro_wei_bound(empty_graph(5)) == 5
-    assert caro_wei_bound(complete_graph(4)) == 1
-    path3 = graph_from_edges(3, [(0, 1), (1, 2)])
-    assert caro_wei_bound(path3) == Fraction(4, 3)
-
-
-def test_caro_wei_order_and_validity_on_corpus():
-    rng = random.Random(5)
-    for trial in range(30):
-        g = random_graph(4 + trial % 12, rng.choice([0.2, 0.5, 0.8]), rng)
-        assert caro_wei_bound(g) <= independence_number(g)

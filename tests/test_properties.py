@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stardecomp.embedding import greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
 from stardecomp.graphs import graph_from_edges, join
-from stardecomp.independence import caro_wei_bound, independence_number
 from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
@@ -67,14 +66,6 @@ def test_join_degrees(g, s):
         assert joined.degree(y) == g.degree(y) + s
     for z in range(g.n, g.n + s):
         assert joined.degree(z) == g.n + s - 1
-
-
-@SETTINGS
-@given(small_graphs())
-def test_caro_wei_sandwich(g):
-    # each term 1/(deg+1) is at least 1/(maxdeg+1)
-    floor = Fraction(g.n, g.max_degree() + 1)
-    assert floor <= caro_wei_bound(g) <= independence_number(g)
 
 
 @SETTINGS

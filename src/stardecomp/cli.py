@@ -73,6 +73,10 @@ def _dump_json(data: dict, out: str | None) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     k = args.k
+    if args.complete is not None and args.gamma is not None:
+        raise ValueError("--gamma needs --graph")
+    if args.budget is not None and (args.complete is not None or args.gamma is not None or k == 2):
+        raise ValueError("--budget limits only the gamma search (--graph, k >= 3, no --gamma)")
     code = 0
     if args.complete is not None:
         dec = decompose_complete(args.complete, k)
@@ -99,7 +103,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                     if g.induced_edge_count(set(comp)) % 2 == 1
                 ]
         else:
-            transcript = oracle.exhaustive_gamma_search(g, k, args.budget)
+            budget = oracle.DEFAULT_GAMMA_BUDGET if args.budget is None else args.budget
+            transcript = oracle.exhaustive_gamma_search(g, k, budget)
             dec = transcript.decomposition
             if transcript.outcome == oracle.BUDGET_EXCEEDED:
                 payload = {"outcome": transcript.outcome, "tried": transcript.nodes_explored}
@@ -262,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--complete", type=int, help="use K_n for the given n")
     source.add_argument("--graph", help="graph file (edge list or JSON)")
     p.add_argument("--gamma", help="JSON list of per-vertex center counts")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_GAMMA_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        help=f"gamma candidates tried (default {oracle.DEFAULT_GAMMA_BUDGET})",
+    )
     p.add_argument("--out")
     p.add_argument("--dot", help="write a DOT rendering of the decomposition")
     p.set_defaults(func=_cmd_decompose)

@@ -316,6 +316,8 @@ def embed(
     """
     if k < 2:
         raise ValueError("star size k must be at least 2")
+    if max_s is not None and max_s < 0:
+        raise ValueError(f"max_s must be nonnegative, got {max_s}")
     n = base.n
     removed, core = greedy_star_removal(base, k)
     limit = guaranteed_s(n, k)[0] if max_s is None else max_s

@@ -19,6 +19,7 @@ from .embedding import degree_pair_check, embed_large_case, general_cap, obstacl
 from .graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
 from .independence import independence_number
 from .solver import (
+    RepairLimitReached,
     StarDecomposition,
     decide_star_decomposition,
     decompose_with_repair,
@@ -517,8 +518,10 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, flow_edge_limit
     else:
         try:
             dec = decompose_with_repair(complement, k)
-        except Exception as exc:  # repair gave up: the claim failed
-            return ClaimResult(claim, "refuted", {"error": str(exc)})
+        except RepairLimitReached as exc:  # the heuristic gave up, nothing is refuted
+            return ClaimResult(
+                claim, "skipped-budget", {"repairs": exc.repairs, "reason": str(exc)}
+            )
     problem = validate_decomposition(complement, dec)
     if problem is not None:
         return ClaimResult(claim, "refuted", {"violation": problem})

@@ -1,111 +1,137 @@
-"""Deterministic integral max-flow (Dinic) for the orientation-repair networks.
+"""Deterministic unit-arc max-flow (Dinic) for the orientation-repair networks.
 
-Augmenting paths are found with an explicit stack rather than recursion, so
-a path may be as long as the network has nodes. Arcs are explored in
-insertion order, so identical inputs always produce the same flow and the
-same residual reachability, which keeps certificates reproducible. After a
-maximum flow, the nodes that still reach the sink in the residual graph are
-the smallest sink side over all minimum cuts.
+All arcs have capacity one. Arc ids come in pairs: ``to[a]`` is the head of
+arc a and ``a ^ 1`` is its reverse. Each vertex has an out-list of the ids
+leaving it; a unit pushed along an arc reverses it, so the residual graph
+*is* the current orientation. A reversed id joins its new tail's out-list
+the first time, and ids reversed away are skipped. Instead of source and
+sink arcs, each vertex has a signed excess: surplus to send, or deficit.
+
+Each phase is a breadth-first search from all surplus vertices, and
+augmenting paths end at deficit vertices on the nearest level. Paths are
+walked with an explicit stack, so they may be as long as the network has
+vertices. Out-lists are scanned in insertion order, so identical inputs give
+the same flow. After a maximum flow, the vertices with a directed path to
+unmet deficit are the smallest sink side over all minimum cuts.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class MaxFlow:
-    def __init__(self, num_nodes: int) -> None:
-        self.n = num_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    def __init__(self, arcs, excess: list[int]) -> None:
+        """Unit arcs ``(tail, head)`` on ``len(excess)`` vertices; arc i gets id 2i."""
+        self.excess = list(excess)
+        self.out = out = [[] for _ in self.excess]
+        self.to = to = []
+        for u, v in arcs:
+            out[u].append(len(to))
+            to += (v, u)
+        # live[a]: arc a is the current direction; listed[a]: a is in an out-list
+        self.live = bytearray(b"\x01\x00") * (len(to) // 2)
+        self.listed = bytearray(self.live)
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add arc u->v with the given capacity; returns its arc id."""
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[u].append(idx)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def flow_on(self, idx: int) -> int:
-        return self.cap[idx ^ 1]
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        to, cap, adj = self.to, self.cap, self.adj
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for idx in adj[x]:
-                y = to[idx]
-                if cap[idx] > 0 and level[y] < 0:
-                    level[y] = level[x] + 1
-                    q.append(y)
-        return level if level[t] >= 0 else None
-
-    def max_flow(self, s: int, t: int) -> int:
-        to, cap, adj = self.to, self.cap, self.adj
+    def max_flow(self) -> int:
+        """Route surplus to deficit along arc paths, reversing each path; the
+        return value is the number of units routed."""
+        to, out, live, listed, excess = self.to, self.out, self.live, self.listed, self.excess
+        n = len(out)
         total = 0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
+            sources = [x for x in range(n) if excess[x] > 0]
+            level = [-1] * n
+            for x in sources:
+                level[x] = 0
+            frontier = sources
+            depth = 0
+            reached = False
+            while frontier and not reached:
+                depth += 1
+                later = []
+                for x in frontier:
+                    for a in out[x]:
+                        if live[a]:
+                            y = to[a]
+                            if level[y] < 0:
+                                level[y] = depth
+                                later.append(y)
+                                if excess[y] < 0:
+                                    reached = True
+                frontier = later
+            if not reached:
                 return total
-            it = [0] * self.n
-            path: list[int] = []  # arc ids of the current s -> x path
-            x = s
-            while True:
-                if x == t:
-                    pushed = min(cap[a] for a in path)
-                    for a in path:
-                        cap[a] -= pushed
-                        cap[a ^ 1] += pushed
-                    total += pushed
-                    # resume from the tail of the first saturated arc
-                    cut = next(i for i, a in enumerate(path) if cap[a] == 0)
-                    del path[cut:]
-                    x = to[path[-1]] if path else s
-                    continue
-                arcs = adj[x]
-                i = it[x]
-                want = level[x] + 1
-                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
-                    i += 1
-                it[x] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    x = to[arcs[i]]
-                elif path:
-                    # dead end: retreat and skip the arc that led here
-                    x = to[path.pop() ^ 1]
-                    it[x] += 1
-                else:
-                    break
+            # paths end on the deepest level, so only its deficit vertices stay
+            for y in frontier:
+                if excess[y] >= 0:
+                    level[y] = -1
+            it = [0] * n
+            for s in sources:
+                path: list[int] = []  # arc ids of the current s -> x path
+                x = s
+                while True:
+                    if level[x] == depth:
+                        for a in path:
+                            live[a] = 0
+                            b = a ^ 1
+                            live[b] = 1
+                            if not listed[b]:
+                                listed[b] = 1
+                                out[to[a]].append(b)
+                        total += 1
+                        excess[s] -= 1
+                        excess[x] += 1
+                        if not excess[x]:
+                            level[x] = -1
+                        if not excess[s]:
+                            break
+                        # every arc of the path is reversed now
+                        path.clear()
+                        x = s
+                        continue
+                    arcs = out[x]
+                    i = it[x]
+                    end = len(arcs)
+                    want = level[x] + 1
+                    while i < end:
+                        a = arcs[i]
+                        if live[a] and level[to[a]] == want:
+                            break
+                        i += 1
+                    it[x] = i
+                    if i < end:
+                        path.append(a)
+                        x = to[a]
+                    else:
+                        # dead end for the rest of the phase: retreat
+                        level[x] = -1
+                        if not path:
+                            break
+                        x = to[path.pop() ^ 1]
 
-    def residual_reachable(self, s: int) -> list[bool]:
-        """Nodes reachable from s in the residual graph (source side of a min cut)."""
-        return self._residual_closure(s, 0)
+    def successors(self) -> list[list[int]]:
+        """The heads of the arcs leaving each vertex in the current orientation."""
+        to, live = self.to, self.live
+        return [[to[a] for a in arcs if live[a]] for arcs in self.out]
 
-    def residual_reaching(self, t: int) -> list[bool]:
-        """Nodes that reach t in the residual graph (smallest sink side of a min cut)."""
-        return self._residual_closure(t, 1)
+    def residual_reachable(self) -> list[bool]:
+        """Vertices reached from surplus left over (source side of a min cut)."""
+        return _closure([e > 0 for e in self.excess], self.successors())
 
-    def _residual_closure(self, start: int, backward: int) -> list[bool]:
-        # arc idx runs x -> to[idx]; its partner idx ^ 1 runs to[idx] -> x,
-        # so backward = 1 follows residual arcs against their direction
-        to, cap = self.to, self.cap
-        seen = [False] * self.n
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for idx in self.adj[x]:
-                y = to[idx]
-                if cap[idx ^ backward] > 0 and not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return seen
+    def residual_reaching(self) -> list[bool]:
+        """Vertices that reach unmet deficit (smallest sink side of a min cut)."""
+        into: list[list[int]] = [[] for _ in self.out]
+        for x, heads in enumerate(self.successors()):
+            for y in heads:
+                into[y].append(x)
+        return _closure([e < 0 for e in self.excess], into)
+
+
+def _closure(seen: list[bool], adj: list[list[int]]) -> list[bool]:
+    """Marks everything ``adj`` leads to from the vertices already in ``seen``."""
+    stack = [x for x, marked in enumerate(seen) if marked]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return seen

@@ -52,7 +52,12 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        # counted from the edges, so asking for degrees builds no adjacency
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

@@ -230,8 +230,10 @@ def iter_gamma_candidates(g: Graph, k: int):
     """All k-precentral gamma with k*gamma(x) <= deg(x), pruned by the edge
     condition gamma(u) + gamma(v) >= 1 and reduced by twin symmetry (gamma is
     non-increasing in label order within each twin class), in lexicographic
-    order. The walk keeps its position in arrays rather than on the call
-    stack, so any number of vertices is fine."""
+    order. A vertex next to one whose cap is 0 starts at 1, so the edge
+    condition is applied before the walk reaches that neighbour. The walk
+    keeps its position in arrays rather than on the call stack, so any
+    number of vertices is fine."""
     if g.num_edges % k:
         return
     n = g.n
@@ -241,6 +243,9 @@ def iter_gamma_candidates(g: Graph, k: int):
     for x in range(n - 1, -1, -1):
         suffix[x] = suffix[x + 1] + caps[x]
     earlier = [sorted(w for w in g.neighbors(x) if w < x) for x in range(n)]
+    # a neighbour with cap 0 keeps gamma 0, so the edge condition forces x to
+    # 1 or more whatever that neighbour's label
+    forced = [any(caps[w] == 0 for w in g.neighbors(x)) for x in range(n)]
     twin = _twin_predecessors(g)
     gamma = [0] * n
     top = [0] * n  # the largest value vertex x may take under the current prefix
@@ -253,7 +258,7 @@ def iter_gamma_candidates(g: Graph, k: int):
         else:
             # below b - total - suffix[x + 1] the later caps cannot reach b
             lo = b - total - suffix[x + 1]
-            if lo < 1 and any(gamma[w] == 0 for w in earlier[x]):
+            if lo < 1 and (forced[x] or any(gamma[w] == 0 for w in earlier[x])):
                 lo = 1
             hi = min(caps[x], b - total)
             if twin[x] >= 0 and gamma[twin[x]] < hi:

@@ -4,15 +4,16 @@ A k-precentral function assigns each vertex the number of stars to be
 centered there, subject to k * sum(gamma) = |E|. Such a decomposition exists
 iff the edges can be oriented so that exactly k*gamma(x) edges leave each x
 (Tarsi's criterion). The decision first orients every edge greedily, then
-repairs the orientation with one max-flow on the n vertices alone (Hakimi's
-degree-constrained orientation): each edge is a unit arc along its current
-direction, the source feeds every vertex with too many out-edges and every
-vertex with too few drains to the sink. Each unit of flow reverses a
-directed path from a surplus vertex to a deficit vertex. A full flow yields
-the orientation and hence the stars; anything less leaves a vertex set T,
-the vertices that still reach the sink, whose incident-edge count falls
-short of k * sum(gamma over T), certifying infeasibility. T is the smallest
-set of minimum deficiency, so it lies inside the support of gamma.
+repairs the orientation with one unit-arc max-flow on the n vertices alone
+(Hakimi's degree-constrained orientation): each edge is a unit arc along its
+current direction, a vertex with too many out-edges has that surplus and a
+vertex with too few has that deficit. Each unit of flow reverses a directed
+path from a surplus vertex to a deficit vertex, so after a full flow the
+network's out-lists are the orientation and the stars are read from them.
+Anything less leaves a vertex set T, the vertices with a directed path to
+unmet deficit, whose incident-edge count falls short of
+k * sum(gamma over T), certifying infeasibility. T is the smallest set of
+minimum deficiency, so it lies inside the support of gamma.
 """
 
 from __future__ import annotations
@@ -169,40 +170,27 @@ def decide_star_decomposition(
         need[u] -= 1
         oriented.append((u, v))
 
-    source, sink = g.n, g.n + 1
-    net = MaxFlow(g.n + 2)
-    arcs = [net.add_edge(u, v, 1) for u, v in oriented]
-    excess = 0
-    for x in range(g.n):
-        if need[x] < 0:
-            net.add_edge(source, x, -need[x])
-            excess -= need[x]
-        elif need[x] > 0:
-            net.add_edge(x, sink, need[x])
-
-    if net.max_flow(source, sink) == excess:
-        out_leaves: list[list[int]] = [[] for _ in range(g.n)]
-        for (u, v), a in zip(oriented, arcs):
-            if net.flow_on(a):
-                u, v = v, u
-            out_leaves[u].append(v)
+    # excess: out-degree minus k*gamma, surplus to route and deficit to fill
+    excess = [-x for x in need]
+    net = MaxFlow(oriented, excess)
+    if net.max_flow() == sum(x for x in excess if x > 0):
         stars: list[Star] = []
-        for x in range(g.n):
-            leaves = sorted(out_leaves[x])
-            if len(leaves) != k * gamma[x]:
+        for x, heads in enumerate(net.successors()):
+            if len(heads) != k * gamma[x]:
                 raise RuntimeError("orientation out-degree mismatch")
+            leaves = sorted(heads)
             for j in range(gamma[x]):
                 stars.append(Star(x, tuple(leaves[j * k : (j + 1) * k])))
         return StarDecomposition(k, tuple(stars))
 
-    # Every edge between the set T that still reaches the sink and the rest
-    # now leaves T and all unmet demand lies inside T, so
+    # Every edge between the set T that still reaches unmet deficit and the
+    # rest now leaves T and all unmet demand lies inside T, so
     # |E incident to T| = out(T) < k*gamma(T). A cut with sink side T + sink
     # has capacity (total surplus) + deficiency(T), so T has minimum
     # deficiency and, being the smallest such sink side, lies inside every
     # set that does: dropping a vertex always raises the deficiency, which
     # is why no shrinking follows.
-    reach = net.residual_reaching(sink)
+    reach = net.residual_reaching()
     witness = deficiency(g, k, gamma, [x for x in range(g.n) if reach[x]])
     if witness.delta >= 0:
         raise RuntimeError("min cut did not produce a deficient set")
@@ -253,6 +241,10 @@ def balanced_gamma(g: Graph, k: int) -> tuple[int, ...]:
 class RepairLimitReached(RuntimeError):
     """The gamma-repair loop gave up without reaching a decomposition."""
 
+    def __init__(self, message: str, repairs: int) -> None:
+        super().__init__(message)
+        self.repairs = repairs
+
 
 def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
     """Decompose with a balanced gamma, repairing it via witness feedback.
@@ -263,7 +255,7 @@ def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
     gamma is known to exist.
     """
     gamma = list(balanced_gamma(g, k))
-    for _ in range(g.n * g.n + 1):
+    for repairs in range(g.n * g.n + 1):
         result = decide_star_decomposition(g, k, gamma)
         if isinstance(result, StarDecomposition):
             return result
@@ -275,10 +267,10 @@ def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
             if y not in outside and k * (gamma[y] + 1) <= g.degree(y)
         ]
         if not donors or not takers:
-            raise RepairLimitReached("no repair move available")
+            raise RepairLimitReached("no repair move available", repairs)
         gamma[donors[0]] -= 1
         gamma[takers[0]] += 1
-    raise RepairLimitReached(f"gave up after {g.n * g.n} repairs")
+    raise RepairLimitReached(f"gave up after {g.n * g.n} repairs", g.n * g.n)
 
 
 def decompose_complete(n: int, k: int) -> StarDecomposition | None:

@@ -6,7 +6,7 @@ import pytest
 
 from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
-from stardecomp.graphs import complete_graph, graph_from_edges, write_graph
+from stardecomp.graphs import complete_graph, graph_from_edges, graph_to_json_dict, write_graph
 from stardecomp.solver import RepairLimitReached, StarDecomposition, validate_decomposition
 
 
@@ -130,6 +130,12 @@ def test_decompose_malformed_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+K6_FILES = {
+    "g.json": json.dumps(graph_to_json_dict(complete_graph(6))),
+    "gamma.json": "[1, 1, 1, 1, 1, 0]",
+}
+
+
 @pytest.mark.parametrize(
     "files, args",
     [
@@ -141,6 +147,12 @@ def test_decompose_malformed_input(tmp_path, capsys):
             {"g.json": '{"n": 3, "edges": [[0, 1], [1, 2]]}', "gamma.json": "[1.5, 0, 0]"},
             ["decompose", "--graph", "g.json", "--k", "2", "--gamma", "gamma.json"],
         ),
+        # flags the chosen mode would ignore, and a negative limit
+        ({}, ["decompose", "--complete", "6", "--k", "3", "--gamma", "does-not-exist.json"]),
+        ({}, ["decompose", "--complete", "6", "--k", "3", "--budget", "5"]),
+        (K6_FILES, ["decompose", "--graph", "g.json", "--k", "3", "--gamma", "gamma.json", "--budget", "5"]),
+        (K6_FILES, ["decompose", "--graph", "g.json", "--k", "2", "--budget", "5"]),
+        (K6_FILES, ["embed", "--leave", "g.json", "--k", "3", "--max-s", "-1"]),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, files, args):
@@ -162,11 +174,20 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: embedding failed validation: forced\n"
 
     def give_up(n, k):
-        raise RepairLimitReached("no repair move available")
+        raise RepairLimitReached("no repair move available", 0)
 
     monkeypatch.setattr("stardecomp.cli.decompose_complete", give_up)
     assert run(["decompose", "--complete", "6", "--k", "3"]) == 3
     assert capsys.readouterr().err == "internal error: no repair move available\n"
+
+
+def test_family_internal_error_exits_3(monkeypatch, capsys):
+    def broken(g, k, gamma):
+        raise RuntimeError("broken flow")
+
+    monkeypatch.setattr("stardecomp.solver.decide_star_decomposition", broken)
+    assert run(["family", "--id", "single-edge", "--k", "3", "--n", "8", "--verify"]) == 3
+    assert capsys.readouterr().err == "internal error: broken flow\n"
 
 
 def test_embed_single_edge(tmp_path):

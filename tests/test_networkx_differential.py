@@ -25,27 +25,31 @@ def test_max_flow_matches_networkx():
     rng = random.Random(21)
     for trial in range(60):
         n = rng.randint(2, 12)
-        net = MaxFlow(n)
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4 * n))]
+        excess = [rng.randint(-4, 4) for _ in range(n)]
         ref = nx.DiGraph()
-        ref.add_nodes_from(range(n))
-        arcs = []
-        for _ in range(rng.randint(0, 4 * n)):
-            u, v = rng.sample(range(n), 2)
-            cap = rng.randint(0, 9)
-            net.add_edge(u, v, cap)
-            arcs.append((u, v, cap))
+        ref.add_nodes_from(["s", "t", *range(n)])
+        for u, v in arcs:
             # networkx keeps one arc per ordered pair, so parallel arcs merge
             if ref.has_edge(u, v):
-                ref[u][v]["capacity"] += cap
+                ref[u][v]["capacity"] += 1
             else:
-                ref.add_edge(u, v, capacity=cap)
-        source, sink = rng.sample(range(n), 2)
-        value = net.max_flow(source, sink)
-        assert value == nx.maximum_flow_value(ref, source, sink)
-        # the nodes that still reach the sink are the sink side of a min cut
-        sink_side = net.residual_reaching(sink)
-        assert not sink_side[source]
-        assert sum(c for u, v, c in arcs if not sink_side[u] and sink_side[v]) == value
+                ref.add_edge(u, v, capacity=1)
+        for x, e in enumerate(excess):
+            if e > 0:
+                ref.add_edge("s", x, capacity=e)
+            elif e < 0:
+                ref.add_edge(x, "t", capacity=-e)
+        net = MaxFlow(arcs, excess)
+        value = net.max_flow()
+        assert value == nx.maximum_flow_value(ref, "s", "t")
+        # the vertices that still reach unmet deficit are the sink side of a
+        # min cut: surplus fed into them, arcs into them, deficit outside
+        sink_side = net.residual_reaching()
+        cut = sum(e for x, e in enumerate(excess) if e > 0 and sink_side[x])
+        cut += sum(1 for u, v in arcs if not sink_side[u] and sink_side[v])
+        cut += sum(-e for x, e in enumerate(excess) if e < 0 and not sink_side[x])
+        assert cut == value
 
 
 def _edge_node_network_feasible(g, k, gamma):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -140,6 +141,44 @@ def test_gamma_enumeration_matches_count_and_conditions():
     assert sizes[0] == (8, 7, 3)
     # most graphs of the corpus have twins that remove candidates
     assert sum(full > reduced for _, full, reduced in sizes) >= 8, sizes
+
+
+def test_gamma_enumeration_with_cap_zero_vertices():
+    # a base vertex of degree d < k - s has cap 0 in L v K_s and forces every
+    # neighbour, earlier labels included, to gamma >= 1
+    rng = random.Random(13)
+    checked = 0
+    while checked < 25:
+        k = rng.choice([3, 4])
+        base_n = rng.randint(4, 8)
+        edges = [e for e in combinations(range(base_n), 2) if rng.random() < 0.3]
+        g = join(graph_from_edges(base_n, edges), rng.randint(0, 2))
+        caps = [g.degree(x) // k for x in range(g.n)]
+        if not any(caps[v] == 0 and u < v for u, v in g.edges):
+            continue
+        checked += 1
+        classes = _twin_classes(g)
+        reduced = [
+            gamma
+            for gamma in _full_gamma_enumeration(g, k)
+            if all(gamma[a] >= gamma[b] for c in classes for a, b in zip(c, c[1:]))
+        ]
+        assert list(iter_gamma_candidates(g, k)) == reduced
+
+
+def test_cap_zero_neighbours_are_forced_before_the_walk_reaches_them():
+    # 24 vertices on a circulant C_24(1, 2), each with a pendant labelled
+    # after all of them; k = 2 gives every pendant cap 0, so every circulant
+    # vertex needs gamma >= 1. Learning that only at the pendants costs a
+    # walk over exponentially many prefixes before the first candidate.
+    f = 24
+    edges = [(x, (x + d) % f) for x in range(f) for d in (1, 2)]
+    edges += [(x, f + x) for x in range(f)]
+    g = graph_from_edges(2 * f, edges)
+    start = time.perf_counter()
+    first = next(iter_gamma_candidates(g, 2))
+    assert time.perf_counter() - start < 1.0
+    assert first == (1,) * (f // 2) + (2,) * (f // 2) + (0,) * f
 
 
 def test_min_deficiency_never_positive_and_supported():

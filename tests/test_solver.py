@@ -93,15 +93,14 @@ def test_witness_is_within_gamma_support_and_matches_oracle():
 
 
 def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
-    # record, for each refused gamma, the vertices the source cannot reach
+    # record, for each refused gamma, the vertices the surplus cannot reach
     unreached = []
     reaching = MaxFlow.residual_reaching
 
-    def spy(net, t):
-        source = net.n - 2
-        seen = net.residual_reachable(source)
-        unreached.append({x for x in range(source) if not seen[x]})
-        return reaching(net, t)
+    def spy(net):
+        seen = net.residual_reachable()
+        unreached.append({x for x, reached in enumerate(seen) if not reached})
+        return reaching(net)
 
     monkeypatch.setattr(MaxFlow, "residual_reaching", spy)
     rng = random.Random(41)
@@ -260,11 +259,34 @@ def test_shrink_matches_naive_greedy_on_corpus():
 
 
 def test_max_flow_chain_longer_than_recursion_limit():
+    # two parallel unit arcs per hop, two units from one end to the other
     n = sys.getrecursionlimit() + 500
-    net = MaxFlow(n)
-    for x in range(n - 1):
-        net.add_edge(x, x + 1, 2)
-    assert net.max_flow(0, n - 1) == 2
+    excess = [0] * n
+    excess[0], excess[n - 1] = 2, -2
+    net = MaxFlow([(x, x + 1) for x in range(n - 1) for _ in range(2)], excess)
+    assert net.max_flow() == 2
+
+
+def test_max_flow_reverses_each_path_and_keeps_every_arc_once():
+    # An arc reversed, reversed back and reversed again must still appear
+    # once in the out-lists; a few of these networks do that.
+    rng = random.Random(5)
+    for trial in range(2000):
+        n = rng.randint(2, 12)
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4 * n))]
+        excess = [rng.randint(-4, 4) for _ in range(n)]
+        net = MaxFlow(arcs, excess)
+        value = net.max_flow()
+        after = net.successors()
+        assert sorted(sorted(a) for a in arcs) == sorted(
+            sorted((x, y)) for x, heads in enumerate(after) for y in heads
+        )
+        # each unit left one surplus vertex and reached one deficit vertex,
+        # and reversing its path moved only those two out-degrees
+        assert value == sum(excess[x] - net.excess[x] for x in range(n) if excess[x] > 0)
+        for x in range(n):
+            before = sum(1 for u, _ in arcs if u == x)
+            assert len(after[x]) == before - (excess[x] - net.excess[x])
 
 
 def test_decide_repairs_along_path_longer_than_recursion_limit():

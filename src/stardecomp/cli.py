@@ -233,22 +233,22 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     writer.writeheader()
     for n in n_values:
         report = bound_report(n if n is not None else 1, args.k)
-        data = report.to_json_dict()
         row = {
             "k": args.k,
-            "n": "" if n is None else n,
-            "s_lower_general": "" if n is None else f"{data['s_lower_general']['approx']:.6f}",
-            "s_lower_general_min_s": "" if n is None else data["s_lower_general"]["min_integer_s_above"],
-            "s_lower_clique": "",
-            "s_lower_clique_min_s": "",
-            "n_threshold": f"{data['n_threshold']['approx']:.6f}",
-            "n_above_threshold": "" if n is None else int(data["n_threshold"]["n_above_threshold"]),
-            "general_cap": f"{data['general_cap']['approx']:.6f}",
-            "large_n_cap": data["large_n_cap"],
+            "n_threshold": f"{float(report.n_threshold):.6f}",
+            "general_cap": f"{float(report.general_cap):.6f}",
+            "large_n_cap": report.large_n_cap,
         }
-        if n is not None and data["s_lower_clique"] is not None:
-            row["s_lower_clique"] = f"{data['s_lower_clique']['approx']:.6f}"
-            row["s_lower_clique_min_s"] = data["s_lower_clique"]["min_integer_s_above"]
+        if n is not None:
+            row |= {
+                "n": n,
+                "s_lower_general": f"{float(report.s_lower_general):.6f}",
+                "s_lower_general_min_s": report.s_lower_general.min_integer_above(),
+                "n_above_threshold": int(report.n_above_threshold()),
+            }
+            if report.s_lower_clique is not None:
+                row["s_lower_clique"] = f"{float(report.s_lower_clique):.6f}"
+                row["s_lower_clique_min_s"] = report.s_lower_clique.min_integer_above()
         writer.writerow(row)
     _write_text(buf.getvalue(), args.out)
     return 0

@@ -407,28 +407,6 @@ class BoundReport:
     def n_above_threshold(self) -> bool:
         return self.n_threshold < self.n
 
-    def to_json_dict(self) -> dict:
-        def root_entry(bound: RootBound | None) -> dict | None:
-            if bound is None:
-                return None
-            return {
-                "approx": float(bound),
-                "min_integer_s_above": bound.min_integer_above(),
-            }
-
-        return {
-            "k": self.k,
-            "n": self.n,
-            "s_lower_general": root_entry(self.s_lower_general),
-            "s_lower_clique": root_entry(self.s_lower_clique),
-            "n_threshold": {
-                "approx": float(self.n_threshold),
-                "n_above_threshold": self.n_above_threshold(),
-            },
-            "general_cap": {"approx": float(self.general_cap)},
-            "large_n_cap": self.large_n_cap,
-        }
-
 
 def bound_report(n: int, k: int) -> BoundReport:
     """Exact bound values; k >= 3 (k = 2 is settled by component parity)."""

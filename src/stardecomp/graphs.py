@@ -65,9 +65,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
@@ -99,9 +96,6 @@ class Graph:
 
     def induced_edge_count(self, vertices: set[int]) -> int:
         return sum(1 for u, v in self.edges if u in vertices and v in vertices)
-
-    def without_edges(self, drop: set[Edge]) -> "Graph":
-        return Graph(self.n, self.edges - frozenset(drop))
 
 
 def graph_from_edges(n: int, edges) -> Graph:

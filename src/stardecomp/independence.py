@@ -1,10 +1,14 @@
 """Exact independence numbers and lexicographically smallest maximum
 independent sets.
 
-The solver is a budgeted branch-and-bound. Components are solved
-independently; clique components and components of maximum degree at most 2
-(paths and cycles) are answered in closed form, which covers the disjoint
-clique unions the tightness families use even at hundreds of vertices.
+Components are solved independently. A clique component is answered at once,
+which covers the disjoint clique unions of the tightness families at any
+size. Any other component gets one search over bitmasks of its vertices:
+vertices of degree 0 or 1 are taken in a loop (settling forests, paths and
+cycles with at most one branch), and the rest is branched on a vertex of
+maximum degree, with pending masks on an explicit stack. The budget counts
+branch nodes and the memo holds one entry per branch node, so the memo never
+outgrows the budget. The same memo answers ``maximum_independent_set``.
 """
 
 from __future__ import annotations
@@ -18,99 +22,103 @@ class BudgetExceeded(Exception):
     """A branch-and-bound search hit its node budget before finishing."""
 
 
-def _component_alpha(g: Graph, comp: list[int], budget: list[int]) -> int:
-    size = len(comp)
-    degs = [g.degree(v) for v in comp]
-    if all(d == size - 1 for d in degs):
-        # every neighbour lies in the component, so each vertex sees all the others
-        return 1
-    if max(degs) <= 2:
-        # path or cycle: every vertex has degree <= 2 and the component is
-        # connected, so it is a cycle iff all degrees are 2
-        if all(d == 2 for d in degs):
-            return size // 2
-        return (size + 1) // 2
-    index = {v: i for i, v in enumerate(comp)}
-    adj = [0] * size
-    for v in comp:
-        for w in g.neighbors(v):
-            adj[index[v]] |= 1 << index[w]
-    memo: dict[int, int] = {}
+class _Component:
+    """A connected component as bitmasks over its sorted vertex list."""
 
-    def solve(mask: int) -> int:
-        if mask == 0:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded("independence search budget exhausted")
-        # reductions: vertices of degree 0 or 1 inside the mask are always
-        # safe to take
-        m = mask
-        best_v = -1
-        best_d = -1
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[v] & mask).bit_count()
-            if d <= 1:
-                result = 1 + solve(mask & ~(adj[v] | (1 << v)))
-                memo[mask] = result
-                return result
-            if d > best_d:
-                best_d = d
-                best_v = v
-        v = best_v
-        take = 1 + solve(mask & ~(adj[v] | (1 << v)))
-        skip = solve(mask & ~(1 << v))
-        result = max(take, skip)
-        memo[mask] = result
-        return result
+    def __init__(self, g: Graph, comp: list[int], budget: list[int]) -> None:
+        index = {v: i for i, v in enumerate(comp)}
+        self.adj = [0] * len(comp)
+        for i, v in enumerate(comp):
+            for w in g.neighbors(v):
+                self.adj[i] |= 1 << index[w]
+        self.budget = budget
+        self.memo = {0: 0}
 
-    return solve((1 << size) - 1)
+    def reduce(self, mask: int) -> tuple[int, int]:
+        """Take vertices of degree 0 or 1 inside the mask while there are any;
+        returns how many were taken and the mask left."""
+        taken = 0
+        todo = mask
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            nbr = self.adj[v] & mask
+            if mask >> v & 1 and not nbr & (nbr - 1):
+                taken += 1
+                mask &= ~(nbr | 1 << v)
+                if nbr:  # the neighbour's other neighbours lose a degree
+                    todo |= self.adj[nbr.bit_length() - 1] & mask
+        return taken, mask
+
+    def alpha(self, mask: int) -> int:
+        adj, memo = self.adj, self.memo
+        taken, core = self.reduce(mask)
+        pending: list = [core]
+        while pending:
+            top = pending.pop()
+            if isinstance(top, tuple):
+                node, (a, take), (b, skip) = top
+                memo[node] = max(1 + a + memo[take], b + memo[skip])
+                continue
+            if top in memo:
+                continue
+            self.budget[0] -= 1
+            if self.budget[0] < 0:
+                raise BudgetExceeded("independence search budget exhausted")
+            best_v = best_d = -1
+            m = top
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                d = (adj[v] & top).bit_count()
+                if d > best_d:
+                    best_v, best_d = v, d
+            take = self.reduce(top & ~(adj[best_v] | 1 << best_v))
+            skip = self.reduce(top & ~(1 << best_v))
+            pending += [(top, take, skip), skip[1], take[1]]
+        return taken + memo[core]
+
+
+def _components(g: Graph, budget: int):
+    """Each component with its search (None for a clique) and its alpha, all
+    drawing on one budget."""
+    counter = [budget]
+    for comp in g.components():
+        size = len(comp)
+        if all(g.degree(v) == size - 1 for v in comp):
+            # every neighbour lies in the component, so each vertex sees all the others
+            yield comp, None, 1
+        else:
+            c = _Component(g, comp, counter)
+            yield comp, c, c.alpha((1 << size) - 1)
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_ALPHA_BUDGET) -> int:
-    """Exact independence number; raises BudgetExceeded if the search is cut off."""
-    counter = [budget]
-    return sum(_component_alpha(g, comp, counter) for comp in g.components())
+    """Exact independence number; raises BudgetExceeded once the search has
+    branched ``budget`` times."""
+    return sum(alpha for _, _, alpha in _components(g, budget))
 
 
 def maximum_independent_set(g: Graph, budget: int = DEFAULT_ALPHA_BUDGET) -> tuple[int, ...]:
     """The lexicographically smallest maximum independent set.
 
-    Greedy over vertex labels: vertex v joins the set whenever some maximum
-    independent set of the remaining graph contains it, which is checked with
-    one exact solve per vertex.
+    Greedy over vertex labels, one component at a time: a vertex joins iff
+    some maximum independent set of what is left contains it. Components do
+    not interact, so the union of their answers is the smallest overall.
     """
-    target = independence_number(g, budget)
     chosen: list[int] = []
-    blocked: set[int] = set()
-    alive = set(range(g.n))
-    remaining = target
-    for v in range(g.n):
-        if remaining == 0:
-            break
-        if v in blocked or v not in alive:
+    for comp, c, remaining in _components(g, budget):
+        if c is None:
+            chosen.append(comp[0])
             continue
-        rest = alive - {v} - g.neighbors(v)
-        sub = _induced(g, rest)
-        if independence_number(sub, budget) == remaining - 1:
-            chosen.append(v)
-            blocked |= g.neighbors(v)
-            alive = rest
-            remaining -= 1
-        else:
-            alive.discard(v)
-    return tuple(chosen)
-
-
-def _induced(g: Graph, vertices: set[int]) -> Graph:
-    order = sorted(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in g.edges if u in vertices and v in vertices
-    )
-    return Graph(len(order), edges)
+        # alpha(mask) == remaining throughout
+        mask = (1 << len(comp)) - 1
+        for i, v in enumerate(comp):
+            if remaining and mask >> i & 1:
+                rest = mask & ~(c.adj[i] | 1 << i)
+                if 1 + c.alpha(rest) == remaining:
+                    chosen.append(v)
+                    mask, remaining = rest, remaining - 1
+                else:
+                    mask &= ~(1 << i)
+    return tuple(sorted(chosen))

@@ -35,7 +35,6 @@ class SearchTranscript:
     nodes_explored: int
     outcome: str
     decomposition: StarDecomposition | None = None
-    seed: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -44,12 +43,7 @@ class SearchTranscript:
             "decomposition": None
             if self.decomposition is None
             else self.decomposition.to_json_dict(),
-            "seed": self.seed,
         }
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def exhaustive_decomposition(
@@ -98,46 +92,63 @@ def exhaustive_decomposition(
             return False
         return True
 
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == m:
-            return True
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetHit
+    def undo(center: int, j: int, new: bool) -> None:
+        if new:
+            open_stars[center].pop()
+            opened[center] -= 1
+            need[center] -= k - 1
+        else:
+            open_stars[center][j - 1].pop()
+            need[center] += 1
+
+    # cursor[i] = (side, j, new): edge i's leaf went to the star j - 1 at its
+    # side-th endpoint (a new star there when new); retries resume after it
+    cursor: list[tuple[int, int, bool]] = []
+    i = 0
+    fresh = True
+    while i < m:
         u, v = edges[i]
-        rem[u] -= 1
-        rem[v] -= 1
-        for center, leaf in ((u, v), (v, u)):
-            for star in open_stars[center]:
-                if len(star) >= k:
-                    continue
-                star.append(leaf)
-                need[center] -= 1
-                if feasible(u) and feasible(v) and search(i + 1):
-                    return True
-                need[center] += 1
-                star.pop()
-            may_open = gamma is None or opened[center] < gamma[center]
-            if may_open:
-                open_stars[center].append([leaf])
+        if fresh:
+            nodes += 1
+            if nodes > budget:
+                return SearchTranscript(nodes, BUDGET_EXCEEDED)
+            rem[u] -= 1
+            rem[v] -= 1
+            side, j = 0, 0
+        else:
+            side, j, new = cursor.pop()
+            undo(v if side else u, j, new)
+        while side < 2:
+            center, leaf = (v, u) if side else (u, v)
+            stars = open_stars[center]
+            new = j == len(stars)
+            if j > len(stars) or (new and gamma is not None and opened[center] >= gamma[center]):
+                side, j = side + 1, 0
+                continue
+            j += 1
+            if new:
+                stars.append([leaf])
                 opened[center] += 1
                 need[center] += k - 1
-                if feasible(u) and feasible(v) and search(i + 1):
-                    return True
-                need[center] -= k - 1
-                opened[center] -= 1
-                open_stars[center].pop()
-        rem[u] += 1
-        rem[v] += 1
-        return False
-
-    try:
-        found = search(0)
-    except _BudgetHit:
-        return SearchTranscript(nodes, BUDGET_EXCEEDED)
-    if not found:
-        return SearchTranscript(nodes, EXHAUSTED)
+            elif len(stars[j - 1]) < k:
+                stars[j - 1].append(leaf)
+                need[center] -= 1
+            else:
+                continue
+            if feasible(u) and feasible(v):
+                break
+            undo(center, j, new)
+        fresh = side < 2
+        if fresh:
+            cursor.append((side, j, new))
+            i += 1
+        else:
+            # no choice left for edge i: give it back and retry edge i - 1
+            rem[u] += 1
+            rem[v] += 1
+            if i == 0:
+                return SearchTranscript(nodes, EXHAUSTED)
+            i -= 1
     stars = [
         Star(x, tuple(sorted(star)))
         for x in range(g.n)

@@ -44,12 +44,6 @@ class StarDecomposition:
             gamma[star.center] += 1
         return tuple(gamma)
 
-    def covered_edges(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for star in self.stars:
-            out.extend(star.edges())
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,

@@ -6,7 +6,7 @@ import pytest
 
 from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
-from stardecomp.graphs import complete_graph, graph_from_edges, graph_to_json_dict, write_graph
+from stardecomp.graphs import complete_graph, graph_from_edges, graph_to_json_dict, join, write_graph
 from stardecomp.solver import RepairLimitReached, StarDecomposition, validate_decomposition
 
 
@@ -99,8 +99,6 @@ def test_decompose_gamma_witness(tmp_path):
 
 def test_decompose_search_budget_exit_code(tmp_path):
     # an infeasible join with 3 twin-reduced candidate center functions: budget 2 trips
-    from stardecomp.graphs import join
-
     gpath = tmp_path / "g.json"
     write_graph(join(graph_from_edges(8, [(0, 1)]), 2), gpath)
     out = tmp_path / "out.json"
@@ -199,6 +197,18 @@ def test_embed_single_edge(tmp_path):
     assert cert.s == 4
     assert cert.minimality == "exact"
     assert {r.s: r.reason for r in cert.rejections}[2] == "exhausted-nonexistence"
+
+
+def test_embed_caterpillar(tmp_path):
+    # 4000 vertices, max degree 3: alpha and the searches must not recurse per vertex
+    path = [(i, i + 1) for i in range(2999)]
+    leave = graph_from_edges(4000, path + [(3 * i + 1, 3000 + i) for i in range(1000)])
+    gpath = tmp_path / "caterpillar.json"
+    write_graph(leave, gpath)
+    out = tmp_path / "cert.json"
+    assert run(["embed", "--leave", str(gpath), "--k", "4", "--out", str(out)]) == 0
+    cert = EmbeddingCertificate.from_json_dict(json.loads(out.read_text()))
+    assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
 
 
 def test_embed_max_s_exhausted(tmp_path, capsys):

@@ -323,6 +323,6 @@ def test_bound_report_rejects_k2():
 
 
 def test_bound_report_json():
-    data = bound_report(9, 8).to_json_dict()
-    assert data["n_threshold"]["approx"] == pytest.approx(8.0)
-    assert data["n_threshold"]["n_above_threshold"] is True
+    report = bound_report(9, 8)
+    assert float(report.n_threshold) == pytest.approx(8.0)
+    assert report.n_above_threshold() is True

@@ -34,6 +34,12 @@ def random_graph(n, p, rng):
     )
 
 
+def caterpillar():
+    """A 3000-vertex path with a pendant leaf at every third vertex from 1."""
+    path = [(i, i + 1) for i in range(2999)]
+    return graph_from_edges(4000, path + [(3 * i + 1, 3000 + i) for i in range(1000)])
+
+
 def test_clique_union_shortcut():
     assert independence_number(disjoint_cliques([4] * 7)) == 7
     assert independence_number(disjoint_cliques([4, 1])) == 2
@@ -80,4 +86,26 @@ def test_maximum_independent_set_is_independent_and_maximum():
         g = random_graph(3 + trial % 7, 0.5, rng)
         best = maximum_independent_set(g)
         assert len(best) == independence_number(g)
-        assert all(not g.has_edge(u, v) for u, v in combinations(best, 2))
+        assert all(e not in g.edges for e in combinations(best, 2))
+
+
+def test_maximum_independent_set_matches_brute_force():
+    rng = random.Random(5)
+    disconnected = 0
+    for trial in range(40):
+        g = random_graph(1 + trial % 12, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+        disconnected += len(g.components()) > 1
+        alpha = brute_force_alpha(g)
+        first = next(
+            t for t in combinations(range(g.n), alpha)
+            if all(e not in g.edges for e in combinations(t, 2))
+        )
+        assert maximum_independent_set(g) == first
+    assert disconnected >= 10
+
+
+def test_caterpillar_has_no_recursion_limit():
+    # 4000 vertices: the degree-1 reductions run in a loop, not a call chain
+    g = caterpillar()
+    assert g.max_degree() == 3
+    assert independence_number(g) == 2001

@@ -78,7 +78,7 @@ def test_decide_matches_edge_node_network():
         drop = join_edge_count(base, s) % k
         if drop > base.num_edges:
             continue
-        g = join(base.without_edges(set(base.sorted_edges[:drop])), s)
+        g = join(graph_from_edges(n, base.sorted_edges[drop:]), s)
         gamma = [0] * g.n
         if trial % 2:
             # about half of each vertex's degree, then one center moved:

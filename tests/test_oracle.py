@@ -46,6 +46,15 @@ def test_exhaustive_budget_trips():
     assert tr.nodes_explored == 6
 
 
+def test_exhaustive_decomposition_of_many_disjoint_claws():
+    # 2100 edges: the backtracking keeps one cursor per edge, not a call frame
+    g = graph_from_edges(2800, [(4 * i, 4 * i + j) for i in range(700) for j in (1, 2, 3)])
+    tr = exhaustive_decomposition(g, 3)
+    assert tr.outcome == FOUND
+    assert tr.nodes_explored == 2100
+    assert validate_decomposition(g, tr.decomposition) is None
+
+
 def test_exhaustive_respects_gamma():
     g = complete_graph(6)
     gamma = (1, 1, 1, 1, 1, 0)
@@ -61,7 +70,7 @@ def test_gamma_search_two_triangles():
 
 
 def test_gamma_search_near_complete():
-    g = complete_graph(8).without_edges({(0, 1)})
+    g = graph_from_edges(8, [e for e in combinations(range(8), 2) if e != (0, 1)])
     tr = exhaustive_gamma_search(g, 3)
     assert tr.outcome == FOUND
     assert validate_decomposition(g, tr.decomposition) is None
@@ -251,7 +260,7 @@ def test_sample_maximal_partial_invariants():
     assert leave.max_degree() <= 2
     assert leave.num_edges % 3 == 45 % 3
     g = complete_graph(10)
-    covered = dec.covered_edges()
+    covered = [e for star in dec.stars for e in star.edges()]
     assert len(covered) == len(set(covered))
     assert set(covered) | set(leave.edges) == set(g.edges)
     assert set(covered) & set(leave.edges) == set()

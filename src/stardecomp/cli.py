@@ -29,7 +29,7 @@ from .embedding import (
     general_cap,
     large_n_cap,
 )
-from .graphs import complete_graph, read_graph
+from .graphs import complete_graph, component_edge_counts, read_graph
 from .solver import (
     StarDecomposition,
     decide_star_decomposition,
@@ -97,10 +97,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             dec = two_star_decompose(g)
             payload = {"exists": dec is not None}
             if dec is None:
+                comps = g.components()
                 payload["odd_components"] = [
                     comp
-                    for comp in g.components()
-                    if g.induced_edge_count(set(comp)) % 2 == 1
+                    for comp, count in zip(comps, component_edge_counts(g, comps))
+                    if count % 2 == 1
                 ]
         else:
             budget = oracle.DEFAULT_GAMMA_BUDGET if args.budget is None else args.budget

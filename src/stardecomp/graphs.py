@@ -8,9 +8,10 @@ Graphs are immutable and hashable; all operations return new graphs.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, filterfalse, repeat
 from pathlib import Path
 
 Edge = tuple[int, int]
@@ -69,10 +70,8 @@ class Graph:
         return self.adjacency[v]
 
     def complement(self) -> "Graph":
-        missing = frozenset(
-            e for e in combinations(range(self.n), 2) if e not in self.edges
-        )
-        return Graph(self.n, missing)
+        pairs = combinations(range(self.n), 2)
+        return _graph_in_order(self.n, list(filterfalse(self.edges.__contains__, pairs)))
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -86,7 +85,7 @@ class Graph:
             stack = [start]
             while stack:
                 x = stack.pop()
-                for y in sorted(self.adjacency[x]):
+                for y in self.adjacency[x]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
@@ -94,8 +93,26 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def induced_edge_count(self, vertices: set[int]) -> int:
-        return sum(1 for u, v in self.edges if u in vertices and v in vertices)
+
+def component_edge_counts(g: Graph, comps: list[list[int]]) -> list[int]:
+    """The number of edges inside each of the connected components ``comps``
+    (as ``g.components()`` returns them), counted in one pass over the edges."""
+    where = [0] * g.n
+    for i, comp in enumerate(comps):
+        for x in comp:
+            where[x] = i
+    counts = [0] * len(comps)
+    for u, _ in g.edges:
+        counts[where[u]] += 1
+    return counts
+
+
+def _graph_in_order(n: int, edges: list[Edge]) -> Graph:
+    """A graph from an edge list already in label order, kept as its
+    ``sorted_edges`` so that nothing sorts it again."""
+    g = Graph(n, frozenset(edges))
+    g.__dict__["sorted_edges"] = tuple(edges)
+    return g
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -109,7 +126,7 @@ def empty_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return Graph(n, frozenset(combinations(range(n), 2)))
+    return _graph_in_order(n, list(combinations(range(n), 2)))
 
 
 def disjoint_cliques(sizes: list[int]) -> Graph:
@@ -121,7 +138,7 @@ def disjoint_cliques(sizes: list[int]) -> Graph:
             raise ValueError("clique sizes must be nonnegative")
         edges.extend(combinations(range(offset, offset + size), 2))
         offset += size
-    return Graph(offset, frozenset(edges))
+    return _graph_in_order(offset, edges)
 
 
 def join(base: Graph, s: int) -> Graph:
@@ -129,10 +146,18 @@ def join(base: Graph, s: int) -> Graph:
     if s < 0:
         raise ValueError("join size must be nonnegative")
     n = base.n
-    edges = set(base.edges)
-    edges.update((u, z) for z in range(n, n + s) for u in range(n))
-    edges.update(combinations(range(n, n + s), 2))
-    return Graph(n + s, frozenset(edges))
+    new = range(n, n + s)
+    below = base.sorted_edges
+    edges: list[Edge] = []
+    start = 0
+    for u in range(n):
+        # the edges (u, v) of base with u < v, then u's edges to the new vertices
+        end = bisect_left(below, (u + 1,), start)
+        edges += below[start:end]
+        edges += zip(repeat(u), new)
+        start = end
+    edges += combinations(new, 2)
+    return _graph_in_order(n + s, edges)
 
 
 def join_edge_count(base: Graph, s: int) -> int:

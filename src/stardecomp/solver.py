@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flow import MaxFlow
-from .graphs import Graph, complete_graph
+from .graphs import Graph, complete_graph, component_edge_counts
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,14 @@ def decide_star_decomposition(
     excess = [-x for x in need]
     net = MaxFlow(oriented, excess)
     if net.max_flow() == sum(x for x in excess if x > 0):
+        to, live = net.to, net.live
         stars: list[Star] = []
-        for x, heads in enumerate(net.successors()):
-            if len(heads) != k * gamma[x]:
+        for x, arcs in enumerate(net.out):
+            leaves = sorted([to[a] for a in arcs if live[a]])
+            if len(leaves) != k * gamma[x]:
                 raise RuntimeError("orientation out-degree mismatch")
-            leaves = sorted(heads)
-            for j in range(gamma[x]):
-                stars.append(Star(x, tuple(leaves[j * k : (j + 1) * k])))
+            for j in range(0, len(leaves), k):
+                stars.append(Star(x, tuple(leaves[j : j + k])))
         return StarDecomposition(k, tuple(stars))
 
     # Every edge between the set T that still reaches unmet deficit and the
@@ -198,26 +199,32 @@ def validate_decomposition(
     first violation found. Never raises."""
     if d.k < 2:
         return f"star size {d.k} is below 2"
+    edges = g.edges
     seen: set[tuple[int, int]] = set()
     for idx, star in enumerate(d.stars):
-        if len(star.leaves) != d.k:
-            return f"star {idx} at {star.center} has {len(star.leaves)} leaves, wanted {d.k}"
-        if len(set(star.leaves)) != d.k:
-            return f"star {idx} at {star.center} repeats a leaf"
-        if star.center in star.leaves:
-            return f"star {idx} has its center {star.center} as a leaf"
-        for edge in star.edges():
+        center, leaves = star.center, star.leaves
+        if len(leaves) != d.k:
+            return f"star {idx} at {center} has {len(leaves)} leaves, wanted {d.k}"
+        if len(set(leaves)) != d.k:
+            return f"star {idx} at {center} repeats a leaf"
+        if center in leaves:
+            return f"star {idx} has its center {center} as a leaf"
+        pairs = [(center, x) if center < x else (x, center) for x in leaves]
+        if edges.issuperset(pairs) and seen.isdisjoint(pairs):
+            seen.update(pairs)
+            continue
+        # some pair fails: walk them in order for the first violation
+        for edge in pairs:
             u, v = edge
             if not (0 <= u < v < g.n):
                 return f"star {idx} uses out-of-range edge {edge}"
-            if edge not in g.edges:
+            if edge not in edges:
                 return f"star {idx} uses edge {edge} that is not in the graph"
             if edge in seen:
                 return f"edge {edge} covered twice"
             seen.add(edge)
     if require_full and len(seen) != g.num_edges:
-        missing = sorted(g.edges - seen)[0]
-        return f"edge {missing} uncovered"
+        return f"edge {min(edges - seen)} uncovered"
     return None
 
 
@@ -292,12 +299,13 @@ def two_star_decompose(g: Graph) -> StarDecomposition | None:
     vertex pairs its still-unused non-parent edges, attaching a leftover to
     the parent edge.
     """
+    comps = g.components()
+    counts = component_edge_counts(g, comps)
+    if any(c % 2 for c in counts):
+        return None
     stars: list[Star] = []
     used: set[tuple[int, int]] = set()
-    for comp in g.components():
-        comp_edges = g.induced_edge_count(set(comp))
-        if comp_edges % 2:
-            return None
+    for comp, comp_edges in zip(comps, counts):
         if comp_edges == 0:
             continue
         root = comp[0]

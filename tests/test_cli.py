@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
 from stardecomp.graphs import complete_graph, graph_from_edges, graph_to_json_dict, join, write_graph
-from stardecomp.solver import RepairLimitReached, StarDecomposition, validate_decomposition
+from stardecomp.solver import (
+    RepairLimitReached,
+    StarDecomposition,
+    two_star_decompose,
+    validate_decomposition,
+)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,6 +67,36 @@ def test_decompose_graph_two_star_parity_witness(tmp_path):
     assert run(["decompose", "--graph", str(gpath), "--k", "2", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data == {"exists": False, "odd_components": [[0, 1, 2]]}
+
+
+def test_decompose_two_star_odd_components_on_many_components(tmp_path):
+    # 900 components (triangles, 2-edge paths, single edges, lone vertices)
+    # under a shuffled labeling, so components interleave
+    rng = random.Random(3)
+    shapes = [[(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)], [(0, 1)], []]
+    edges, n = [], 0
+    for i in range(900):
+        shape = shapes[i % 4]
+        edges += [(n + u, n + v) for u, v in shape]
+        n += 1 + max((v for _, v in shape), default=0)
+    label = list(range(n))
+    rng.shuffle(label)
+    g = graph_from_edges(n, [(label[u], label[v]) for u, v in edges])
+    gpath = tmp_path / "g.txt"
+    write_graph(g, gpath)
+    out = tmp_path / "out.json"
+    assert run(["decompose", "--graph", str(gpath), "--k", "2", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    odd = []
+    for comp in g.components():
+        index = {x: i for i, x in enumerate(comp)}
+        own = graph_from_edges(
+            len(comp), [(index[x], index[y]) for x in comp for y in g.neighbors(x) if x < y]
+        )
+        if two_star_decompose(own) is None:
+            odd.append(comp)
+    assert len(odd) == 450
+    assert data == {"exists": False, "odd_components": odd}
 
 
 def test_decompose_with_gamma_and_dot(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stardecomp.embedding import greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
-from stardecomp.graphs import graph_from_edges, join
+from stardecomp.graphs import complete_graph, disjoint_cliques, graph_from_edges, join
 from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
@@ -54,6 +54,28 @@ def precentral_instances(draw):
 @given(small_graphs())
 def test_complement_is_an_involution(g):
     assert g.complement().complement() == g
+
+
+def _same_as_built_from_edges(h):
+    # the label-order constructors keep their edge list as sorted_edges
+    assert h.sorted_edges == tuple(sorted(h.edges))
+    plain = graph_from_edges(h.n, h.edges)
+    assert h == plain and hash(h) == hash(plain)
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(min_value=0, max_value=5))
+def test_constructed_graphs_come_in_label_order(g, s):
+    _same_as_built_from_edges(join(g, s))
+    _same_as_built_from_edges(g.complement())
+    _same_as_built_from_edges(complete_graph(g.n + s))
+    _same_as_built_from_edges(join(g.complement(), s))
+
+
+@SETTINGS
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=5))
+def test_disjoint_cliques_come_in_label_order(sizes):
+    _same_as_built_from_edges(disjoint_cliques(sizes))
 
 
 @SETTINGS
@@ -101,7 +123,8 @@ def test_produced_central_functions_satisfy_necessary_conditions(inst):
 def test_two_star_matches_component_parity(g):
     result = two_star_decompose(g)
     parity_ok = all(
-        g.induced_edge_count(set(comp)) % 2 == 0 for comp in g.components()
+        sum(u in comp and v in comp for u, v in g.edges) % 2 == 0
+        for comp in g.components()
     )
     assert (result is not None) == parity_ok
     if result is not None:

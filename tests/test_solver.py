@@ -203,6 +203,14 @@ def test_two_star_disconnected_components():
     assert validate_decomposition(g, dec) is None
 
 
+def test_two_star_many_components():
+    # 8000 disjoint 2-edge paths: the component edge counts take one pass
+    g = graph_from_edges(24000, [(3 * i + j, 3 * i + j + 1) for i in range(8000) for j in (0, 1)])
+    dec = two_star_decompose(g)
+    assert len(dec.stars) == 8000
+    assert validate_decomposition(g, dec) is None
+
+
 def test_shrink_drops_zero_gamma_vertices():
     g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])  # claw, center 0
     gamma = (0, 1, 0, 0)

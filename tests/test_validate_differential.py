@@ -1,0 +1,142 @@
+"""``validate_decomposition`` against the edge-by-edge validator it replaced.
+
+The reference below checks one edge at a time and stops at the first
+violation. The star-by-star version must return the same string (or None)
+on valid decompositions and on ones corrupted in each way a decomposition
+can go wrong, with ``require_full`` on and off.
+"""
+
+import random
+
+import pytest
+
+from stardecomp.embedding import embed
+from stardecomp.graphs import join
+from stardecomp.oracle import sample_maximal_partial
+from stardecomp.solver import Star, StarDecomposition, validate_decomposition
+
+
+def sequential_validate(g, d, require_full=True):
+    if d.k < 2:
+        return f"star size {d.k} is below 2"
+    seen = set()
+    for idx, star in enumerate(d.stars):
+        if len(star.leaves) != d.k:
+            return f"star {idx} at {star.center} has {len(star.leaves)} leaves, wanted {d.k}"
+        if len(set(star.leaves)) != d.k:
+            return f"star {idx} at {star.center} repeats a leaf"
+        if star.center in star.leaves:
+            return f"star {idx} has its center {star.center} as a leaf"
+        for edge in star.edges():
+            u, v = edge
+            if not (0 <= u < v < g.n):
+                return f"star {idx} uses out-of-range edge {edge}"
+            if edge not in g.edges:
+                return f"star {idx} uses edge {edge} that is not in the graph"
+            if edge in seen:
+                return f"edge {edge} covered twice"
+            seen.add(edge)
+    if require_full and len(seen) != g.num_edges:
+        missing = sorted(g.edges - seen)[0]
+        return f"edge {missing} uncovered"
+    return None
+
+
+def _swap_leaf(rng, g, stars):
+    i = rng.randrange(len(stars))
+    star = stars[i]
+    far = [x for x in range(g.n) if x != star.center and x not in g.neighbors(star.center)]
+    if not far:
+        return
+    leaves = list(star.leaves)
+    leaves[rng.randrange(len(leaves))] = rng.choice(far)
+    stars[i] = Star(star.center, tuple(leaves))
+
+
+def _out_of_range_leaf(rng, g, stars):
+    i = rng.randrange(len(stars))
+    leaves = list(stars[i].leaves)
+    leaves[rng.randrange(len(leaves))] = rng.choice([-1, g.n, g.n + 3])
+    stars[i] = Star(stars[i].center, tuple(leaves))
+
+
+def _duplicate_star(rng, g, stars):
+    stars.insert(rng.randrange(len(stars) + 1), rng.choice(stars))
+
+
+def _repeat_leaf(rng, g, stars):
+    i = rng.randrange(len(stars))
+    leaves = list(stars[i].leaves)
+    a, b = rng.sample(range(len(leaves)), 2)
+    leaves[a] = leaves[b]
+    stars[i] = Star(stars[i].center, tuple(leaves))
+
+
+def _center_as_leaf(rng, g, stars):
+    i = rng.randrange(len(stars))
+    leaves = list(stars[i].leaves)
+    leaves[rng.randrange(len(leaves))] = stars[i].center
+    stars[i] = Star(stars[i].center, tuple(leaves))
+
+
+def _wrong_size(rng, g, stars):
+    i = rng.randrange(len(stars))
+    leaves = list(stars[i].leaves)
+    if rng.random() < 0.5:
+        leaves.pop(rng.randrange(len(leaves)))
+    else:
+        leaves.append(rng.randrange(g.n))
+    stars[i] = Star(stars[i].center, tuple(leaves))
+
+
+def _drop_star(rng, g, stars):
+    stars.pop(rng.randrange(len(stars)))
+
+
+CORRUPTIONS = (
+    _swap_leaf,
+    _out_of_range_leaf,
+    _duplicate_star,
+    _repeat_leaf,
+    _center_as_leaf,
+    _wrong_size,
+    _drop_star,
+)
+
+
+def _cases():
+    """(graph, decomposition) pairs: embedding certificates on sampled leaves,
+    each kept whole and corrupted by one to three random changes."""
+    rng = random.Random(8)
+    cases = []
+    for k in (3, 4):
+        for n in range(k + 1, 11):
+            _, leave = sample_maximal_partial(n, k, n)
+            cert = embed(leave, k)
+            g = join(leave, cert.s)
+            d = cert.decomposition
+            cases.append((g, d))
+            for _ in range(24):
+                stars = list(d.stars)
+                for corrupt in rng.sample(CORRUPTIONS, rng.randint(1, 3)):
+                    if stars:
+                        corrupt(rng, g, stars)
+                cases.append((g, StarDecomposition(k, tuple(stars))))
+    return cases
+
+
+CASES = _cases()
+
+
+def test_corpus_is_large_and_mostly_invalid():
+    assert len(CASES) >= 300
+    invalid = sum(sequential_validate(g, d) is not None for g, d in CASES)
+    assert invalid >= 0.9 * len(CASES)
+
+
+@pytest.mark.parametrize("require_full", [True, False])
+def test_validate_matches_sequential_reference(require_full):
+    for g, d in CASES:
+        assert validate_decomposition(g, d, require_full) == sequential_validate(
+            g, d, require_full
+        ), d

@@ -16,7 +16,6 @@ from .graphs import (
     Graph,
     complete_graph,
     disjoint_cliques,
-    empty_graph,
     graph_from_edges,
     join,
     join_edge_count,
@@ -59,7 +58,6 @@ __all__ = [
     "embed",
     "embed_large_case",
     "embed_small_case",
-    "empty_graph",
     "graph_from_edges",
     "guaranteed_s",
     "independence_number",

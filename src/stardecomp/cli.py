@@ -134,7 +134,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    inst = families.generate(args.id, k=args.k, n=args.n, t=args.t)
+    params = {p: v for p in ("k", "n", "t") if (v := getattr(args, p)) is not None}
+    inst = families.generate(args.id, **params)
     if not args.verify:
         _dump_json(inst.to_json_dict(), args.out)
         return 0
@@ -200,6 +201,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
     rows = run_sweep(
         _parse_int_list(args.k), _parse_range(args.n), args.seeds, args.budget, args.jobs
     )

@@ -9,7 +9,8 @@ always succeeds, with center counts 1 on the base and near-uniform d/d+1 on
 the join set. For s < k no complete procedure is known, so every such s runs
 the exact gamma search of ``oracle.exhaustive_gamma_search``, budgeted in
 twin-reduced candidates, and honest "unknown-skipped" entries appear in the
-certificate when the budget cuts it off.
+certificate when the budget cuts it off. Every rejection is about the given
+leave, also when it still has a vertex of degree k or more.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
     """
     n = base.n
     join_deg = n + s - 1
-    for u, v in base.sorted_edges:
+    for u, v in base.edges:
         if base.degree(u) + s < k and base.degree(v) + s < k:
             return (u, v)
     if s >= 1 and join_deg < k:
@@ -231,9 +232,7 @@ def greedy_star_removal(base: Graph, k: int) -> tuple[tuple[Star, ...], Graph]:
                 adj[w].discard(v)
         else:
             v += 1
-    edges = frozenset(
-        (u, w) for u in range(base.n) for w in adj[u] if u < w
-    )
+    edges = tuple((u, w) for u in range(base.n) for w in sorted(adj[u]) if u < w)
     return tuple(stars), Graph(base.n, edges)
 
 
@@ -251,7 +250,7 @@ def large_n_cap(k: int) -> int:
     return 2 * k - 2 if k % 2 == 1 else 3 * k - 2
 
 
-def guaranteed_s(n: int, k: int) -> tuple[int, str]:
+def guaranteed_s(n: int, k: int) -> int:
     """An embedding size that always works for a leave with these (n, k).
 
     Always strictly below ``general_cap(k)``; embed() succeeds at or before
@@ -264,38 +263,30 @@ def guaranteed_s(n: int, k: int) -> tuple[int, str]:
         raise ValueError("need n >= 1 and k >= 2")
     if k == 2:
         s = next(s for s in range(1, 5) if (n + s) % 4 == 0)
-        tag = "k2-parity"
     elif k % 2 == 0:
         if n * n >= 8 * k * k:
             start = Surd.of(4 * k, -2 * k, 2)  # (4 - 2*sqrt(2)) k
             s = 0
             while not (start < s) or (n + s) % (2 * k) != 0:
                 s += 1
-            tag = "even-large-n"
         elif n >= k + 1:
             s = 4 * k - n
-            tag = "even-mid-n"
         else:
             s = 2 * k - n
-            tag = "even-empty"
     else:
         if n * n >= 8 * k * k:
             s = (5 * k + 3) // 4  # smallest integer >= 5k/4
             while (n + s) % k != 0:
                 s += 1
-            tag = "odd-large-n"
         elif 4 * n > 7 * k:
             s = 4 * k - n
-            tag = "odd-mid-n"
         elif n >= k + 1:
             s = 3 * k - n
-            tag = "odd-clique-leave"
         else:
             s = 2 * k - n
-            tag = "odd-empty"
     if not general_cap(k) > s:
-        raise RuntimeError(f"guaranteed s={s} ({tag}) is not below the general cap")
-    return s, tag
+        raise RuntimeError(f"guaranteed s={s} for n={n}, k={k} is not below the general cap")
+    return s
 
 
 def embed(
@@ -307,11 +298,15 @@ def embed(
 ) -> EmbeddingCertificate:
     """Smallest-s embedding certificate for a leave of a partial decomposition.
 
-    If the graph still has a vertex of degree >= k, stars are greedily
-    removed first and added back into the final decomposition; all checks run
-    against the reduced leave, which has the same embeddability. Minimality
-    is "exact" when every smaller divisible s was rejected for a definite
-    reason and "conditional" when any search was cut off by its budget.
+    The degree-pair and obstacle checks, the k = 2 parity construction and
+    the sub-k gamma search hold for any graph, so they run on the given leave
+    L and every rejection in the ledger is about L v K_s. The constructions
+    for s >= k need maximum degree below k: they run on the core left after
+    greedily removing k-stars from L, the removed stars are added back, and
+    an s the core cannot be built for is "unknown-skipped". For s < k the
+    core's join is searched first and L v K_s only when that finds nothing.
+    Minimality is "exact" when every smaller divisible s was rejected for a
+    definite reason and "conditional" otherwise.
     Raises NoEmbeddingFound when no s up to the limit works.
     """
     if k < 2:
@@ -320,16 +315,23 @@ def embed(
         raise ValueError(f"max_s must be nonnegative, got {max_s}")
     n = base.n
     removed, core = greedy_star_removal(base, k)
-    limit = guaranteed_s(n, k)[0] if max_s is None else max_s
+    limit = guaranteed_s(n, k) if max_s is None else max_s
     rejections: list[Rejection] = []
     definite = True
-    try:
-        alpha: int | None = independence_number(core, alpha_budget)
-    except BudgetExceeded:
-        alpha = None
 
-    def success(s: int, found: StarDecomposition) -> EmbeddingCertificate:
-        merged = StarDecomposition(k, removed + found.stars)
+    def alpha_of(g: Graph) -> int | None:
+        try:
+            return independence_number(g, alpha_budget)
+        except BudgetExceeded:
+            return None
+
+    alpha = alpha_of(base)
+    core_alpha = alpha_of(core) if removed else alpha
+
+    def success(
+        s: int, stars: tuple[Star, ...], found: StarDecomposition
+    ) -> EmbeddingCertificate:
+        merged = StarDecomposition(k, stars + found.stars)
         problem = validate_decomposition(join(base, s), merged)
         if problem is not None:
             raise RuntimeError(f"embedding failed validation: {problem}")
@@ -337,17 +339,16 @@ def embed(
         return EmbeddingCertificate(k, n, s, merged, tuple(rejections), flag)
 
     for s in range(0, limit + 1):
-        m = join_edge_count(core, s)
-        if m % k:
+        if join_edge_count(base, s) % k:
             rejections.append(Rejection(s, REASON_DIVISIBILITY))
             continue
-        edge = degree_pair_check(core, k, s)
+        edge = degree_pair_check(base, k, s)
         if edge is not None:
             rejections.append(
                 Rejection(s, REASON_DEGREE_PAIR, {"edge": list(edge)})
             )
             continue
-        obstacle = obstacle_check(core, k, s, alpha)
+        obstacle = obstacle_check(base, k, s, alpha)
         if obstacle.status == "violated":
             rejections.append(
                 Rejection(
@@ -358,25 +359,34 @@ def embed(
             )
             continue
         if k == 2:
-            found = two_star_decompose(join(core, s))
+            found = two_star_decompose(join(base, s))
             if found is None:
                 rejections.append(
                     Rejection(s, REASON_EXHAUSTED, {"by": "component-parity"})
                 )
                 continue
-            return success(s, found)
+            return success(s, (), found)
         if s >= k:
-            if m >= k * (n + s) and n >= k:
-                return success(s, embed_large_case(core, k, s))
+            if join_edge_count(core, s) >= k * (n + s) and n >= k:
+                return success(s, removed, embed_large_case(core, k, s))
+            if removed:
+                obstacle = obstacle_check(core, k, s, core_alpha)
             if obstacle.status != "passes":
-                # the small-case center set needs the exact alpha, which was cut off
-                rejections.append(Rejection(s, REASON_UNKNOWN, {"alpha": "budget"}))
+                # the small-case center set needs the exact alpha, which was cut
+                # off, or enough of it in the core; L itself may still decompose
+                cut = obstacle.alpha is None
+                detail = {"alpha": "budget"} if cut else {"core_alpha": obstacle.alpha}
+                rejections.append(Rejection(s, REASON_UNKNOWN, detail))
                 definite = False
                 continue
-            return success(s, embed_small_case(core, k, s, alpha_budget))
+            return success(s, removed, embed_small_case(core, k, s, alpha_budget))
         transcript = oracle.exhaustive_gamma_search(join(core, s), k, budget=gamma_budget)
         if transcript.outcome == oracle.FOUND:
-            return success(s, transcript.decomposition)
+            return success(s, removed, transcript.decomposition)
+        if removed:
+            transcript = oracle.exhaustive_gamma_search(join(base, s), k, budget=gamma_budget)
+            if transcript.outcome == oracle.FOUND:
+                return success(s, (), transcript.decomposition)
         if transcript.outcome == oracle.EXHAUSTED:
             rejections.append(
                 Rejection(

@@ -93,9 +93,6 @@ class Surd:
     def __ge__(self, other: "Surd | RationalLike") -> bool:
         return self._diff(other).sign() >= 0
 
-    def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.c)
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.c)
 

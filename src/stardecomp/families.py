@@ -10,6 +10,7 @@ skipped-budget per claim, with enough evidence to recheck independently.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +29,6 @@ from .solver import (
 
 EXHAUSTIVE_NONEXISTENCE_EDGE_LIMIT = 24
 FLOW_EDGE_LIMIT = 5000  # largest graph a flow-construction claim builds by default
-
-FAMILY_IDS = ("single-edge", "bound-n", "tightness-T2", "even-bound", "odd-bound")
 
 
 @dataclass(frozen=True)
@@ -355,28 +354,27 @@ def gen_odd_bound(k: int) -> FamilyInstance:
     )
 
 
-def generate(family_id: str, k: int | None = None, n: int | None = None, t: int | None = None) -> FamilyInstance:
-    if family_id == "single-edge":
-        if k is None or n is None:
-            raise ValueError("single-edge needs --k and --n")
-        return gen_single_edge(k, n)
-    if family_id == "bound-n":
-        if t is None:
-            raise ValueError("bound-n needs --t")
-        return gen_bound_n(t)
-    if family_id == "tightness-T2":
-        if t is None:
-            raise ValueError("tightness-T2 needs --t")
-        return gen_tightness_t2(t, n)
-    if family_id == "even-bound":
-        if t is None:
-            raise ValueError("even-bound needs --t")
-        return gen_even_bound(t)
-    if family_id == "odd-bound":
-        if k is None:
-            raise ValueError("odd-bound needs --k")
-        return gen_odd_bound(k)
-    raise ValueError(f"unknown family {family_id!r}; choose from {FAMILY_IDS}")
+_GENERATORS = {
+    "single-edge": gen_single_edge,
+    "bound-n": gen_bound_n,
+    "tightness-T2": gen_tightness_t2,
+    "even-bound": gen_even_bound,
+    "odd-bound": gen_odd_bound,
+}
+FAMILY_IDS = tuple(_GENERATORS)
+
+
+def generate(family_id: str, **params: int) -> FamilyInstance:
+    """The family's instance for exactly the given parameters; a missing or
+    unexpected one is a ValueError."""
+    if family_id not in _GENERATORS:
+        raise ValueError(f"unknown family {family_id!r}; choose from {FAMILY_IDS}")
+    gen = _GENERATORS[family_id]
+    try:
+        inspect.signature(gen).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"family {family_id}: {exc}") from None
+    return gen(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Vertices are labeled 0..n-1. A join ``L v K_s`` places the s new mutually
 adjacent vertices at labels n..n+s-1 so certificates are reproducible.
-Graphs are immutable and hashable; all operations return new graphs.
+Graphs are immutable and hashable; all operations return new graphs. A
+graph keeps its edges once, as the tuple of pairs (u, v) with u < v in label
+order: ``Graph(n, edges)`` takes them only in that form, and
+``graph_from_edges`` accepts any pairs.
 """
 
 from __future__ import annotations
@@ -26,22 +29,25 @@ def _norm_edge(u: int, v: int) -> Edge:
 @dataclass(frozen=True)
 class Graph:
     n: int
-    edges: frozenset[Edge]
+    edges: tuple[Edge, ...]  # distinct pairs (u, v), u < v, in label order
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
+        if type(self.edges) is not tuple:
+            raise TypeError("edges must be a tuple; graph_from_edges takes any pairs")
+        prev = (-1, -1)
+        for e in self.edges:
+            u, v = e
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+            if e <= prev:
+                raise ValueError(f"edge {e} repeated or out of label order")
+            prev = e
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -71,7 +77,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         pairs = combinations(range(self.n), 2)
-        return _graph_in_order(self.n, list(filterfalse(self.edges.__contains__, pairs)))
+        return Graph(self.n, tuple(filterfalse(set(self.edges).__contains__, pairs)))
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -107,26 +113,16 @@ def component_edge_counts(g: Graph, comps: list[list[int]]) -> list[int]:
     return counts
 
 
-def _graph_in_order(n: int, edges: list[Edge]) -> Graph:
-    """A graph from an edge list already in label order, kept as its
-    ``sorted_edges`` so that nothing sorts it again."""
-    g = Graph(n, frozenset(edges))
-    g.__dict__["sorted_edges"] = tuple(edges)
-    return g
-
-
 def graph_from_edges(n: int, edges) -> Graph:
-    return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    """A graph from any pairs: each is normalized to (low, high), repeats are
+    dropped and the rest sorted."""
+    return Graph(n, tuple(sorted({_norm_edge(u, v) for u, v in edges})))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return _graph_in_order(n, list(combinations(range(n), 2)))
+    return Graph(n, tuple(combinations(range(n), 2)))
 
 
 def disjoint_cliques(sizes: list[int]) -> Graph:
@@ -138,7 +134,7 @@ def disjoint_cliques(sizes: list[int]) -> Graph:
             raise ValueError("clique sizes must be nonnegative")
         edges.extend(combinations(range(offset, offset + size), 2))
         offset += size
-    return _graph_in_order(offset, edges)
+    return Graph(offset, tuple(edges))
 
 
 def join(base: Graph, s: int) -> Graph:
@@ -147,7 +143,7 @@ def join(base: Graph, s: int) -> Graph:
         raise ValueError("join size must be nonnegative")
     n = base.n
     new = range(n, n + s)
-    below = base.sorted_edges
+    below = base.edges
     edges: list[Edge] = []
     start = 0
     for u in range(n):
@@ -157,7 +153,7 @@ def join(base: Graph, s: int) -> Graph:
         edges += zip(repeat(u), new)
         start = end
     edges += combinations(new, 2)
-    return _graph_in_order(n + s, edges)
+    return Graph(n + s, tuple(edges))
 
 
 def join_edge_count(base: Graph, s: int) -> int:
@@ -170,7 +166,7 @@ def join_edge_count(base: Graph, s: int) -> int:
 
 
 def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges]}
+    return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
 def graph_from_json_dict(data: dict) -> Graph:
@@ -189,7 +185,7 @@ def graph_from_json_dict(data: dict) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
 

@@ -78,7 +78,7 @@ def exhaustive_decomposition(
     if m == 0:
         return SearchTranscript(0, FOUND, StarDecomposition(k, ()))
 
-    edges = list(g.sorted_edges)
+    edges = g.edges
     rem = list(g.degrees)  # undecided edges incident to each vertex
     open_stars: list[list[list[int]]] = [[] for _ in range(g.n)]
     opened = [0] * g.n
@@ -165,7 +165,7 @@ def enumerate_min_deficiency(g: Graph, k: int, gamma) -> tuple[int, list[tuple[i
     gamma = tuple(int(x) for x in gamma)
     if len(gamma) != g.n:
         raise ValueError("bad gamma")
-    edges = g.sorted_edges
+    edges = g.edges
     vmask = [0] * g.n
     for i, (u, v) in enumerate(edges):
         vmask[u] |= 1 << i
@@ -348,10 +348,9 @@ def sample_maximal_partial(n: int, k: int, seed: int) -> tuple[StarDecomposition
         for leaf in leaves:
             uncovered[center].discard(leaf)
             uncovered[leaf].discard(center)
-    leave_edges = frozenset(
-        (u, v) for u in range(n) for v in uncovered[u] if u < v
+    leave = Graph(
+        n, tuple((u, v) for u in range(n) for v in sorted(uncovered[u]) if u < v)
     )
-    leave = Graph(n, leave_edges)
     if leave.max_degree() > k - 1:
         raise RuntimeError("sampled leave has a vertex of degree k or more")
     if complete_graph(n).num_edges != leave.num_edges + k * len(stars):

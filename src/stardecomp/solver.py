@@ -158,7 +158,7 @@ def decide_star_decomposition(
     # going to the lower label.
     need = [k * c for c in gamma]
     oriented: list[tuple[int, int]] = []
-    for u, v in g.sorted_edges:
+    for u, v in g.edges:
         if need[v] > need[u]:
             u, v = v, u
         need[u] -= 1
@@ -192,14 +192,12 @@ def decide_star_decomposition(
     return witness
 
 
-def validate_decomposition(
-    g: Graph, d: StarDecomposition, require_full: bool = True
-) -> str | None:
+def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     """None if the decomposition is valid for g, else a description of the
     first violation found. Never raises."""
     if d.k < 2:
         return f"star size {d.k} is below 2"
-    edges = g.edges
+    edges = frozenset(g.edges)
     seen: set[tuple[int, int]] = set()
     for idx, star in enumerate(d.stars):
         center, leaves = star.center, star.leaves
@@ -223,7 +221,7 @@ def validate_decomposition(
             if edge in seen:
                 return f"edge {edge} covered twice"
             seen.add(edge)
-    if require_full and len(seen) != g.num_edges:
+    if len(seen) != g.num_edges:
         return f"edge {min(edges - seen)} uncovered"
     return None
 
@@ -358,7 +356,7 @@ def decomposition_to_dot(g: Graph, d: StarDecomposition) -> str:
     lines = ["graph stars {"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    for u, v in g.sorted_edges:
+    for u, v in g.edges:
         idx = covered.get((u, v))
         if idx is None:
             lines.append(f'  {u} -- {v} [color="gray"];')

@@ -124,7 +124,7 @@ def test_criterion_2_deficiency_crosscheck():
                 ]
                 g = graph_from_edges(n, edges)
                 if g.num_edges % k:
-                    g = graph_from_edges(n, g.sorted_edges[g.num_edges % k :])
+                    g = graph_from_edges(n, g.edges[g.num_edges % k :])
                 join_set = None
                 base_n = n
             else:
@@ -138,7 +138,7 @@ def test_criterion_2_deficiency_crosscheck():
                 base = graph_from_edges(base_n, edges)
                 drop = join_edge_count(base, s) % k
                 if drop:
-                    base = graph_from_edges(base_n, base.sorted_edges[drop:])
+                    base = graph_from_edges(base_n, base.edges[drop:])
                     if join_edge_count(base, s) % k:
                         continue  # base had too few edges to fix the residue
                 g = join(base, s)

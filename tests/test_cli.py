@@ -276,6 +276,28 @@ def test_family_bad_parameters(capsys):
     assert run(["family", "--id", "single-edge", "--k", "4", "--n", "10"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--id", "bound-n", "--t", "7", "--k", "5", "--n", "3"],  # --k and --n unused
+        ["--id", "odd-bound", "--k", "27", "--t", "3"],  # --t unused
+        ["--id", "bound-n"],  # --t missing
+        ["--id", "single-edge", "--k", "3"],  # --n missing
+    ],
+)
+def test_family_rejects_unused_and_missing_flags(flags, tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert run(["family", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "family" in capsys.readouterr().err
+
+
+def test_family_passes_optional_flag_through(tmp_path):
+    out = tmp_path / "inst.json"
+    assert run(["family", "--id", "tightness-T2", "--t", "4", "--n", "82", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 82
+
+
 def test_family_verify_odd_bound(tmp_path):
     out = tmp_path / "report.json"
     assert run(["family", "--id", "odd-bound", "--k", "27", "--verify", "--out", str(out)]) == 0
@@ -338,6 +360,12 @@ def test_sweep_small_grid(tmp_path):
     assert len(rows) == 6
     assert all(row["within_general_cap"] == "1" for row in rows)
     assert [int(r["n"]) for r in rows] == [4, 4, 5, 5, 6, 6]
+
+
+def test_sweep_rejects_negative_seeds(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--k", "3", "--n", "4:5", "--seeds", "-3", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):

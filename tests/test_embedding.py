@@ -17,9 +17,9 @@ from stardecomp.embedding import (
 )
 from stardecomp.exactnum import Surd
 from stardecomp.graphs import (
+    Graph,
     complete_graph,
     disjoint_cliques,
-    empty_graph,
     graph_from_edges,
     join,
     join_edge_count,
@@ -48,7 +48,7 @@ def test_degree_pair_boundary_degree_exactly_k():
 
 def test_degree_pair_flags_join_edges_for_tiny_graphs():
     # K_1 joined with 2 vertices: every edge has both ends below k = 5
-    g = empty_graph(1)
+    g = Graph(1, ())
     assert degree_pair_check(g, 5, 2) == (0, 1)
 
 
@@ -67,7 +67,7 @@ def test_obstacle_passes_trivially_when_requirement_nonpositive():
 
 
 def test_obstacle_passes_for_empty_leave():
-    report = obstacle_check(empty_graph(6), 3, 3, 6)
+    report = obstacle_check(Graph(6, ()), 3, 3, 6)
     assert report.status == "passes"
 
 
@@ -87,8 +87,8 @@ def test_obstacle_requires_divisibility():
 
 def test_small_case_forced_all_ones():
     # empty leave on 6 vertices, k=3, s=3: requirement is 2, met by {0, 1}
-    dec = embed_small_case(empty_graph(6), 3, 3)
-    g = join(empty_graph(6), 3)
+    dec = embed_small_case(Graph(6, ()), 3, 3)
+    g = join(Graph(6, ()), 3)
     assert validate_decomposition(g, dec) is None
     gamma = dec.central_function(9)
     assert gamma[0] == 0 and gamma[1] == 0
@@ -130,7 +130,7 @@ def test_large_case_uniform_boundary():
 
 def test_large_case_rejects_small_instances():
     with pytest.raises(ValueError):
-        embed_large_case(empty_graph(6), 3, 3)
+        embed_large_case(Graph(6, ()), 3, 3)
 
 
 def test_greedy_star_removal():
@@ -155,14 +155,14 @@ def test_greedy_star_removal():
     ],
 )
 def test_guaranteed_s_values(n, k, expected):
-    s, _ = guaranteed_s(n, k)
+    s = guaranteed_s(n, k)
     assert s == expected
 
 
 def test_guaranteed_s_caps_hold_everywhere():
     for k in range(2, 10):
         for n in range(1, 41):
-            s, _ = guaranteed_s(n, k)
+            s = guaranteed_s(n, k)
             if k % 2 and k > 2:
                 assert Fraction(s) < Fraction(9 * k, 4)
             else:
@@ -184,7 +184,7 @@ def test_embed_single_edge_ledger():
 
 
 def test_embed_empty_leave_s_zero():
-    cert = embed(empty_graph(6), 3)
+    cert = embed(Graph(6, ()), 3)
     assert cert.s == 0
     assert cert.decomposition.stars == ()
 
@@ -211,9 +211,33 @@ def test_embed_k2_after_reduction():
     g = graph_from_edges(16, edges)
     cert = embed(g, 2)
     assert cert.s == 1
-    # the reduced leave is a matching, so s = 0 dies on a low-degree edge
-    assert cert.rejections[0].reason == "degree-pair"
+    # the ledger is about the given leave, whose triangles have odd size
+    assert cert.rejections[0].reason == "exhausted-nonexistence"
+    assert cert.rejections[0].detail == {"by": "component-parity"}
     assert validate_decomposition(join(g, 1), cert.decomposition) is None
+
+
+@pytest.mark.parametrize(
+    "leave,k",
+    [
+        (complete_graph(12), 3),
+        (complete_graph(16), 5),
+        # the leave of a partial 3-star decomposition of K_7 that decomposes
+        (
+            graph_from_edges(
+                7, [(1, 3), (1, 5), (1, 6), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
+            ),
+            3,
+        ),
+    ],
+)
+def test_embed_finds_s_zero_when_the_thick_leave_decomposes(leave, k):
+    # greedy star removal leaves a core whose own joins fail for small s;
+    # that must not reject an s at which the given leave works
+    cert = embed(leave, k)
+    assert cert.s == 0
+    assert cert.minimality == "exact"
+    assert validate_decomposition(leave, cert.decomposition) is None
 
 
 def test_embed_k2_s_zero_when_components_even():
@@ -230,7 +254,7 @@ def test_embed_respects_max_s():
 def test_embed_tiny_leaves():
     # K_1's leave embeds in itself; K_2 needs s = 2k-2 like the general
     # one-edge family
-    assert embed(empty_graph(1), 3).s == 0
+    assert embed(Graph(1, ()), 3).s == 0
     cert = embed(complete_graph(2), 3)
     assert cert.s == 4
     reasons = {r.s: r.reason for r in cert.rejections}

@@ -1,6 +1,7 @@
 import pytest
 
 from stardecomp.families import (
+    FAMILY_IDS,
     gen_bound_n,
     gen_even_bound,
     gen_odd_bound,
@@ -228,6 +229,15 @@ def test_generate_dispatch():
         generate("nope")
     with pytest.raises(ValueError):
         generate("single-edge", k=3)  # missing n
+    with pytest.raises(ValueError):
+        generate("bound-n", t=7, k=5)  # k is not a bound-n parameter
+    assert set(FAMILY_IDS) == {
+        "single-edge",
+        "bound-n",
+        "tightness-T2",
+        "even-bound",
+        "odd-bound",
+    }
 
 
 def test_instance_serialization():

@@ -6,7 +6,6 @@ from stardecomp.graphs import (
     Graph,
     complete_graph,
     disjoint_cliques,
-    empty_graph,
     format_edge_list,
     graph_from_edges,
     graph_from_json_dict,
@@ -26,9 +25,35 @@ def test_complete_graph_edge_counts(n, expected):
 
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
-        Graph(3, frozenset({(0, 3)}))
+        Graph(3, ((0, 3),))
     with pytest.raises(ValueError):
         graph_from_edges(3, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((0, 2), (0, 1)),  # out of label order
+        ((0, 1), (0, 1)),  # repeated
+        ((1, 0),),  # not (low, high)
+        ((0, 1), (2, 4)),  # past n - 1
+        ((-1, 1),),  # negative
+    ],
+)
+def test_graph_takes_only_label_ordered_edges(edges):
+    with pytest.raises(ValueError):
+        Graph(4, edges)
+
+
+def test_graph_edges_must_be_a_tuple():
+    with pytest.raises(TypeError):
+        Graph(3, frozenset({(0, 1)}))
+
+
+def test_graph_from_edges_takes_any_pairs():
+    g = graph_from_edges(4, [(2, 0), (1, 0), (0, 2), (3, 1)])
+    assert g.edges == ((0, 1), (0, 2), (1, 3))
+    assert g == Graph(4, ((0, 1), (0, 2), (1, 3)))
 
 
 def test_join_edge_count_single_edge():
@@ -43,7 +68,7 @@ def test_join_with_zero_is_identity():
 
 
 def test_join_single_vertex_gives_k2():
-    assert join(empty_graph(1), 1) == complete_graph(2)
+    assert join(Graph(1, ()), 1) == complete_graph(2)
 
 
 def test_join_degrees_and_twins():
@@ -62,7 +87,7 @@ def test_join_degrees_and_twins():
 def test_complement_involution():
     g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert g.complement().complement() == g
-    assert complete_graph(4).complement() == empty_graph(4)
+    assert complete_graph(4).complement() == Graph(4, ())
 
 
 def test_disjoint_cliques_layout():

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 
 from stardecomp.graphs import (
+    Graph,
     complete_graph,
     disjoint_cliques,
-    empty_graph,
     graph_from_edges,
 )
 from stardecomp.independence import (
@@ -46,7 +46,7 @@ def test_clique_union_shortcut():
 
 
 def test_empty_graph():
-    assert independence_number(empty_graph(9)) == 9
+    assert independence_number(Graph(9, ())) == 9
 
 
 def test_paths_and_cycles_closed_form():

@@ -59,7 +59,7 @@ def _edge_node_network_feasible(g, k, gamma):
     ref.add_nodes_from(["s", "t"])
     for x in range(g.n):
         ref.add_edge("s", ("v", x), capacity=k * gamma[x])
-    for e in g.sorted_edges:
+    for e in g.edges:
         for x in e:
             ref.add_edge(("v", x), ("e", e), capacity=1)
         ref.add_edge(("e", e), "t", capacity=1)
@@ -78,7 +78,7 @@ def test_decide_matches_edge_node_network():
         drop = join_edge_count(base, s) % k
         if drop > base.num_edges:
             continue
-        g = join(graph_from_edges(n, base.sorted_edges[drop:]), s)
+        g = join(graph_from_edges(n, base.edges[drop:]), s)
         gamma = [0] * g.n
         if trial % 2:
             # about half of each vertex's degree, then one center moved:

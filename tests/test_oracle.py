@@ -264,7 +264,7 @@ def test_sample_maximal_partial_invariants():
     assert len(covered) == len(set(covered))
     assert set(covered) | set(leave.edges) == set(g.edges)
     assert set(covered) & set(leave.edges) == set()
-    assert validate_decomposition(g, dec, require_full=False) is None
+    assert validate_decomposition(leave.complement(), dec) is None
 
 
 def test_sample_maximal_partial_deterministic():

@@ -1,15 +1,23 @@
 """Property-based checks tying the flow solver, the oracles, and the graph
 machinery together on small random instances."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stardecomp.embedding import greedy_star_removal
+from stardecomp.embedding import REASON_UNKNOWN, embed, greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
-from stardecomp.graphs import complete_graph, disjoint_cliques, graph_from_edges, join
+from stardecomp.graphs import (
+    Graph,
+    complete_graph,
+    disjoint_cliques,
+    graph_from_edges,
+    join,
+    join_edge_count,
+)
 from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
@@ -57,8 +65,8 @@ def test_complement_is_an_involution(g):
 
 
 def _same_as_built_from_edges(h):
-    # the label-order constructors keep their edge list as sorted_edges
-    assert h.sorted_edges == tuple(sorted(h.edges))
+    # the label-order constructors hand Graph strictly increasing edges
+    assert all(a < b for a, b in zip(h.edges, h.edges[1:]))
     plain = graph_from_edges(h.n, h.edges)
     assert h == plain and hash(h) == hash(plain)
 
@@ -157,6 +165,42 @@ def test_sampled_leaves_are_maximal(n, k, seed):
     assert leave.num_edges % k == (n * (n - 1) // 2) % k
     covered = [e for star in decomposition.stars for e in star.edges()]
     assert len(covered) + leave.num_edges == n * (n - 1) // 2
+
+
+@st.composite
+def thick_partial_leaves(draw):
+    """The leave of a random partial k-star decomposition of K_n that stops
+    early, so that some vertex still has degree k or more."""
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(min_value=2 * k, max_value=9))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    uncovered = [set(range(n)) - {v} for v in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=n * (n - 1) // (2 * k)))):
+        eligible = [v for v in range(n) if len(uncovered[v]) >= k]
+        if not eligible:
+            break
+        center = rng.choice(eligible)
+        for leaf in rng.sample(sorted(uncovered[center]), k):
+            uncovered[center].discard(leaf)
+            uncovered[leaf].discard(center)
+    edges = tuple((u, v) for u in range(n) for v in sorted(uncovered[u]) if u < v)
+    leave = Graph(n, edges)
+    assume(leave.max_degree() >= k)
+    return leave, k
+
+
+@SETTINGS
+@given(thick_partial_leaves())
+def test_embed_rejections_hold_for_the_given_leave(inst):
+    # every definite rejection says L v K_s has no decomposition; checked by
+    # the flow-free backtracking search wherever the join is small enough
+    leave, k = inst
+    cert = embed(leave, k)
+    assert [r.s for r in cert.rejections] == list(range(cert.s))
+    for r in cert.rejections:
+        if r.reason == REASON_UNKNOWN or join_edge_count(leave, r.s) > 45:
+            continue
+        assert exhaustive_decomposition(join(leave, r.s), k).outcome == EXHAUSTED, r
 
 
 @SETTINGS

@@ -3,13 +3,17 @@
 The reference below checks one edge at a time and stops at the first
 violation. The star-by-star version must return the same string (or None)
 on valid decompositions and on ones corrupted in each way a decomposition
-can go wrong.
+can go wrong, both against the whole graph and against the graph of just
+the edges the stars use (which drops the coverage check for partial
+decompositions).
 """
 
 import random
 
+import pytest
+
 from stardecomp.embedding import embed
-from stardecomp.graphs import join
+from stardecomp.graphs import graph_from_edges, join
 from stardecomp.oracle import sample_maximal_partial
 from stardecomp.solver import Star, StarDecomposition, validate_decomposition
 
@@ -133,6 +137,16 @@ def test_corpus_is_large_and_mostly_invalid():
     assert invalid >= 0.9 * len(CASES)
 
 
-def test_validate_matches_sequential_reference():
+def _used_edges_graph(g, d):
+    """The graph of the edges of g that some star of d uses."""
+    edges = set(g.edges)
+    return graph_from_edges(
+        g.n, [e for star in d.stars for e in star.edges() if e in edges]
+    )
+
+
+@pytest.mark.parametrize("whole_graph", [True, False])
+def test_validate_matches_sequential_reference(whole_graph):
     for g, d in CASES:
-        assert validate_decomposition(g, d) == sequential_validate(g, d), d
+        h = g if whole_graph else _used_edges_graph(g, d)
+        assert validate_decomposition(h, d) == sequential_validate(h, d), d

@@ -303,8 +303,7 @@ def embed(
     L and every rejection in the ledger is about L v K_s. The constructions
     for s >= k need maximum degree below k: they run on the core left after
     greedily removing k-stars from L, the removed stars are added back, and
-    an s the core cannot be built for is "unknown-skipped". For s < k the
-    core's join is searched first and L v K_s only when that finds nothing.
+    an s the core cannot be built for is "unknown-skipped".
     Minimality is "exact" when every smaller divisible s was rejected for a
     definite reason and "conditional" otherwise.
     Raises NoEmbeddingFound when no s up to the limit works.
@@ -380,13 +379,9 @@ def embed(
                 definite = False
                 continue
             return success(s, removed, embed_small_case(core, k, s, alpha_budget))
-        transcript = oracle.exhaustive_gamma_search(join(core, s), k, budget=gamma_budget)
+        transcript = oracle.exhaustive_gamma_search(join(base, s), k, budget=gamma_budget)
         if transcript.outcome == oracle.FOUND:
-            return success(s, removed, transcript.decomposition)
-        if removed:
-            transcript = oracle.exhaustive_gamma_search(join(base, s), k, budget=gamma_budget)
-            if transcript.outcome == oracle.FOUND:
-                return success(s, (), transcript.decomposition)
+            return success(s, (), transcript.decomposition)
         if transcript.outcome == oracle.EXHAUSTED:
             rejections.append(
                 Rejection(

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -204,8 +205,8 @@ def test_embed_handles_thick_leaves_by_reduction():
 
 
 def test_embed_k2_after_reduction():
-    # two triangles, a star with 8 edges, one isolated vertex; after greedy
-    # reduction the leave is a 2-edge matching, which s = 0 cannot absorb
+    # two triangles, a star with 8 edges, one isolated vertex; the triangles
+    # are odd components, so s = 0 is rejected for the given leave
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     edges += [(6, x) for x in range(7, 15)]
     g = graph_from_edges(16, edges)
@@ -280,11 +281,10 @@ def test_sub_k_exhaustions_agree_with_edge_search():
             for seed in range(8):
                 _, leave = sample_maximal_partial(n, k, seed)
                 cert = embed(leave, k)
-                _, core = greedy_star_removal(leave, k)
                 for r in cert.rejections:
                     if r.reason == "exhausted-nonexistence" and r.s < k:
                         checked += 1
-                        assert exhaustive_decomposition(join(core, r.s), k).outcome == EXHAUSTED
+                        assert exhaustive_decomposition(join(leave, r.s), k).outcome == EXHAUSTED
                 if cert.s < k:
                     sub_k += 1
                     assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
@@ -305,6 +305,23 @@ def test_embed_skips_small_case_when_alpha_cut_off():
         json.loads(json.dumps(cert.to_json_dict(), sort_keys=True))
     )
     assert again == cert
+
+
+def test_embed_skips_small_case_when_core_alpha_too_small():
+    # three K_6 on 1..18 and vertex 0 joined to all but one vertex of each:
+    # L passes the obstruction at s = k = 15 (alpha 4 >= 34 - 450/15), but the
+    # core, with 0's star removed, needs an independent set of 34 - 435/15 = 5
+    # and has alpha 4, so the small case cannot be built on it
+    k = 15
+    edges = [(a, b) for lo in (1, 7, 13) for a, b in combinations(range(lo, lo + 6), 2)]
+    edges += [(0, v) for v in range(1, 19) if v not in (6, 12, 18)]
+    leave = graph_from_edges(19, edges)
+    cert = embed(leave, k)
+    assert cert.minimality == "conditional"
+    reasons = {r.s: (r.reason, r.detail) for r in cert.rejections}
+    assert reasons[15] == ("unknown-skipped", {"core_alpha": 4})
+    assert cert.s == 18
+    assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
 
 
 def test_certificate_json_round_trip():

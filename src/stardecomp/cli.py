@@ -60,6 +60,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _int_at_least(least: int):
+    """An argparse type for counts; a value below ``least`` is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -134,12 +147,15 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    if args.flow_limit is not None and not args.verify:
+        raise ValueError("--flow-limit needs --verify")
     params = {p: v for p in ("k", "n", "t") if (v := getattr(args, p)) is not None}
     inst = families.generate(args.id, **params)
     if not args.verify:
         _dump_json(inst.to_json_dict(), args.out)
         return 0
-    report = families.verify_instance(inst, args.flow_limit)
+    limit = families.FLOW_EDGE_LIMIT if args.flow_limit is None else args.flow_limit
+    report = families.verify_instance(inst, limit)
     _dump_json(report.to_json_dict(), args.out)
     return 0 if report.all_ok() else 4
 
@@ -201,8 +217,6 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.seeds < 0:
-        raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
     rows = run_sweep(
         _parse_int_list(args.k), _parse_range(args.n), args.seeds, args.budget, args.jobs
     )
@@ -273,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", help="JSON list of per-vertex center counts")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(0),
         help=f"gamma candidates tried (default {oracle.DEFAULT_GAMMA_BUDGET})",
     )
     p.add_argument("--out")
@@ -283,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed a leave into a larger complete graph")
     p.add_argument("--leave", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-s", type=int, dest="max_s")
+    p.add_argument("--max-s", type=_int_at_least(0), dest="max_s")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_GAMMA_SEARCH_BUDGET,
         help="gamma candidates tried per sub-k s",
     )
@@ -299,16 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--flow-limit", type=int, default=families.FLOW_EDGE_LIMIT, dest="flow_limit")
+    p.add_argument(
+        "--flow-limit",
+        type=_int_at_least(0),
+        help=f"largest flow graph built (default {families.FLOW_EDGE_LIMIT}; needs --verify)",
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("sweep", help="sample leaves and embed across a (k, n) grid")
     p.add_argument("--k", required=True, help="comma-separated list, e.g. 3,5")
     p.add_argument("--n", required=True, help="range lo:hi or comma list")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_GAMMA_SEARCH_BUDGET)
+    p.add_argument("--seeds", type=_int_at_least(0), default=20)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_GAMMA_SEARCH_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 

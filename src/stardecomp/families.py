@@ -20,7 +20,6 @@ from .embedding import degree_pair_check, embed_large_case, general_cap, obstacl
 from .graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
 from .independence import independence_number
 from .solver import (
-    RepairLimitReached,
     StarDecomposition,
     decide_star_decomposition,
     decompose_with_repair,
@@ -492,10 +491,7 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, flow_edge_limit
     leave = inst.leave
     k = inst.k
     n = leave.n
-    if n == 2 and leave.num_edges == 1:
-        # the leave is K_2 itself; the empty partial decomposition realizes it
-        return ClaimResult(claim, "verified", {"trivial": "empty decomposition"})
-    complement_edges = _realizability_conditions(leave, k)["complement_edges"]
+    complement_edges = n * (n - 1) // 2 - leave.num_edges
     if complement_edges > flow_edge_limit:
         return ClaimResult(
             claim,
@@ -514,12 +510,7 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, flow_edge_limit
             )
         dec = result
     else:
-        try:
-            dec = decompose_with_repair(complement, k)
-        except RepairLimitReached as exc:  # the heuristic gave up, nothing is refuted
-            return ClaimResult(
-                claim, "skipped-budget", {"repairs": exc.repairs, "reason": str(exc)}
-            )
+        dec = decompose_with_repair(complement, k)
     problem = validate_decomposition(complement, dec)
     if problem is not None:
         return ClaimResult(claim, "refuted", {"violation": problem})

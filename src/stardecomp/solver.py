@@ -237,39 +237,26 @@ def balanced_gamma(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(base + 1 if x < extra else base for x in range(g.n))
 
 
-class RepairLimitReached(RuntimeError):
-    """The gamma-repair loop gave up without reaching a decomposition."""
-
-    def __init__(self, message: str, repairs: int) -> None:
-        super().__init__(message)
-        self.repairs = repairs
-
-
 def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
-    """Decompose with a balanced gamma, repairing it via witness feedback.
+    """Decompose g with the balanced gamma, which is exact for dense graphs.
 
-    Each failed attempt moves one unit of gamma from the lowest-labeled
-    witness vertex to the lowest-labeled outside vertex with degree slack.
-    Aborts after n^2 repairs; the callers use this only where a suitable
-    gamma is known to exist.
+    If the minimum degree delta is at least n/2 + k - 1 and k divides |E|,
+    the balanced gamma meets Hakimi's orientation condition
+    |E(S)| <= k*gamma(S) for every vertex set S with s = |S| < n, t = n - s:
+      balance gives k*gamma(S) >= s|E|/n - k*s*t/n;
+      |E(S)| <= s(s-1)/2;
+      at least t*delta - t(t-1)/2 edges meet the rest of V;
+      together s|E| - n|E(S)| >= s*t*(delta - n/2 + 1) >= k*s*t,
+      so |E(S)| <= k*gamma(S).
+    Both callers (K_n with n >= 2k, dense family complements) meet the
+    bound, so a refusal is an internal error.
     """
-    gamma = list(balanced_gamma(g, k))
-    for repairs in range(g.n * g.n + 1):
-        result = decide_star_decomposition(g, k, gamma)
-        if isinstance(result, StarDecomposition):
-            return result
-        donors = [x for x in result.vertices if gamma[x] >= 1]
-        outside = set(result.vertices)
-        takers = [
-            y
-            for y in range(g.n)
-            if y not in outside and k * (gamma[y] + 1) <= g.degree(y)
-        ]
-        if not donors or not takers:
-            raise RepairLimitReached("no repair move available", repairs)
-        gamma[donors[0]] -= 1
-        gamma[takers[0]] += 1
-    raise RepairLimitReached(f"gave up after {g.n * g.n} repairs", g.n * g.n)
+    result = decide_star_decomposition(g, k, balanced_gamma(g, k))
+    if not isinstance(result, StarDecomposition):
+        raise RuntimeError(
+            f"balanced centers refused: deficient set of {len(result.vertices)} vertices"
+        )
+    return result
 
 
 def decompose_complete(n: int, k: int) -> StarDecomposition | None:

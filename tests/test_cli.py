@@ -9,7 +9,6 @@ from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
 from stardecomp.graphs import complete_graph, graph_from_edges, graph_to_json_dict, join, write_graph
 from stardecomp.solver import (
-    RepairLimitReached,
     StarDecomposition,
     two_star_decompose,
     validate_decomposition,
@@ -181,12 +180,20 @@ K6_FILES = {
             {"g.json": '{"n": 3, "edges": [[0, 1], [1, 2]]}', "gamma.json": "[1.5, 0, 0]"},
             ["decompose", "--graph", "g.json", "--k", "2", "--gamma", "gamma.json"],
         ),
-        # flags the chosen mode would ignore, and a negative limit
+        # flags the chosen mode would ignore, and counts below their least value
         ({}, ["decompose", "--complete", "6", "--k", "3", "--gamma", "does-not-exist.json"]),
         ({}, ["decompose", "--complete", "6", "--k", "3", "--budget", "5"]),
         (K6_FILES, ["decompose", "--graph", "g.json", "--k", "3", "--gamma", "gamma.json", "--budget", "5"]),
         (K6_FILES, ["decompose", "--graph", "g.json", "--k", "2", "--budget", "5"]),
         (K6_FILES, ["embed", "--leave", "g.json", "--k", "3", "--max-s", "-1"]),
+        ({}, ["family", "--id", "single-edge", "--k", "3", "--n", "8", "--flow-limit", "10"]),
+        (K6_FILES, ["embed", "--leave", "g.json", "--k", "3", "--budget", "-5"]),
+        (K6_FILES, ["decompose", "--graph", "g.json", "--k", "3", "--budget", "-1"]),
+        ({}, ["family", "--id", "even-bound", "--t", "3", "--verify", "--flow-limit", "-1"]),
+        ({}, ["sweep", "--k", "3", "--n", "4:5", "--budget", "-1"]),
+        ({}, ["sweep", "--k", "3", "--n", "4:5", "--jobs", "0"]),
+        ({}, ["sweep", "--k", "3", "--n", "4:5", "--jobs", "-2"]),
+        ({}, ["sweep", "--k", "3", "--n", "4:5", "--jobs", "two"]),
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, files, args):
@@ -207,12 +214,12 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert run(["embed", "--leave", str(gpath), "--k", "3"]) == 3
     assert capsys.readouterr().err == "internal error: embedding failed validation: forced\n"
 
-    def give_up(n, k):
-        raise RepairLimitReached("no repair move available", 0)
+    def refuse(n, k):
+        raise RuntimeError("balanced centers refused")
 
-    monkeypatch.setattr("stardecomp.cli.decompose_complete", give_up)
+    monkeypatch.setattr("stardecomp.cli.decompose_complete", refuse)
     assert run(["decompose", "--complete", "6", "--k", "3"]) == 3
-    assert capsys.readouterr().err == "internal error: no repair move available\n"
+    assert capsys.readouterr().err == "internal error: balanced centers refused\n"
 
 
 def test_family_internal_error_exits_3(monkeypatch, capsys):
@@ -366,6 +373,14 @@ def test_sweep_rejects_negative_seeds(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--k", "3", "--n", "4:5", "--seeds", "-3", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_family_verify_takes_flow_limit(tmp_path):
+    out = tmp_path / "family.json"
+    args = ["family", "--id", "single-edge", "--k", "3", "--n", "8", "--out", str(out)]
+    assert run(args + ["--verify", "--flow-limit", "10"]) == 0
+    realizable = [c for c in json.loads(out.read_text())["claims"] if c["kind"] == "leave-realizable"]
+    assert realizable[0]["evidence"] == {"complement_edges": 27, "limit": 10}
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):

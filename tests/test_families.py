@@ -13,7 +13,6 @@ from stardecomp.families import (
     verify_instance,
 )
 from stardecomp.graphs import Graph, disjoint_cliques, graph_from_edges
-from stardecomp.solver import RepairLimitReached
 
 
 def claim_results(report, kind):
@@ -38,20 +37,8 @@ def test_single_edge_k3_n8_fully_verified():
     assert realizable.evidence["stars"] == 9
 
 
-def test_repair_give_up_is_skipped_not_refuted(monkeypatch):
-    def give_up(g, k):
-        raise RepairLimitReached("gave up after 64 repairs", 64)
-
-    monkeypatch.setattr("stardecomp.families.decompose_with_repair", give_up)
-    report = verify_instance(gen_single_edge(3, 8))
-    assert report.all_ok()
-    realizable = claim_results(report, "leave-realizable")[0]
-    assert realizable.status == "skipped-budget"
-    assert realizable.evidence == {"repairs": 64, "reason": "gave up after 64 repairs"}
-
-
 def test_internal_error_in_repair_is_not_a_refutation(monkeypatch):
-    # only the repair loop's decide is broken, the other claims still work
+    # only decompose_with_repair's decide is broken, the other claims still work
     def broken(g, k, gamma):
         raise RuntimeError("broken flow")
 

@@ -29,6 +29,7 @@ from stardecomp.oracle import (
 from stardecomp.solver import (
     StarDecomposition,
     decide_star_decomposition,
+    decompose_with_repair,
     two_star_decompose,
     validate_decomposition,
 )
@@ -124,6 +125,38 @@ def test_produced_central_functions_satisfy_necessary_conditions(inst):
         recovered = result.central_function(g.n)
         assert all(k * recovered[x] <= g.degree(x) for x in range(g.n))
         assert all(recovered[u] + recovered[v] >= 1 for u, v in g.edges)
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs with every degree >= n/2 + k - 1 and k dividing |E|."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=2 * k, max_value=16))
+    degree = [n - 1] * n
+
+    def drop(u, v):
+        # only while both ends keep 2*deg >= n + 2k - 2
+        if 2 * (min(degree[u], degree[v]) - 1) < n + 2 * k - 2:
+            return False
+        degree[u] -= 1
+        degree[v] -= 1
+        return True
+
+    edges = [e for e in combinations(range(n), 2) if not (draw(st.booleans()) and drop(*e))]
+    extra = len(edges) % k
+    for e in list(edges):
+        if extra and drop(*e):
+            edges.remove(e)
+            extra -= 1
+    assume(not extra)
+    return graph_from_edges(n, edges), k
+
+
+@SETTINGS
+@given(dense_graphs())
+def test_balanced_centers_decompose_dense_graphs(inst):
+    g, k = inst
+    assert validate_decomposition(g, decompose_with_repair(g, k)) is None
 
 
 @SETTINGS

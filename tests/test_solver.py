@@ -15,7 +15,6 @@ from stardecomp.graphs import (
 from stardecomp.oracle import enumerate_min_deficiency
 from stardecomp.solver import (
     DeficiencyWitness,
-    RepairLimitReached,
     Star,
     StarDecomposition,
     balanced_gamma,
@@ -178,7 +177,7 @@ def test_decompose_with_repair_on_near_complete_graph():
 
 def test_decompose_with_repair_gives_up_cleanly():
     # two triangles admit no 2-star decomposition at all
-    with pytest.raises(RepairLimitReached):
+    with pytest.raises(RuntimeError, match="balanced centers refused"):
         decompose_with_repair(disjoint_cliques([3, 3]), 2)
 
 

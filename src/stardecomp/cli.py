@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int_at_least(0),
         default=DEFAULT_GAMMA_SEARCH_BUDGET,
-        help="gamma candidates tried per sub-k s",
+        help="gamma candidates tried per searched s",
     )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_embed)

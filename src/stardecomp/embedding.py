@@ -2,19 +2,19 @@
 
 Equivalently: find s and a k-star decomposition of L v K_s. Candidate s are
 scanned from 0; each divisible s is rejected fast (edge with two low-degree
-endpoints, or an independence-number obstruction) or attempted. For s >= k
-the construction is complete: a small-edge-count instance succeeds exactly
-when L has a large enough independent set, and a large-edge-count instance
-always succeeds, with center counts 1 on the base and near-uniform d/d+1 on
-the join set. For s < k no complete procedure is known, so every such s runs
-the exact gamma search of ``oracle.exhaustive_gamma_search``, budgeted in
-twin-reduced candidates, and honest "unknown-skipped" entries appear in the
-certificate when the budget cuts it off. Every rejection is about the given
-leave, also when it still has a vertex of degree k or more.
+endpoints, or an independence-number obstruction) or decided on L v K_s
+itself, so every rejection is about the given leave. For s >= k the paper's
+large-case or small-case construction on the core left by greedy star
+removal, plus the removed stars, is a decomposition that exists, so one flow
+on its center function succeeds. Every other s (s < k, a core without a
+large enough independent set, or an independent-set search cut off by its
+budget) runs the exact gamma search of ``oracle.exhaustive_gamma_search``;
+an s is "unknown-skipped" only when that search's budget cuts it off.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,17 +169,7 @@ def embed_small_case(
         raise ValueError("edge count of the join must be divisible by k")
     if m > k * (n + s):
         raise ValueError("small-case construction needs |E| <= k(n+s)")
-    zero_set: tuple[int, ...] = ()
-    if m < k * (n + s):
-        # fewer than k(n+s) edges: some vertices must center no star
-        best = maximum_independent_set(base, alpha_budget)
-        obstacle = obstacle_check(base, k, s, len(best))
-        if obstacle.status == "violated":
-            raise ObstacleViolated(obstacle.alpha, obstacle.required)
-        zero_set = best[: obstacle.required]
-    gamma = [1] * (n + s)
-    for x in zero_set:
-        gamma[x] = 0
+    gamma = _construction_gamma(base, k, s, alpha_budget)
     result = decide_star_decomposition(join(base, s), k, gamma)
     if not isinstance(result, StarDecomposition):
         raise RuntimeError(
@@ -207,14 +197,38 @@ def embed_large_case(base: Graph, k: int, s: int) -> StarDecomposition:
         raise ValueError("edge count of the join must be divisible by k")
     if m < k * (n + s):
         raise ValueError("large-case construction needs |E| >= k(n+s)")
-    b = m // k
-    d = (b - n) // s
-    extras = b - n - s * d
-    gamma = [1] * n + [d + 1] * extras + [d] * (s - extras)
-    result = decide_star_decomposition(join(base, s), k, gamma)
+    result = decide_star_decomposition(join(base, s), k, _construction_gamma(base, k, s))
     if not isinstance(result, StarDecomposition):
         raise RuntimeError("flow refused a large-case instance; this cannot happen")
     return result
+
+
+def _construction_gamma(
+    base: Graph, k: int, s: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET
+) -> list[int] | None:
+    """The centers of ``embed_large_case`` when |E(L v K_s)| >= k(n+s) and
+    n >= k, else of ``embed_small_case``; None when |E| > k(n+s) and n < k,
+    where neither applies. Raises ObstacleViolated when L has no large enough
+    independent set and BudgetExceeded when its search is cut off."""
+    n = base.n
+    m = join_edge_count(base, s)
+    if m >= k * (n + s) and n >= k:
+        b = m // k
+        d = (b - n) // s
+        extras = b - n - s * d
+        return [1] * n + [d + 1] * extras + [d] * (s - extras)
+    if m > k * (n + s):
+        return None
+    gamma = [1] * (n + s)
+    if m < k * (n + s):
+        # fewer than k(n+s) edges: some vertices must center no star
+        best = maximum_independent_set(base, alpha_budget)
+        obstacle = obstacle_check(base, k, s, len(best))
+        if obstacle.status == "violated":
+            raise ObstacleViolated(obstacle.alpha, obstacle.required)
+        for x in best[: obstacle.required]:
+            gamma[x] = 0
+    return gamma
 
 
 def greedy_star_removal(base: Graph, k: int) -> tuple[tuple[Star, ...], Graph]:
@@ -298,12 +312,15 @@ def embed(
 ) -> EmbeddingCertificate:
     """Smallest-s embedding certificate for a leave of a partial decomposition.
 
-    The degree-pair and obstacle checks, the k = 2 parity construction and
-    the sub-k gamma search hold for any graph, so they run on the given leave
-    L and every rejection in the ledger is about L v K_s. The constructions
-    for s >= k need maximum degree below k: they run on the core left after
-    greedily removing k-stars from L, the removed stars are added back, and
-    an s the core cannot be built for is "unknown-skipped".
+    Every check and decision runs on the given leave L, so every rejection
+    in the ledger is about L v K_s. For s >= k (and k >= 3) the seed is the
+    center function of the stars that greedy star removal takes off L plus
+    the large- or small-case center function of the core left behind. Those
+    stars and the core's construction decompose L v K_s with exactly these
+    center counts, and the flow decides exactly whether a decomposition with
+    given center counts exists, so it must accept the seed; a refusal is an
+    internal error. Every other s runs the gamma search on L v K_s,
+    and an s whose search hits ``gamma_budget`` is "unknown-skipped".
     Minimality is "exact" when every smaller divisible s was rejected for a
     definite reason and "conditional" otherwise.
     Raises NoEmbeddingFound when no s up to the limit works.
@@ -317,25 +334,10 @@ def embed(
     limit = guaranteed_s(n, k) if max_s is None else max_s
     rejections: list[Rejection] = []
     definite = True
-
-    def alpha_of(g: Graph) -> int | None:
-        try:
-            return independence_number(g, alpha_budget)
-        except BudgetExceeded:
-            return None
-
-    alpha = alpha_of(base)
-    core_alpha = alpha_of(core) if removed else alpha
-
-    def success(
-        s: int, stars: tuple[Star, ...], found: StarDecomposition
-    ) -> EmbeddingCertificate:
-        merged = StarDecomposition(k, stars + found.stars)
-        problem = validate_decomposition(join(base, s), merged)
-        if problem is not None:
-            raise RuntimeError(f"embedding failed validation: {problem}")
-        flag = "exact" if definite else "conditional"
-        return EmbeddingCertificate(k, n, s, merged, tuple(rejections), flag)
+    try:
+        alpha = independence_number(base, alpha_budget)
+    except BudgetExceeded:
+        alpha = None
 
     for s in range(0, limit + 1):
         if join_edge_count(base, s) % k:
@@ -357,40 +359,43 @@ def embed(
                 )
             )
             continue
+        target = join(base, s)
+        seed = None
+        if k > 2 and s >= k:
+            with suppress(ObstacleViolated, BudgetExceeded):
+                seed = _construction_gamma(core, k, s, alpha_budget)
         if k == 2:
-            found = two_star_decompose(join(base, s))
+            found = two_star_decompose(target)
             if found is None:
                 rejections.append(
                     Rejection(s, REASON_EXHAUSTED, {"by": "component-parity"})
                 )
                 continue
-            return success(s, (), found)
-        if s >= k:
-            if join_edge_count(core, s) >= k * (n + s) and n >= k:
-                return success(s, removed, embed_large_case(core, k, s))
-            if removed:
-                obstacle = obstacle_check(core, k, s, core_alpha)
-            if obstacle.status != "passes":
-                # the small-case center set needs the exact alpha, which was cut
-                # off, or enough of it in the core; L itself may still decompose
-                cut = obstacle.alpha is None
-                detail = {"alpha": "budget"} if cut else {"core_alpha": obstacle.alpha}
-                rejections.append(Rejection(s, REASON_UNKNOWN, detail))
+        elif seed is not None:
+            for star in removed:
+                seed[star.center] += 1
+            found = decide_star_decomposition(target, k, seed)
+            if not isinstance(found, StarDecomposition):
+                raise RuntimeError("flow refused the construction's center function")
+        else:
+            transcript = oracle.exhaustive_gamma_search(target, k, budget=gamma_budget)
+            if transcript.outcome == oracle.EXHAUSTED:
+                rejections.append(
+                    Rejection(
+                        s, REASON_EXHAUSTED, {"gamma_candidates": transcript.nodes_explored}
+                    )
+                )
+                continue
+            if transcript.outcome != oracle.FOUND:
+                rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget"}))
                 definite = False
                 continue
-            return success(s, removed, embed_small_case(core, k, s, alpha_budget))
-        transcript = oracle.exhaustive_gamma_search(join(base, s), k, budget=gamma_budget)
-        if transcript.outcome == oracle.FOUND:
-            return success(s, (), transcript.decomposition)
-        if transcript.outcome == oracle.EXHAUSTED:
-            rejections.append(
-                Rejection(
-                    s, REASON_EXHAUSTED, {"gamma_candidates": transcript.nodes_explored}
-                )
-            )
-            continue
-        rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget"}))
-        definite = False
+            found = transcript.decomposition
+        problem = validate_decomposition(target, found)
+        if problem is not None:
+            raise RuntimeError(f"embedding failed validation: {problem}")
+        flag = "exact" if definite else "conditional"
+        return EmbeddingCertificate(k, n, s, found, tuple(rejections), flag)
     raise NoEmbeddingFound(
         f"no embedding found for s <= {limit}; either max_s was set below the "
         "guaranteed bound or the input is not the leave of a partial decomposition"

@@ -1,0 +1,48 @@
+"""Reference computations that only the tests use.
+
+``enumerate_min_deficiency`` iterates every vertex subset. It uses no flow,
+so it checks the solver's witness sets independently.
+"""
+
+from stardecomp.graphs import Graph
+
+
+def enumerate_min_deficiency(g: Graph, k: int, gamma) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact minimum deficiency and all minimum-cardinality minimizing sets,
+    by iterating every vertex subset. Limited to 20 vertices."""
+    if g.n > 20:
+        raise ValueError("subset enumeration limited to 20 vertices")
+    gamma = tuple(int(x) for x in gamma)
+    if len(gamma) != g.n:
+        raise ValueError("bad gamma")
+    edges = g.edges
+    vmask = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        vmask[u] |= 1 << i
+        vmask[v] |= 1 << i
+    best_delta = 0
+    best_size = 0
+    best_sets: list[tuple[int, ...]] = [()]
+
+    def walk(v: int, chosen: list[int], emask: int, gsum: int) -> None:
+        nonlocal best_delta, best_size, best_sets
+        if v == g.n:
+            delta = emask.bit_count() - k * gsum
+            size = len(chosen)
+            if delta < best_delta or (delta == best_delta and size < best_size):
+                best_delta = delta
+                best_size = size
+                best_sets = [tuple(chosen)]
+            elif delta == best_delta and size == best_size and chosen:
+                best_sets.append(tuple(chosen))
+            return
+        walk(v + 1, chosen, emask, gsum)
+        chosen.append(v)
+        walk(v + 1, chosen, emask | vmask[v], gsum + gamma[v])
+        chosen.pop()
+
+    walk(0, [], 0, 0)
+    # the empty set seeds the initial best; drop the duplicate if it survived
+    if best_delta == 0 and best_size == 0:
+        best_sets = [()]
+    return best_delta, best_sets

@@ -31,7 +31,6 @@ from stardecomp.graphs import (
 from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
-    enumerate_min_deficiency,
     exhaustive_decomposition,
     sample_maximal_partial,
 )
@@ -42,6 +41,8 @@ from stardecomp.solver import (
     two_star_decompose,
     validate_decomposition,
 )
+
+from reference import enumerate_min_deficiency
 
 
 @contextmanager

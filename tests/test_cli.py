@@ -254,6 +254,14 @@ def test_embed_caterpillar(tmp_path):
     assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
 
 
+def test_embed_matches_golden(capsys):
+    # three K_6 and a hub: greedy star removal leaves a core too poor in
+    # independent sets to seed s = k = 15, so the gamma search decides it
+    leave = GOLDEN / "three_k6_hub_leave.json"
+    assert run(["embed", "--leave", str(leave), "--k", "15"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "three_k6_hub_embed_k15.json").read_text()
+
+
 def test_embed_max_s_exhausted(tmp_path, capsys):
     gpath = tmp_path / "leave.json"
     write_graph(graph_from_edges(8, [(0, 1)]), gpath)

@@ -270,6 +270,8 @@ def test_embed_conditional_when_search_skipped():
     assert cert.minimality == "conditional"
     reasons = {r.s: r.reason for r in cert.rejections}
     assert reasons[2] == "unknown-skipped"
+    unknown = [r.detail for r in cert.rejections if r.reason == "unknown-skipped"]
+    assert unknown == [{"gamma_search": "budget"}]
 
 
 def test_sub_k_exhaustions_agree_with_edge_search():
@@ -291,15 +293,15 @@ def test_sub_k_exhaustions_agree_with_edge_search():
     assert checked >= 20 and sub_k >= 20
 
 
-def test_embed_skips_small_case_when_alpha_cut_off():
-    # alpha budget 0 cuts the exact search off, so the obstruction at s = 4 is
-    # unknown and the small-case construction, which needs a maximum
-    # independent set, is skipped rather than built or rejected
+def test_embed_searches_when_alpha_cut_off():
+    # alpha budget 0 cuts the independent-set search off, so the small-case
+    # center function cannot be built at s = 4; the gamma search on L v K_4
+    # decides that s instead, with the same answer as the full budget
     _, leave = sample_maximal_partial(12, 4, 1)
     cert = embed(leave, 4, alpha_budget=0)
-    assert cert.minimality == "conditional"
-    reasons = {r.s: (r.reason, r.detail) for r in cert.rejections}
-    assert reasons[4] == ("unknown-skipped", {"alpha": "budget"})
+    full = embed(leave, 4)
+    assert (cert.s, cert.minimality) == (full.s, full.minimality) == (4, "exact")
+    assert cert.rejections == full.rejections
     assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
     again = EmbeddingCertificate.from_json_dict(
         json.loads(json.dumps(cert.to_json_dict(), sort_keys=True))
@@ -307,20 +309,20 @@ def test_embed_skips_small_case_when_alpha_cut_off():
     assert again == cert
 
 
-def test_embed_skips_small_case_when_core_alpha_too_small():
+def test_embed_searches_when_core_alpha_too_small():
     # three K_6 on 1..18 and vertex 0 joined to all but one vertex of each:
     # L passes the obstruction at s = k = 15 (alpha 4 >= 34 - 450/15), but the
     # core, with 0's star removed, needs an independent set of 34 - 435/15 = 5
-    # and has alpha 4, so the small case cannot be built on it
+    # and has alpha 4, so no construction seeds s = 15; the gamma search on
+    # L v K_15 finds a decomposition there
     k = 15
     edges = [(a, b) for lo in (1, 7, 13) for a, b in combinations(range(lo, lo + 6), 2)]
     edges += [(0, v) for v in range(1, 19) if v not in (6, 12, 18)]
     leave = graph_from_edges(19, edges)
     cert = embed(leave, k)
-    assert cert.minimality == "conditional"
-    reasons = {r.s: (r.reason, r.detail) for r in cert.rejections}
-    assert reasons[15] == ("unknown-skipped", {"core_alpha": 4})
-    assert cert.s == 18
+    assert cert.s == 15
+    assert cert.minimality == "exact"
+    assert [r.s for r in cert.rejections] == list(range(15))
     assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
 
 

@@ -10,7 +10,6 @@ from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
     count_gamma_candidates,
-    enumerate_min_deficiency,
     exhaustive_decomposition,
     exhaustive_gamma_search,
     iter_gamma_candidates,
@@ -21,6 +20,8 @@ from stardecomp.solver import (
     decide_star_decomposition,
     validate_decomposition,
 )
+
+from reference import enumerate_min_deficiency
 
 
 def test_exhaustive_finds_k6():

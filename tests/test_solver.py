@@ -12,7 +12,6 @@ from stardecomp.graphs import (
     disjoint_cliques,
     graph_from_edges,
 )
-from stardecomp.oracle import enumerate_min_deficiency
 from stardecomp.solver import (
     DeficiencyWitness,
     Star,
@@ -27,6 +26,8 @@ from stardecomp.solver import (
     two_star_decompose,
     validate_decomposition,
 )
+
+from reference import enumerate_min_deficiency
 
 
 def test_deficiency_empty_set_is_zero():

@@ -17,6 +17,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import oracle
 from .exactnum import RootBound, Surd
@@ -279,10 +280,10 @@ def guaranteed_s(n: int, k: int) -> int:
         s = next(s for s in range(1, 5) if (n + s) % 4 == 0)
     elif k % 2 == 0:
         if n * n >= 8 * k * k:
-            start = Surd.of(4 * k, -2 * k, 2)  # (4 - 2*sqrt(2)) k
-            s = 0
-            while not (start < s) or (n + s) % (2 * k) != 0:
-                s += 1
+            # the smallest s above (4 - 2*sqrt(2))k = 4k - sqrt(8k^2), which
+            # is irrational, so its integer part is 4k - isqrt(8k^2) - 1
+            s = 4 * k - isqrt(8 * k * k)
+            s += -(n + s) % (2 * k)
         elif n >= k + 1:
             s = 4 * k - n
         else:

@@ -5,17 +5,19 @@ procedure of the embedder for every s its constructions do not cover.
 flow and prunes only by counting arguments that follow directly from what a
 star is, so it remains an independent check on the flow formulation.
 
-``exhaustive_gamma_search`` enumerates candidate center-count functions and
-tests each with the flow solver. It prunes by automorphisms (twin vertices
-are interchangeable, so one gamma per orbit under swapping twins is
-enumerated) and by deficiency (a witness set refused for one candidate rules
-out every later candidate that puts as many centers in it). Both prunings
-are exact, which the flow-free searches check in the tests.
+``exhaustive_gamma_search`` enumerates one center-count function per vector
+of twin-class totals, the one that spreads each total evenly over its class,
+and tests each with the flow solver. It prunes by deficiency: a witness set
+refused for one candidate rules out every later candidate that puts as many
+centers in some image of it under permutations inside twin classes. The
+docstring of ``exhaustive_gamma_search`` proves both reductions exact, and
+the tests check them against flow-free searches.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, complete_graph
@@ -178,107 +180,178 @@ def count_gamma_candidates(g: Graph, k: int) -> int:
     return counts[b]
 
 
-def _twin_predecessors(g: Graph) -> list[int]:
-    """For each vertex, the previous vertex of its twin class, or -1.
+def twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """The twin classes of g, each in label order, ordered by first label.
 
     Twins have equal open neighbourhoods (non-adjacent) or equal closed ones
-    (adjacent), so swapping two of them is an automorphism of g. An open
-    neighbourhood never equals a closed one, so one table serves both.
+    (adjacent), so swapping two of them is an automorphism of g. A vertex
+    never has twins of both kinds: if N(x) = N(y) and N[x] = N[z], then z is
+    in N(y) and y in N[z] = N[x], so y would be in N(x) = N(y). So the
+    classes partition the vertices, and an open neighbourhood never equals a
+    closed one, so one table serves both kinds.
     """
-    last: dict[frozenset[int], int] = {}
-    prev = [-1] * g.n
+    index: dict[frozenset[int], int] = {}
+    classes: list[list[int]] = []
     for x in range(g.n):
-        for key in (g.adjacency[x], g.adjacency[x] | {x}):
-            if key in last:
-                prev[x] = last[key]
-            last[key] = x
-    return prev
+        nbrs = g.adjacency[x]
+        closed = nbrs | {x}
+        c = index.get(nbrs, index.get(closed))
+        if c is None:
+            c = index[nbrs] = index[closed] = len(classes)
+            classes.append([])
+        classes[c].append(x)
+    return [tuple(members) for members in classes]
 
 
-def iter_gamma_candidates(g: Graph, k: int):
-    """All k-precentral gamma with k*gamma(x) <= deg(x), pruned by the edge
-    condition gamma(u) + gamma(v) >= 1 and reduced by twin symmetry (gamma is
-    non-increasing in label order within each twin class), in lexicographic
-    order. A vertex next to one whose cap is 0 starts at 1, so the edge
-    condition is applied before the walk reaches that neighbour. The walk
-    keeps its position in arrays rather than on the call stack, so any
-    number of vertices is fine."""
+def _class_of(n: int, classes) -> list[int]:
+    of = [0] * n
+    for c, members in enumerate(classes):
+        for x in members:
+            of[x] = c
+    return of
+
+
+def spread_gamma(n: int, classes, totals) -> tuple[int, ...]:
+    """The gamma that spreads each class total evenly over its class: d or
+    d + 1 per vertex, the d + 1 values on the lowest labels."""
+    gamma = [0] * n
+    for members, total in zip(classes, totals):
+        d, extras = divmod(total, len(members))
+        for j, x in enumerate(members):
+            gamma[x] = d + 1 if j < extras else d
+    return tuple(gamma)
+
+
+def iter_class_totals(g: Graph, k: int, classes):
+    """Every vector of class totals whose even spread (``spread_gamma``) is
+    k-precentral, meets the caps k*gamma(x) <= deg(x) and meets the edge
+    condition gamma(u) + gamma(v) >= 1, in ascending lexicographic order.
+
+    ``classes`` is ``twin_classes(g)``. Twins have equal degrees, so a class
+    of m vertices with per-vertex cap c takes a total t <= m*c. The spread
+    of t has a zero iff t < m. Two adjacent twins are closed twins, so the
+    whole class is a clique and needs t >= m - 1; adjacent classes are
+    completely joined, so they may not both hold a zero. A class of cap 0
+    stays at 0 and leaves the walk; then each of its neighbour classes must
+    have no zero, and an edge between two cap-0 vertices leaves no vector.
+    The walk keeps its position in arrays rather than on the call stack, so
+    any number of classes is fine.
+    """
     if g.num_edges % k:
         return
-    n = g.n
     b = g.num_edges // k
-    caps = gamma_caps(g, k)
-    suffix = [0] * (n + 1)
-    for x in range(n - 1, -1, -1):
-        suffix[x] = suffix[x + 1] + caps[x]
-    earlier = [sorted(w for w in g.neighbors(x) if w < x) for x in range(n)]
-    # a neighbour with cap 0 keeps gamma 0, so the edge condition forces x to
-    # 1 or more whatever that neighbour's label
-    forced = [any(caps[w] == 0 for w in g.neighbors(x)) for x in range(n)]
-    twin = _twin_predecessors(g)
-    gamma = [0] * n
-    top = [0] * n  # the largest value vertex x may take under the current prefix
-    x = 0
-    total = 0  # sum of gamma over the vertices below x
+    of = _class_of(g.n, classes)
+    vertex_caps = gamma_caps(g, k)
+    cap = [vertex_caps[members[0]] for members in classes]
+    size = [len(members) for members in classes]
+    nbrs = [{of[w] for w in g.adjacency[members[0]]} for members in classes]
+    clique = [c in nbrs[c] for c in range(len(classes))]
+    zero = [x == 0 for x in cap]
+    if any(zero[c] and zero[w] for c in range(len(classes)) for w in nbrs[c]):
+        return
+    free = [c for c in range(len(classes)) if not zero[c]]
+    pos = {c: i for i, c in enumerate(free)}
+    most = [size[c] * cap[c] for c in free]
+    least = [
+        size[c] if any(zero[w] for w in nbrs[c]) else size[c] - 1 if clique[c] else 0
+        for c in free
+    ]
+    earlier = [[w for w in nbrs[c] if pos.get(w, i) < i] for i, c in enumerate(free)]
+    f = len(free)
+    suffix = [0] * (f + 1)
+    for i in range(f - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + most[i]
+    totals = [0] * len(classes)  # the classes of cap 0 stay at 0
+    top = [0] * f  # the largest total free class i may take under the current prefix
+    i = 0
+    total = 0  # sum of the totals of the free classes below i
     while True:
-        if x == n:
-            # lo and hi below force total == b once every vertex has a value
-            yield tuple(gamma)
+        if i == f:
+            if total == b:  # implied by lo and hi below unless f == 0
+                yield tuple(totals)
         else:
-            # below b - total - suffix[x + 1] the later caps cannot reach b
-            lo = b - total - suffix[x + 1]
-            if lo < 1 and (forced[x] or any(gamma[w] == 0 for w in earlier[x])):
-                lo = 1
-            hi = min(caps[x], b - total)
-            if twin[x] >= 0 and gamma[twin[x]] < hi:
-                hi = gamma[twin[x]]
+            c = free[i]
+            # below b - total - suffix[i + 1] the later caps cannot reach b
+            lo = max(b - total - suffix[i + 1], least[i])
+            if lo < size[c] and any(totals[w] < size[w] for w in earlier[i]):
+                lo = size[c]
+            hi = min(most[i], b - total)
             if lo <= hi:
-                gamma[x] = max(lo, 0)
-                top[x] = hi
-                total += gamma[x]
-                x += 1
+                totals[c] = lo
+                top[i] = hi
+                total += lo
+                i += 1
                 continue
-        # move to the next value at the deepest vertex that has one
+        # move to the next total at the deepest free class that has one
         while True:
-            x -= 1
-            if x < 0:
+            i -= 1
+            if i < 0:
                 return
-            if gamma[x] < top[x]:
-                gamma[x] += 1
+            c = free[i]
+            if totals[c] < top[i]:
+                totals[c] += 1
                 total += 1
-                x += 1
+                i += 1
                 break
-            total -= gamma[x]
-            gamma[x] = 0
+            total -= totals[c]
+            totals[c] = 0
 
 
 def exhaustive_gamma_search(
     g: Graph, k: int, budget: int = DEFAULT_GAMMA_BUDGET
 ) -> SearchTranscript:
-    """Decide whether any k-star decomposition exists by enumerating candidate
-    center-count functions and testing each with the flow solver.
+    """Decide whether any k-star decomposition exists by enumerating one
+    center function per vector of twin-class totals and testing it with the
+    flow solver.
+
+    One candidate per vector is enough. Call gamma feasible when a
+    decomposition with exactly those center counts exists. By Hakimi's
+    orientation theorem, k*gamma is feasible iff k*gamma(T) <= |E(T)|, the
+    number of edges meeting T, for every vertex set T, and these vectors
+    are the integer points of a base polyhedron (Frank & Gyarfas). Swapping
+    two twins is an automorphism of g, so the polyhedron is symmetric under
+    the swap. If twins x, y have gamma(x) >= gamma(y) + 2, moving one center
+    from x to y gives a convex combination of gamma and its swap, which is
+    integral, so feasible too. Repeating this spreads each class total
+    evenly, so if any gamma with given class totals is feasible, so is the
+    even spread that ``iter_class_totals`` pairs with those totals.
 
     Every refused candidate leaves a deficient set T, whose |E(T)| incident
-    edges cannot carry |E(T)|//k + 1 stars centered in T; a later candidate
-    putting at least that many centers in T is skipped without a flow. Skipped
+    edges cannot carry |E(T)|//k + 1 stars centered in T. The cut keeps T's
+    class profile p_c = |T & class c|. Permuting vertices inside classes is
+    an automorphism, so every image of T has |E(T)| incident edges too; a
+    later candidate whose spread puts at least |E(T)|//k + 1 centers in its
+    worst image, sum over c of p_c*(t_c // m_c) + min(p_c, t_c % m_c) for a
+    class of m_c vertices with total t_c, is skipped without a flow. Skipped
     candidates count toward ``nodes_explored`` and the budget like tested
     ones, so the outcome, the count and the first feasible candidate are
     those of testing every candidate.
     """
     if k < 2:
         raise ValueError("star size k must be at least 2")
+    classes = twin_classes(g)
+    of = _class_of(g.n, classes)
     tried = 0
-    cuts: list[tuple[tuple[int, ...], int]] = []
-    for gamma in iter_gamma_candidates(g, k):
+    # (one-vertex classes of T, (c, p_c, m_c) for larger ones, |E(T)|//k + 1)
+    cuts: list[tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int]] = []
+    for totals in iter_class_totals(g, k, classes):
         tried += 1
         if tried > budget:
             return SearchTranscript(tried, BUDGET_EXCEEDED)
-        if any(sum(map(gamma.__getitem__, t)) >= most for t, most in cuts):
+        if any(
+            sum(map(totals.__getitem__, single))
+            + sum([p * (totals[c] // m) + min(p, totals[c] % m) for c, p, m in multi])
+            >= most
+            for single, multi, most in cuts
+        ):
             continue
-        result = decide_star_decomposition(g, k, gamma)
+        result = decide_star_decomposition(g, k, spread_gamma(g.n, classes, totals))
         if isinstance(result, StarDecomposition):
             return SearchTranscript(tried, FOUND, result)
-        cuts.append((result.vertices, result.delta_plus // k + 1))
+        profile = Counter(of[x] for x in result.vertices)
+        single = tuple(c for c in profile if len(classes[c]) == 1)
+        multi = tuple((c, p, len(classes[c])) for c, p in profile.items() if len(classes[c]) > 1)
+        cuts.append((single, multi, result.delta_plus // k + 1))
     return SearchTranscript(tried, EXHAUSTED)
 
 

@@ -2,9 +2,33 @@
 
 ``enumerate_min_deficiency`` iterates every vertex subset. It uses no flow,
 so it checks the solver's witness sets independently.
+
+``stepped_even_guaranteed_s`` finds the even-k, large-n case of
+``embedding.guaranteed_s`` by stepping s up one at a time with exact surd
+comparisons, so it checks the closed form the library uses.
 """
 
+from functools import cache
+
+from stardecomp.exactnum import Surd
 from stardecomp.graphs import Graph
+
+
+@cache
+def _first_integer_above_start(k: int) -> int:
+    start = Surd.of(4 * k, -2 * k, 2)  # (4 - 2*sqrt(2)) k
+    s = 0
+    while not (start < s):
+        s += 1
+    return s
+
+
+def stepped_even_guaranteed_s(n: int, k: int) -> int:
+    """The smallest s > (4 - 2*sqrt(2))k with n + s divisible by 2k."""
+    s = _first_integer_above_start(k)
+    while (n + s) % (2 * k) != 0:
+        s += 1
+    return s
 
 
 def enumerate_min_deficiency(g: Graph, k: int, gamma) -> tuple[int, list[tuple[int, ...]]]:

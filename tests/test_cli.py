@@ -133,11 +133,11 @@ def test_decompose_gamma_witness(tmp_path):
 
 
 def test_decompose_search_budget_exit_code(tmp_path):
-    # an infeasible join with 3 twin-reduced candidate center functions: budget 2 trips
+    # an infeasible join with 2 candidate vectors of twin-class totals: budget 1 trips
     gpath = tmp_path / "g.json"
     write_graph(join(graph_from_edges(8, [(0, 1)]), 2), gpath)
     out = tmp_path / "out.json"
-    code = run(["decompose", "--graph", str(gpath), "--k", "3", "--budget", "2", "--out", str(out)])
+    code = run(["decompose", "--graph", str(gpath), "--k", "3", "--budget", "1", "--out", str(out)])
     assert code == 2
     code = run(["decompose", "--graph", str(gpath), "--k", "3", "--budget", "50", "--out", str(out)])
     assert code == 0
@@ -260,6 +260,14 @@ def test_embed_matches_golden(capsys):
     leave = GOLDEN / "three_k6_hub_leave.json"
     assert run(["embed", "--leave", str(leave), "--k", "15"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "three_k6_hub_embed_k15.json").read_text()
+
+
+def test_embed_large_k_matches_golden(capsys):
+    # k = 21, n = 50, seed 0: the s = 20 gamma search accepts its first
+    # candidate; walking per-vertex center counts took seconds to reach it
+    leave = GOLDEN / "k21_n50_seed0_leave.json"
+    assert run(["embed", "--leave", str(leave), "--k", "21"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "k21_n50_seed0_embed_k21.json").read_text()
 
 
 def test_embed_max_s_exhausted(tmp_path, capsys):

@@ -28,6 +28,8 @@ from stardecomp.graphs import (
 from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, sample_maximal_partial
 from stardecomp.solver import validate_decomposition
 
+from reference import stepped_even_guaranteed_s
+
 SINGLE_EDGE_8 = graph_from_edges(8, [(0, 1)])
 SEVEN_K4 = disjoint_cliques([4] * 7)
 
@@ -170,6 +172,16 @@ def test_guaranteed_s_caps_hold_everywhere():
                 assert Surd.of(6 * k, -2 * k, 2) > s
 
 
+def test_guaranteed_s_closed_form_matches_stepping():
+    checked = 0
+    for k in range(4, 60, 2):
+        for n in range(1, 400):
+            if n * n >= 8 * k * k:
+                checked += 1
+                assert guaranteed_s(n, k) == stepped_even_guaranteed_s(n, k), (n, k)
+    assert checked > 5000
+
+
 def test_embed_single_edge_ledger():
     cert = embed(SINGLE_EDGE_8, 3)
     assert cert.s == 4
@@ -272,6 +284,16 @@ def test_embed_conditional_when_search_skipped():
     assert reasons[2] == "unknown-skipped"
     unknown = [r.detail for r in cert.rejections if r.reason == "unknown-skipped"]
     assert unknown == [{"gamma_search": "budget"}]
+
+
+def test_embed_decides_the_thick_sweep_cell():
+    # a seed-0 sweep cell whose s = 3 search over per-vertex center counts
+    # spent its 2000-candidate budget; one candidate per vector of twin-class
+    # totals finds a decomposition
+    _, leave = sample_maximal_partial(30, 4, 11)
+    cert = embed(leave, 4, gamma_budget=2000)
+    assert (cert.s, cert.minimality) == (3, "exact")
+    assert [r.reason for r in cert.rejections] == ["divisibility", "divisibility", "degree-pair"]
 
 
 def test_sub_k_exhaustions_agree_with_edge_search():

@@ -12,8 +12,10 @@ from stardecomp.oracle import (
     count_gamma_candidates,
     exhaustive_decomposition,
     exhaustive_gamma_search,
-    iter_gamma_candidates,
+    iter_class_totals,
     sample_maximal_partial,
+    spread_gamma,
+    twin_classes,
 )
 from stardecomp.solver import (
     StarDecomposition,
@@ -80,6 +82,12 @@ def test_gamma_search_near_complete():
 def test_gamma_search_agrees_with_edge_search():
     g = join(graph_from_edges(8, [(0, 1)]), 2)
     assert exhaustive_gamma_search(g, 3).outcome == EXHAUSTED
+    # twin classes {1, 5} and {2, 4}: the first candidate's witness cut, taken
+    # over the worst image of T under twin swaps, must not rule out the second
+    g = graph_from_edges(7, [(0, 2), (0, 3), (0, 4), (1, 3), (2, 4), (3, 5)])
+    assert exhaustive_decomposition(g, 2).outcome == FOUND
+    tr = exhaustive_gamma_search(g, 2)
+    assert (tr.outcome, tr.nodes_explored) == (FOUND, 2)
 
 
 def _two_single_edge_joins():
@@ -91,13 +99,13 @@ def _two_single_edge_joins():
 
 def test_gamma_search_budget():
     g = _two_single_edge_joins()
-    assert len(list(iter_gamma_candidates(g, 3))) == 25
+    assert len(list(iter_class_totals(g, 3, twin_classes(g)))) == 16
     tr = exhaustive_gamma_search(g, 3, budget=3)
     assert tr.outcome == BUDGET_EXCEEDED
     assert tr.nodes_explored == 4
-    tr = exhaustive_gamma_search(g, 3, budget=25)
+    tr = exhaustive_gamma_search(g, 3, budget=16)
     assert tr.outcome == EXHAUSTED
-    assert tr.nodes_explored == 25
+    assert tr.nodes_explored == 16
 
 
 def _full_gamma_enumeration(g, k):
@@ -122,6 +130,23 @@ def _twin_classes(g):
     return [c for c in classes.values() if len(c) > 1]
 
 
+def _class_totals_by_brute_force(g, k):
+    """The distinct class-total vectors of every gamma meeting the sum, cap
+    and edge conditions whose even spread meets the cap and edge conditions
+    too, in ascending order."""
+    classes = twin_classes(g)
+    assert sorted(c for c in classes if len(c) > 1) == sorted(map(tuple, _twin_classes(g)))
+    full = _full_gamma_enumeration(g, k)
+    totals = {tuple(sum(gamma[x] for x in c) for c in classes) for gamma in full}
+    spreads = {t: spread_gamma(g.n, classes, t) for t in totals}
+    return full, sorted(
+        t
+        for t, gamma in spreads.items()
+        if all(k * gamma[x] <= g.degree(x) for x in range(g.n))
+        and all(gamma[u] + gamma[v] >= 1 for u, v in g.edges)
+    )
+
+
 def test_gamma_enumeration_matches_count_and_conditions():
     rng = random.Random(8)
     graphs = [(join(graph_from_edges(8, [(0, 1)]), 2), 3)]
@@ -131,31 +156,21 @@ def test_gamma_enumeration_matches_count_and_conditions():
         graphs.append((join(graph_from_edges(base_n, edges), rng.randint(0, 3)), rng.choice([2, 3])))
     sizes = []
     for g, k in graphs:
-        full = _full_gamma_enumeration(g, k)
-        classes = _twin_classes(g)
-        reduced = [
-            gamma
-            for gamma in full
-            if all(gamma[a] >= gamma[b] for c in classes for a, b in zip(c, c[1:]))
-        ]
-        candidates = list(iter_gamma_candidates(g, k))
+        full, reduced = _class_totals_by_brute_force(g, k)
+        candidates = list(iter_class_totals(g, k, twin_classes(g)))
         assert candidates == reduced
         # the upper-bound count ignores the edge condition and the twins
         upper = count_gamma_candidates(g, k)
         assert upper >= len(full) >= len(candidates)
         sizes.append((upper, len(full), len(candidates)))
-        for gamma in candidates:
-            assert k * sum(gamma) == g.num_edges
-            assert all(k * gamma[x] <= g.degree(x) for x in range(g.n))
-            assert all(gamma[u] + gamma[v] >= 1 for u, v in g.edges)
-    assert sizes[0] == (8, 7, 3)
+    assert sizes[0] == (8, 7, 2)
     # most graphs of the corpus have twins that remove candidates
     assert sum(full > reduced for _, full, reduced in sizes) >= 8, sizes
 
 
 def test_gamma_enumeration_with_cap_zero_vertices():
     # a base vertex of degree d < k - s has cap 0 in L v K_s and forces every
-    # neighbour, earlier labels included, to gamma >= 1
+    # neighbour class, earlier labels included, to a total with no zero
     rng = random.Random(13)
     checked = 0
     while checked < 25:
@@ -167,13 +182,8 @@ def test_gamma_enumeration_with_cap_zero_vertices():
         if not any(caps[v] == 0 and u < v for u, v in g.edges):
             continue
         checked += 1
-        classes = _twin_classes(g)
-        reduced = [
-            gamma
-            for gamma in _full_gamma_enumeration(g, k)
-            if all(gamma[a] >= gamma[b] for c in classes for a, b in zip(c, c[1:]))
-        ]
-        assert list(iter_gamma_candidates(g, k)) == reduced
+        _, reduced = _class_totals_by_brute_force(g, k)
+        assert list(iter_class_totals(g, k, twin_classes(g))) == reduced
 
 
 def test_cap_zero_neighbours_are_forced_before_the_walk_reaches_them():
@@ -186,7 +196,8 @@ def test_cap_zero_neighbours_are_forced_before_the_walk_reaches_them():
     edges += [(x, f + x) for x in range(f)]
     g = graph_from_edges(2 * f, edges)
     start = time.perf_counter()
-    first = next(iter_gamma_candidates(g, 2))
+    # every class is one vertex, so each class total is that vertex's gamma
+    first = next(iter_class_totals(g, 2, twin_classes(g)))
     assert time.perf_counter() - start < 1.0
     assert first == (1,) * (f // 2) + (2,) * (f // 2) + (0,) * f
 

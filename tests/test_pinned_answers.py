@@ -20,7 +20,7 @@ from stardecomp.embedding import (
 from stardecomp.graphs import join_edge_count
 from stardecomp.oracle import sample_maximal_partial
 
-PINNED_DIGEST = "fb3be7bdecd7e71526b0f2310da43b21e93b4ebe3d6e4183a2608c375481e389"
+PINNED_DIGEST = "5ec532f3babf8c6fbd82fa059ab741dce60cf6272a1c495e90473d2e235d9a97"
 
 GAMMA_BUDGET = 2000
 ALPHA_BUDGET = 100_000

@@ -3,7 +3,7 @@ machinery together on small random instances."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +24,8 @@ from stardecomp.oracle import (
     exhaustive_decomposition,
     exhaustive_gamma_search,
     sample_maximal_partial,
+    spread_gamma,
+    twin_classes,
 )
 from stardecomp.solver import (
     StarDecomposition,
@@ -173,8 +175,17 @@ def test_two_star_matches_component_parity(g):
         assert validate_decomposition(g, result) is None
 
 
+# joins L v K_s of small random graphs: the s join vertices are twins, and
+# so are many base vertices
+SMALL_JOINS = (
+    small_graphs(max_n=6),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([2, 3]),
+)
+
+
 @settings(max_examples=25, deadline=None)
-@given(small_graphs(max_n=6), st.integers(min_value=0, max_value=2), st.sampled_from([2, 3]))
+@given(*SMALL_JOINS)
 def test_two_oracles_agree(base, s, k):
     # joins with s >= 1 give the gamma search twin classes to reduce
     g = join(base, s)
@@ -185,6 +196,28 @@ def test_two_oracles_agree(base, s, k):
     if by_edges.outcome == FOUND:
         assert validate_decomposition(g, by_edges.decomposition) is None
         assert validate_decomposition(g, by_gamma.decomposition) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(*SMALL_JOINS)
+def test_even_spread_is_feasible_iff_its_class_totals_are(base, s, k):
+    # the theorem behind the gamma search: if any gamma with given twin-class
+    # totals has a decomposition, so does the one spreading them evenly
+    g = join(base, s)
+    assume(g.num_edges % k == 0)
+    classes = twin_classes(g)
+    caps = [range(g.degree(x) // k + 1) for x in range(g.n)]
+    feasible = {}
+    for gamma in product(*caps):
+        if k * sum(gamma) != g.num_edges:
+            continue
+        totals = tuple(sum(gamma[x] for x in c) for c in classes)
+        if not feasible.get(totals):
+            found = decide_star_decomposition(g, k, gamma)
+            feasible[totals] = isinstance(found, StarDecomposition)
+    for totals, any_feasible in feasible.items():
+        spread = decide_star_decomposition(g, k, spread_gamma(g.n, classes, totals))
+        assert isinstance(spread, StarDecomposition) == any_feasible, totals
 
 
 @SETTINGS

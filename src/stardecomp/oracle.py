@@ -7,11 +7,15 @@ star is, so it remains an independent check on the flow formulation.
 
 ``exhaustive_gamma_search`` enumerates one center-count function per vector
 of twin-class totals, the one that spreads each total evenly over its class,
-and tests each with the flow solver. It prunes by deficiency: a witness set
-refused for one candidate rules out every later candidate that puts as many
-centers in some image of it under permutations inside twin classes. The
-docstring of ``exhaustive_gamma_search`` proves both reductions exact, and
-the tests check them against flow-free searches.
+and tests each with the flow solver. Two checks refuse a candidate without
+a flow. Hakimi's condition k*gamma(U) >= |E[U]| must hold for U = the zeros
+plus part of one twin class; the enumerator keeps what that check needs up
+to date as class totals change, so a verdict costs what changed, not n. And
+a witness set refused for one candidate rules out every later candidate that
+puts as many centers in some image of it under permutations inside twin
+classes. The docstring of ``exhaustive_gamma_search`` proves the reduction
+to even spreads exact and both refusals sound, and the test suite checks
+them against flow-free searches.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import Graph, complete_graph
 from .solver import Star, StarDecomposition, decide_star_decomposition
@@ -225,7 +230,11 @@ def spread_gamma(n: int, classes, totals) -> tuple[int, ...]:
 def iter_class_totals(g: Graph, k: int, classes):
     """Every vector of class totals whose even spread (``spread_gamma``) is
     k-precentral, meets the caps k*gamma(x) <= deg(x) and meets the edge
-    condition gamma(u) + gamma(v) >= 1, in ascending lexicographic order.
+    condition gamma(u) + gamma(v) >= 1, in ascending lexicographic order,
+    each paired with ``short``: whether the spread breaks Hakimi's condition
+    on the zeros plus the j lowest positive members of one class, for some
+    class and j, so that no flow can accept it (``exhaustive_gamma_search``
+    proves that testing two j's per class is enough).
 
     ``classes`` is ``twin_classes(g)``. Twins have equal degrees, so a class
     of m vertices with per-vertex cap c takes a total t <= m*c. The spread
@@ -235,7 +244,12 @@ def iter_class_totals(g: Graph, k: int, classes):
     stays at 0 and leaves the walk; then each of its neighbour classes must
     have no zero, and an edge between two cap-0 vertices leaves no vector.
     The walk keeps its position in arrays rather than on the call stack, so
-    any number of classes is fine.
+    any number of classes is fine. It keeps, for every class, the number of
+    zeros next to each of its positive members, and the most that its spread
+    can carry, up to date as totals change, so a change costs the degree of
+    its class in the class graph, not n. A class the walk backs out of keeps
+    its total until the walk sets it again, since only the complete vectors
+    it yields are read.
     """
     if g.num_edges % k:
         return
@@ -262,13 +276,48 @@ def iter_class_totals(g: Graph, k: int, classes):
     for i in range(f - 1, -1, -1):
         suffix[i] = suffix[i + 1] + most[i]
     totals = [0] * len(classes)  # the classes of cap 0 stay at 0
+    # near[c]: the zeros next to a positive member of c, its own class's
+    # included when c is a clique; room[c]: the most zeros next to a positive
+    # member that c's spread carries under Hakimi's condition on the zeros
+    # plus some of c's members; shorts: the classes with near[c] > room[c]
+    near = [sum(size[w] for w in nbrs[c]) for c in range(len(classes))]
+    room = [g.n] * len(classes)  # a total of 0 has no positive member
+    shorts = 0
+
+    @cache  # the walk sets the same few totals over and over
+    def room_of(m: int, is_clique: bool, t: int) -> int:
+        d, e = divmod(t, m)
+        p = m if d else e  # all positive members, gamma(S) = t
+        if not p:
+            return g.n
+        q = m - e if d else 0  # the positive members holding d, gamma(S) = d*q
+        most = (2 * k * t - is_clique * p * (p - 1)) // (2 * p)
+        return min(most, (2 * k * d - is_clique * (q - 1)) // 2) if q else most
+
+    def set_total(c: int, t: int) -> None:
+        nonlocal shorts
+        old = totals[c]
+        if old == t:
+            return
+        totals[c] = t
+        m = size[c]
+        if t < m or old < m:  # the number of zeros in c moves
+            more_zeros = max(m - t, 0) - max(m - old, 0)
+            for w in nbrs[c]:
+                z = near[w]
+                near[w] = z + more_zeros
+                shorts += (z + more_zeros > room[w]) - (z > room[w])
+        was = near[c] > room[c]
+        room[c] = room_of(m, clique[c], t)
+        shorts += (near[c] > room[c]) - was
+
     top = [0] * f  # the largest total free class i may take under the current prefix
     i = 0
     total = 0  # sum of the totals of the free classes below i
     while True:
         if i == f:
             if total == b:  # implied by lo and hi below unless f == 0
-                yield tuple(totals)
+                yield tuple(totals), shorts > 0
         else:
             c = free[i]
             # below b - total - suffix[i + 1] the later caps cannot reach b
@@ -277,7 +326,7 @@ def iter_class_totals(g: Graph, k: int, classes):
                 lo = size[c]
             hi = min(most[i], b - total)
             if lo <= hi:
-                totals[c] = lo
+                set_total(c, lo)
                 top[i] = hi
                 total += lo
                 i += 1
@@ -289,12 +338,11 @@ def iter_class_totals(g: Graph, k: int, classes):
                 return
             c = free[i]
             if totals[c] < top[i]:
-                totals[c] += 1
+                set_total(c, totals[c] + 1)
                 total += 1
                 i += 1
                 break
-            total -= totals[c]
-            totals[c] = 0
+            total -= totals[c]  # totals[c] stays until the walk sets it again
 
 
 def exhaustive_gamma_search(
@@ -316,16 +364,38 @@ def exhaustive_gamma_search(
     evenly, so if any gamma with given class totals is feasible, so is the
     even spread that ``iter_class_totals`` pairs with those totals.
 
+    A candidate ``iter_class_totals`` calls short is skipped without a flow.
+    With U the complement of T, Hakimi's condition reads k*gamma(U) >=
+    |E[U]|, the number of edges with both ends in U: each such edge is a
+    leaf of a star centered in U. The walk tests U = Z + S, where Z holds
+    the zeros of the spread and S the j lowest positive members of one class
+    c of m vertices with total t, so d = t // m. No edge joins two zeros
+    (the edge condition), and twins in c are adjacent iff c is a clique, so
+    |E[U]| = [c is a clique]*j*(j - 1)/2 + j*z_c, where z_c counts the zeros
+    next to a positive member x of c. Every positive member has the same
+    z_c: open twins share N(x), closed twins share N[x], and x itself is no
+    zero. Each S of j members has the same |E[U]|, so the lowest is the
+    worst. gamma(S) grows by d per member while S takes the q members that
+    hold d (q = m - t % m when d >= 1, none when d = 0) and by d + 1 per
+    member after that, up to all p positive members. So the slack
+    k*gamma(S) - |E[U]| is a linear function minus a convex one on [0, q]
+    and on [q, p]: concave on each, its least value over 0..p is at 0, q or
+    p, and at 0 it is 0. Testing j = q and j = p therefore decides every j;
+    in particular j = 1, k*gamma(x) >= z_c (an edge from x to a zero is
+    centered at x), is implied. Hakimi's condition is necessary, so a short
+    candidate has no decomposition.
+
     Every refused candidate leaves a deficient set T, whose |E(T)| incident
     edges cannot carry |E(T)|//k + 1 stars centered in T. The cut keeps T's
     class profile p_c = |T & class c|. Permuting vertices inside classes is
     an automorphism, so every image of T has |E(T)| incident edges too; a
     later candidate whose spread puts at least |E(T)|//k + 1 centers in its
     worst image, sum over c of p_c*(t_c // m_c) + min(p_c, t_c % m_c) for a
-    class of m_c vertices with total t_c, is skipped without a flow. Skipped
-    candidates count toward ``nodes_explored`` and the budget like tested
-    ones, so the outcome, the count and the first feasible candidate are
-    those of testing every candidate.
+    class of m_c vertices with total t_c, is skipped without a flow. The
+    short test runs first. Skipped candidates count toward
+    ``nodes_explored`` and the budget like tested ones, so the outcome, the
+    count and the first feasible candidate are those of testing every
+    candidate.
     """
     if k < 2:
         raise ValueError("star size k must be at least 2")
@@ -334,11 +404,11 @@ def exhaustive_gamma_search(
     tried = 0
     # (one-vertex classes of T, (c, p_c, m_c) for larger ones, |E(T)|//k + 1)
     cuts: list[tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int]] = []
-    for totals in iter_class_totals(g, k, classes):
+    for totals, short in iter_class_totals(g, k, classes):
         tried += 1
         if tried > budget:
             return SearchTranscript(tried, BUDGET_EXCEEDED)
-        if any(
+        if short or any(
             sum(map(totals.__getitem__, single))
             + sum([p * (totals[c] // m) + min(p, totals[c] % m) for c, p, m in multi])
             >= most

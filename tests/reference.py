@@ -3,6 +3,10 @@
 ``enumerate_min_deficiency`` iterates every vertex subset. It uses no flow,
 so it checks the solver's witness sets independently.
 
+``short_on_zeros_plus_one_class`` tests Hakimi's condition on every set
+"zeros plus the j lowest positive members of one class", for every j, so it
+checks the two sizes per class the gamma walk tests and the counts it keeps.
+
 ``stepped_even_guaranteed_s`` finds the even-k, large-n case of
 ``embedding.guaranteed_s`` by stepping s up one at a time with exact surd
 comparisons, so it checks the closed form the library uses.
@@ -70,3 +74,17 @@ def enumerate_min_deficiency(g: Graph, k: int, gamma) -> tuple[int, list[tuple[i
     if best_delta == 0 and best_size == 0:
         best_sets = [()]
     return best_delta, best_sets
+
+
+def short_on_zeros_plus_one_class(g: Graph, k: int, classes, gamma) -> bool:
+    """Whether k*gamma(U) < |E[U]| for U = the zeros of gamma plus the j
+    lowest positive members of one class, for some class and some j."""
+    zeros = {x for x in range(g.n) if gamma[x] == 0}
+    for members in classes:
+        positive = sorted((x for x in members if gamma[x]), key=gamma.__getitem__)
+        for j in range(1, len(positive) + 1):
+            u = zeros | set(positive[:j])
+            inside = sum(a in u and b in u for a, b in g.edges)
+            if k * sum(gamma[x] for x in u) < inside:
+                return True
+    return False

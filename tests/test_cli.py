@@ -270,6 +270,15 @@ def test_embed_large_k_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "k21_n50_seed0_embed_k21.json").read_text()
 
 
+def test_embed_large_k_conditional_matches_golden(capsys):
+    # k = 21, n = 60, seed 0: the s = 18 search spends its budget; flowing
+    # each of its 2000 candidates took seconds, Hakimi's condition refuses
+    # every one of them without a flow
+    leave = GOLDEN / "k21_n60_seed0_leave.json"
+    assert run(["embed", "--leave", str(leave), "--k", "21"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "k21_n60_seed0_embed_k21.json").read_text()
+
+
 def test_embed_max_s_exhausted(tmp_path, capsys):
     gpath = tmp_path / "leave.json"
     write_graph(graph_from_edges(8, [(0, 1)]), gpath)

@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from stardecomp import oracle
 from stardecomp.graphs import complete_graph, disjoint_cliques, graph_from_edges, join
 from stardecomp.oracle import (
     BUDGET_EXCEEDED,
@@ -23,7 +24,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import enumerate_min_deficiency
+from reference import enumerate_min_deficiency, short_on_zeros_plus_one_class
 
 
 def test_exhaustive_finds_k6():
@@ -108,6 +109,23 @@ def test_gamma_search_budget():
     assert tr.nodes_explored == 16
 
 
+def test_held_out_search_spends_its_budget_without_flows(monkeypatch):
+    # k = 21, n = 60, seed 0, s = 18: each of the 2001 candidates breaks
+    # Hakimi's condition on the zeros plus some of the join vertices (870 of
+    # them at one join vertex, whose zero neighbours outnumber k times its
+    # centers), so none needs a flow; without the test the search ran 2000
+    _, leave = sample_maximal_partial(60, 21, 0)
+    flows = []
+    decide = oracle.decide_star_decomposition
+    monkeypatch.setattr(
+        oracle, "decide_star_decomposition", lambda *args: flows.append(args) or decide(*args)
+    )
+    tr = exhaustive_gamma_search(join(leave, 18), 21, budget=2000)
+    assert tr.outcome == BUDGET_EXCEEDED
+    assert tr.nodes_explored == 2001
+    assert flows == []
+
+
 def _full_gamma_enumeration(g, k):
     """Every gamma meeting the sum, cap and edge conditions, in lex order."""
     if g.num_edges % k:
@@ -157,7 +175,7 @@ def test_gamma_enumeration_matches_count_and_conditions():
     sizes = []
     for g, k in graphs:
         full, reduced = _class_totals_by_brute_force(g, k)
-        candidates = list(iter_class_totals(g, k, twin_classes(g)))
+        candidates = [totals for totals, _ in iter_class_totals(g, k, twin_classes(g))]
         assert candidates == reduced
         # the upper-bound count ignores the edge condition and the twins
         upper = count_gamma_candidates(g, k)
@@ -183,7 +201,7 @@ def test_gamma_enumeration_with_cap_zero_vertices():
             continue
         checked += 1
         _, reduced = _class_totals_by_brute_force(g, k)
-        assert list(iter_class_totals(g, k, twin_classes(g))) == reduced
+        assert [totals for totals, _ in iter_class_totals(g, k, twin_classes(g))] == reduced
 
 
 def test_cap_zero_neighbours_are_forced_before_the_walk_reaches_them():
@@ -197,9 +215,29 @@ def test_cap_zero_neighbours_are_forced_before_the_walk_reaches_them():
     g = graph_from_edges(2 * f, edges)
     start = time.perf_counter()
     # every class is one vertex, so each class total is that vertex's gamma
-    first = next(iter_class_totals(g, 2, twin_classes(g)))
+    first, _ = next(iter_class_totals(g, 2, twin_classes(g)))
     assert time.perf_counter() - start < 1.0
     assert first == (1,) * (f // 2) + (2,) * (f // 2) + (0,) * f
+
+
+def test_short_verdict_is_hakimi_on_zeros_plus_one_class():
+    # the walk tests two sizes per class and keeps its zero counts up to date
+    # as it moves; compare with every size of every class, on joins whose
+    # large clique class makes the clique term matter
+    rng = random.Random(8)
+    shorts = 0
+    for _ in range(15):
+        base_n = rng.randint(3, 7)
+        p = [0.2, 0.5, 0.8]
+        edges = [e for e in combinations(range(base_n), 2) if rng.random() < rng.choice(p)]
+        g = join(graph_from_edges(base_n, edges), rng.randint(0, 7))
+        k = rng.choice([2, 3, 4, 5])
+        classes = twin_classes(g)
+        for totals, short in iter_class_totals(g, k, classes):
+            gamma = spread_gamma(g.n, classes, totals)
+            assert short == short_on_zeros_plus_one_class(g, k, classes, gamma), (g, k, totals)
+            shorts += short
+    assert shorts == 59
 
 
 def test_min_deficiency_never_positive_and_supported():

@@ -23,6 +23,7 @@ from stardecomp.oracle import (
     FOUND,
     exhaustive_decomposition,
     exhaustive_gamma_search,
+    iter_class_totals,
     sample_maximal_partial,
     spread_gamma,
     twin_classes,
@@ -35,7 +36,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import enumerate_min_deficiency
+from reference import enumerate_min_deficiency, short_on_zeros_plus_one_class
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -218,6 +219,21 @@ def test_even_spread_is_feasible_iff_its_class_totals_are(base, s, k):
     for totals, any_feasible in feasible.items():
         spread = decide_star_decomposition(g, k, spread_gamma(g.n, classes, totals))
         assert isinstance(spread, StarDecomposition) == any_feasible, totals
+
+
+@SETTINGS
+@given(*SMALL_JOINS)
+def test_candidates_the_walk_calls_short_are_infeasible(base, s, k):
+    # the walk's verdict is Hakimi's condition on every set "zeros plus part
+    # of one twin class" (two sizes per class stand for all of them); the
+    # condition is necessary, so no flow accepts a candidate it refuses
+    g = join(base, s)
+    classes = twin_classes(g)
+    for totals, short in iter_class_totals(g, k, classes):
+        gamma = spread_gamma(g.n, classes, totals)
+        assert short == short_on_zeros_plus_one_class(g, k, classes, gamma), totals
+        if short:
+            assert not isinstance(decide_star_decomposition(g, k, gamma), StarDecomposition)
 
 
 @SETTINGS

@@ -179,12 +179,15 @@ def embed_small_case(
     return result
 
 
-def embed_large_case(base: Graph, k: int, s: int) -> StarDecomposition:
+def embed_large_case(
+    base: Graph, k: int, s: int, target: Graph | None = None
+) -> StarDecomposition:
     """Decompose L v K_s when |E(L v K_s)| >= k(n+s) and n >= k.
 
     Centers: one star per base vertex; join vertices get d or d+1 stars with
     d = floor((b-n)/s), the d+1 values on the lowest join labels. This is
     guaranteed feasible, so a flow failure here is an internal error.
+    ``target`` is ``join(base, s)`` when the caller has built it already.
     """
     n = base.n
     m = join_edge_count(base, s)
@@ -198,7 +201,11 @@ def embed_large_case(base: Graph, k: int, s: int) -> StarDecomposition:
         raise ValueError("edge count of the join must be divisible by k")
     if m < k * (n + s):
         raise ValueError("large-case construction needs |E| >= k(n+s)")
-    result = decide_star_decomposition(join(base, s), k, _construction_gamma(base, k, s))
+    if target is None:
+        target = join(base, s)
+    elif target.n != n + s or target.num_edges != m:
+        raise ValueError("target is not the join of the leave with K_s")
+    result = decide_star_decomposition(target, k, _construction_gamma(base, k, s))
     if not isinstance(result, StarDecomposition):
         raise RuntimeError("flow refused a large-case instance; this cannot happen")
     return result

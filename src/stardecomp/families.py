@@ -647,8 +647,9 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> C
                 "skipped-budget",
                 {"join_edges": join_edge_count(leave, s)},
             )
-        dec = embed_large_case(leave, k, s)
-        problem = validate_decomposition(join(leave, s), dec)
+        target = join(leave, s)
+        dec = embed_large_case(leave, k, s, target)
+        problem = validate_decomposition(target, dec)
         if problem is not None:
             return ClaimResult(claim, "refuted", {"violation": problem})
         gamma = dec.central_function(n + s)

@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, filterfalse, repeat
+from itertools import combinations, repeat
 from pathlib import Path
 
 Edge = tuple[int, int]
@@ -76,8 +76,21 @@ class Graph:
         return self.adjacency[v]
 
     def complement(self) -> "Graph":
-        pairs = combinations(range(self.n), 2)
-        return Graph(self.n, tuple(filterfalse(set(self.edges).__contains__, pairs)))
+        n = self.n
+        below = self.edges
+        labels = tuple(range(n))  # slices share one int object per label
+        edges: list[Edge] = []
+        start = 0
+        for u in labels:
+            # u's non-neighbours above u fill the gaps between its upper neighbours
+            end = bisect_left(below, (u + 1,), start)
+            lo = u + 1
+            for _, v in below[start:end]:
+                edges += zip(repeat(u), labels[lo:v])
+                lo = v + 1
+            edges += zip(repeat(u), labels[lo:])
+            start = end
+        return Graph(n, tuple(edges))
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -142,7 +155,7 @@ def join(base: Graph, s: int) -> Graph:
     if s < 0:
         raise ValueError("join size must be nonnegative")
     n = base.n
-    new = range(n, n + s)
+    new = tuple(range(n, n + s))  # one int object per label, shared by its edges
     below = base.edges
     edges: list[Edge] = []
     start = 0

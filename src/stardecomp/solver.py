@@ -194,9 +194,36 @@ def decide_star_decomposition(
 
 def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     """None if the decomposition is valid for g, else a description of the
-    first violation found. Never raises."""
-    if d.k < 2:
-        return f"star size {d.k} is below 2"
+    first violation found. Never raises.
+
+    Validity is decided in one pass. With every star of k leaves and every
+    label below n, the code low*n + high of a pair in 0..n-1 names exactly
+    that pair, and a pair with a negative label gets a negative code, which
+    no edge has. So the sorted codes of the star pairs equal the codes of g's
+    edges iff the stars cover every edge exactly once: a repeated leaf, a
+    center as its own leaf, a non-edge, a double cover and a missing edge
+    each break the equality. Only a failed check walks the stars to name the
+    first violation.
+    """
+    k = d.k
+    if k < 2:
+        return f"star size {k} is below 2"
+    n = g.n
+    stars = d.stars
+    if all(len(star.leaves) == k for star in stars):
+        centers = [star.center for star in stars]
+        star_leaves = [star.leaves for star in stars]
+        high = max(max(centers, default=0), max(map(max, star_leaves), default=0))
+        if high < n:
+            codes = [
+                c * n + x if c < x else x * n + c
+                for c, xs in zip(centers, star_leaves)
+                for x in xs
+            ]
+            codes.sort()
+            if codes == [u * n + v for u, v in g.edges]:
+                return None
+    # invalid: walk the stars in order for the first violation
     edges = frozenset(g.edges)
     seen: set[tuple[int, int]] = set()
     for idx, star in enumerate(d.stars):

@@ -117,6 +117,9 @@ def test_large_case_even_bound_values():
     dec = embed_large_case(SEVEN_K4, 8, 20)
     g = join(SEVEN_K4, 20)
     assert validate_decomposition(g, dec) is None
+    assert embed_large_case(SEVEN_K4, 8, 20, g) == dec
+    with pytest.raises(ValueError, match="not the join"):
+        embed_large_case(SEVEN_K4, 8, 20, join(SEVEN_K4, 21))
     gamma = dec.central_function(48)
     assert all(gamma[x] == 1 for x in range(28))
     assert sorted(gamma[28:]) == [3] * 9 + [4] * 11

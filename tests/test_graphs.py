@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -88,6 +90,17 @@ def test_complement_involution():
     g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert g.complement().complement() == g
     assert complete_graph(4).complement() == Graph(4, ())
+
+
+def test_complement_matches_filtering_every_pair():
+    rng = random.Random(14)
+    for n in range(0, 25):
+        for density in (0.0, 0.2, 0.5, 0.9, 1.0):
+            pairs = list(combinations(range(n), 2))
+            g = Graph(n, tuple(p for p in pairs if rng.random() < density))
+            present = set(g.edges)
+            expected = tuple(p for p in pairs if p not in present)
+            assert g.complement().edges == expected
 
 
 def test_disjoint_cliques_layout():

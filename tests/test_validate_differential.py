@@ -1,7 +1,7 @@
 """``validate_decomposition`` against the edge-by-edge validator it replaced.
 
 The reference below checks one edge at a time and stops at the first
-violation. The star-by-star version must return the same string (or None)
+violation. The sorted-code check must return the same string (or None)
 on valid decompositions and on ones corrupted in each way a decomposition
 can go wrong, both against the whole graph and against the graph of just
 the edges the stars use (which drops the coverage check for partial
@@ -13,9 +13,15 @@ import random
 import pytest
 
 from stardecomp.embedding import embed
-from stardecomp.graphs import graph_from_edges, join
+from stardecomp.families import generate
+from stardecomp.graphs import Graph, graph_from_edges, join
 from stardecomp.oracle import sample_maximal_partial
-from stardecomp.solver import Star, StarDecomposition, validate_decomposition
+from stardecomp.solver import (
+    Star,
+    StarDecomposition,
+    decompose_with_repair,
+    validate_decomposition,
+)
 
 
 def sequential_validate(g, d):
@@ -150,3 +156,46 @@ def test_validate_matches_sequential_reference(whole_graph):
     for g, d in CASES:
         h = g if whole_graph else _used_edges_graph(g, d)
         assert validate_decomposition(h, d) == sequential_validate(h, d), d
+
+
+# Stars whose sorted pair codes low*n + high equal the graph's edge codes,
+# so only the leaf-count and label-range guards tell them from a valid
+# decomposition. A negative label aliases an edge only beside a label of n
+# or more; otherwise its code is negative.
+GUARDED = [
+    # leaf n + 2 = 7 of center 0 has the code of edge (1, 2)
+    (Graph(5, ((0, 3), (1, 2))), StarDecomposition(2, (Star(0, (7, 3)),))),
+    # k - 1 and k + 1 leaves whose pairs are exactly the edges of K_{1,6}
+    (
+        Graph(7, tuple((0, x) for x in range(1, 7))),
+        StarDecomposition(3, (Star(0, (1, 2)), Star(0, (3, 4, 5, 6)))),
+    ),
+    # leaf -1 of center 7 has the code of edge (0, 3)
+    (Graph(4, ((0, 3), (2, 3))), StarDecomposition(2, (Star(7, (-1, 1)),))),
+    # a negative leaf beside in-range labels: its negative code matches no edge
+    (Graph(4, ((0, 2), (1, 2))), StarDecomposition(2, (Star(2, (-1, 1)),))),
+]
+
+
+@pytest.mark.parametrize("g,d", GUARDED)
+def test_guards_catch_stars_whose_codes_match(g, d):
+    expected = sequential_validate(g, d)
+    assert expected is not None
+    assert validate_decomposition(g, d) == expected
+
+
+def test_corrupted_large_complement_matches_reference():
+    inst = generate("tightness-T2", t=6)
+    g = inst.leave.complement()
+    assert g.num_edges == 18688
+    d = decompose_with_repair(g, inst.k)
+    assert validate_decomposition(g, d) is None
+    rng = random.Random(6)
+    for corrupt in CORRUPTIONS:
+        stars = list(d.stars)
+        while tuple(stars) == d.stars:  # _swap_leaf skips a center with no non-neighbour
+            corrupt(rng, g, stars)
+        bad = StarDecomposition(d.k, tuple(stars))
+        expected = sequential_validate(g, bad)
+        assert expected is not None, corrupt.__name__
+        assert validate_decomposition(g, bad) == expected, corrupt.__name__

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 
 class MaxFlow:
-    def __init__(self, arcs, excess: list[int]) -> None:
-        """Unit arcs ``(tail, head)`` on ``len(excess)`` vertices; arc i gets id 2i."""
-        self.excess = list(excess)
-        self.out = out = [[] for _ in self.excess]
-        self.to = to = []
-        for u, v in arcs:
-            out[u].append(len(to))
-            to += (v, u)
+    def __init__(self, out: list[list[int]], to: list[int], excess: list[int]) -> None:
+        """The network its caller built on ``len(out)`` vertices, taking over
+        all three lists: unit arc i has id 2i, head ``to[2i]`` and tail
+        ``to[2i + 1]``, and ``out[x]`` lists the ids of the arcs leaving x."""
+        self.out = out
+        self.to = to
+        self.excess = excess
         # live[a]: arc a is the current direction; listed[a]: a is in an out-list
         self.live = bytearray(b"\x01\x00") * (len(to) // 2)
         self.listed = bytearray(self.live)

@@ -90,7 +90,9 @@ class Graph:
                 lo = v + 1
             edges += zip(repeat(u), labels[lo:])
             start = end
-        return Graph(n, tuple(edges))
+        g = Graph(n, tuple(edges))
+        vars(g)["degrees"] = tuple([n - 1 - d for d in self.degrees])
+        return g
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -166,7 +168,12 @@ def join(base: Graph, s: int) -> Graph:
         edges += zip(repeat(u), new)
         start = end
     edges += combinations(new, 2)
-    return Graph(n + s, tuple(edges))
+    g = Graph(n + s, tuple(edges))
+    # the degrees cache, filled in O(n + s) rather than by a pass over the edges
+    degrees = [d + s for d in base.degrees]
+    degrees += [n + s - 1] * s
+    vars(g)["degrees"] = tuple(degrees)
+    return g
 
 
 def join_edge_count(base: Graph, s: int) -> int:

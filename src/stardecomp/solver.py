@@ -3,13 +3,15 @@
 A k-precentral function assigns each vertex the number of stars to be
 centered there, subject to k * sum(gamma) = |E|. Such a decomposition exists
 iff the edges can be oriented so that exactly k*gamma(x) edges leave each x
-(Tarsi's criterion). The decision first orients every edge greedily, then
-repairs the orientation with one unit-arc max-flow on the n vertices alone
-(Hakimi's degree-constrained orientation): each edge is a unit arc along its
-current direction, a vertex with too many out-edges has that surplus and a
-vertex with too few has that deficit. Each unit of flow reverses a directed
-path from a surplus vertex to a deficit vertex, so after a full flow the
-network's out-lists are the orientation and the stars are read from them.
+(Tarsi's criterion). The decision orients the edges greedily in one pass,
+each edge leaving the endpoint with the larger share of its not yet oriented
+edges still to take, and adds each as a unit arc along its direction to one
+max-flow network on the n vertices alone (Hakimi's degree-constrained
+orientation): a vertex with too many out-edges has that surplus and a vertex
+with too few has that deficit. Each unit of flow reverses a directed path
+from a surplus vertex to a deficit vertex, so after a full flow the
+network's out-lists are the orientation and the stars are read from them;
+when the start needs no repair, they are read in edge order, unsorted.
 Anything less leaves a vertex set T, the vertices with a directed path to
 unmet deficit, whose incident-edge count falls short of
 k * sum(gamma over T), certifying infeasibility. T is the smallest set of
@@ -19,13 +21,13 @@ minimum deficiency, so it lies inside the support of gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .flow import MaxFlow
 from .graphs import Graph, complete_graph, component_edge_counts
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     center: int
     leaves: tuple[int, ...]
 
@@ -154,28 +156,44 @@ def decide_star_decomposition(
     if k * sum(gamma) != g.num_edges:
         raise ValueError("gamma is not k-precentral for this graph")
 
-    # Each edge leaves the endpoint with the larger remaining need, ties
-    # going to the lower label.
-    need = [k * c for c in gamma]
-    oriented: list[tuple[int, int]] = []
+    # One pass orients each edge and adds it to the network as a unit arc.
+    # excess[x] is x's out-degree so far minus k*gamma(x), and rem[x] counts
+    # x's edges not yet oriented. An edge leaves the endpoint whose need
+    # (-excess) is the larger share of its rem, ties going to the lower
+    # label: (u, v) leaves v iff need[v]*rem[u] > need[u]*rem[v].
+    excess = [-k * c for c in gamma]
+    rem = list(g.degrees)
+    out: list[list[int]] = [[] for _ in gamma]
+    to: list[int] = []
+    add = to.append
     for u, v in g.edges:
-        if need[v] > need[u]:
+        ru = rem[u]
+        rv = rem[v]
+        rem[u] = ru - 1
+        rem[v] = rv - 1
+        if excess[u] * rv > excess[v] * ru:
             u, v = v, u
-        need[u] -= 1
-        oriented.append((u, v))
+        excess[u] += 1
+        out[u].append(len(to))
+        add(v)
+        add(u)
 
-    # excess: out-degree minus k*gamma, surplus to route and deficit to fill
-    excess = [-x for x in need]
-    net = MaxFlow(oriented, excess)
-    if net.max_flow() == sum(x for x in excess if x > 0):
-        to, live = net.to, net.live
+    # what excess is left is surplus to route and deficit to fill
+    surplus = sum(x for x in excess if x > 0)
+    net = MaxFlow(out, to, excess)
+    if net.max_flow() == surplus:
+        live = net.live
         stars: list[Star] = []
-        for x, arcs in enumerate(net.out):
-            leaves = sorted([to[a] for a in arcs if live[a]])
+        for x, arcs in enumerate(out):
+            if surplus:
+                # reversed paths left dead ids and appended new ones
+                leaves = tuple(sorted([to[a] for a in arcs if live[a]]))
+            else:
+                # untouched: edge order, so heads ascend
+                leaves = tuple([to[a] for a in arcs])
             if len(leaves) != k * gamma[x]:
                 raise RuntimeError("orientation out-degree mismatch")
-            for j in range(0, len(leaves), k):
-                stars.append(Star(x, tuple(leaves[j : j + k])))
+            stars += [Star(x, leaves[j : j + k]) for j in range(0, len(leaves), k)]
         return StarDecomposition(k, tuple(stars))
 
     # Every edge between the set T that still reaches unmet deficit and the

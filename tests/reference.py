@@ -10,12 +10,27 @@ checks the two sizes per class the gamma walk tests and the counts it keeps.
 ``stepped_even_guaranteed_s`` finds the even-k, large-n case of
 ``embedding.guaranteed_s`` by stepping s up one at a time with exact surd
 comparisons, so it checks the closed form the library uses.
+
+``arc_network`` builds a ``MaxFlow`` from a list of ``(tail, head)`` arcs,
+as the flow tests give their networks.
 """
 
 from functools import cache
 
 from stardecomp.exactnum import Surd
+from stardecomp.flow import MaxFlow
 from stardecomp.graphs import Graph
+
+
+def arc_network(arcs, excess) -> MaxFlow:
+    """Unit arcs ``(tail, head)`` on ``len(excess)`` vertices, arc i with id
+    2i; the network gets a copy of ``excess``."""
+    out: list[list[int]] = [[] for _ in excess]
+    to: list[int] = []
+    for u, v in arcs:
+        out[u].append(len(to))
+        to += (v, u)
+    return MaxFlow(out, to, list(excess))
 
 
 @cache

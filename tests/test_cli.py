@@ -279,6 +279,14 @@ def test_embed_large_k_conditional_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "k21_n60_seed0_embed_k21.json").read_text()
 
 
+def test_decompose_witness_matches_golden(capsys):
+    # an infeasible gamma: the witness is the smallest minimum-deficiency
+    # set, which no choice of starting orientation can move
+    args = ["decompose", "--graph", str(GOLDEN / "n11_witness_graph.json"), "--k", "3"]
+    assert run(args + ["--gamma", str(GOLDEN / "n11_witness_gamma.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "n11_witness_decompose_k3.json").read_text()
+
+
 def test_embed_max_s_exhausted(tmp_path, capsys):
     gpath = tmp_path / "leave.json"
     write_graph(graph_from_edges(8, [(0, 1)]), gpath)

@@ -1,15 +1,22 @@
-"""Pin the program's answers on a small grid to one digest.
+"""Pin the program's answers on a small grid to two digests.
 
-The digest covers every ``embed`` certificate (s, minimality, the full
-rejection ledger with details, the stars) and the large/small-case
+The grid is every ``embed`` certificate and the large/small-case
 constructions for every divisible s in [k, 2k], for k = 3..5, k < n <= 12
-and sample seeds 0-1. A change that is meant to keep every answer must keep
-the digest. A change that alters answers on purpose recomputes it with
-``PYTHONPATH=src python tests/test_pinned_answers.py`` and says so in CHANGES.md.
+and sample seeds 0-1. The answers digest covers each certificate's s, its
+minimality and the full rejection ledger with details, and the kind of each
+construction (large, small, or the obstacle with its alpha and bound). The
+stars digest covers the stars of every certificate and construction.
+
+A change that is meant to keep every answer keeps both digests. A change
+that only moves stars, such as a new starting orientation for the flow,
+keeps the answers digest and re-pins the stars digest. Either digest is
+recomputed with ``PYTHONPATH=src python tests/test_pinned_answers.py``, and
+a change that re-pins one says so in CHANGES.md.
 """
 
 import hashlib
 import json
+from functools import cache
 
 from stardecomp.embedding import (
     ObstacleViolated,
@@ -20,7 +27,8 @@ from stardecomp.embedding import (
 from stardecomp.graphs import join_edge_count
 from stardecomp.oracle import sample_maximal_partial
 
-PINNED_DIGEST = "5ec532f3babf8c6fbd82fa059ab741dce60cf6272a1c495e90473d2e235d9a97"
+ANSWERS_DIGEST = "f411ef0083895e4c1d28603e8db1d436eb5da53a97e1a9daa29e3fc96b631ae6"
+STARS_DIGEST = "2a041f05481d4b5f0b7095a009263975fb6ec1c5e1f487e4ccc0e8891c440d81"
 
 GAMMA_BUDGET = 2000
 ALPHA_BUDGET = 100_000
@@ -30,18 +38,20 @@ def _stars(dec) -> list:
     return [[st.center, list(st.leaves)] for st in dec.stars]
 
 
-def _construction(leave, k: int, s: int) -> list:
+def _construction(leave, k: int, s: int) -> tuple[list, list]:
+    """The construction's kind (with the obstacle's numbers) and its stars."""
     n = leave.n
     if join_edge_count(leave, s) >= k * (n + s) and n >= k:
-        return ["large", _stars(embed_large_case(leave, k, s))]
+        return ["large"], _stars(embed_large_case(leave, k, s))
     try:
-        return ["small", _stars(embed_small_case(leave, k, s, ALPHA_BUDGET))]
+        return ["small"], _stars(embed_small_case(leave, k, s, ALPHA_BUDGET))
     except ObstacleViolated as exc:
-        return ["obstacle", exc.alpha, exc.required]
+        return ["obstacle", exc.alpha, exc.required], []
 
 
-def answers() -> list:
-    out = []
+def answers() -> tuple[list, list]:
+    """The answers and the stars of every grid point, as two lists."""
+    kept, stars = [], []
     for k in range(3, 6):
         for n in range(k + 1, 13):
             for seed in (0, 1):
@@ -53,20 +63,33 @@ def answers() -> list:
                     for s in range(k, 2 * k + 1)
                     if join_edge_count(leave, s) % k == 0
                 }
-                out.append(
-                    [k, n, seed, cert.s, cert.minimality, ledger, _stars(cert.decomposition), built]
-                )
-    return out
+                kinds = {s: kind for s, (kind, _) in built.items()}
+                kept.append([k, n, seed, cert.s, cert.minimality, ledger, kinds])
+                built_stars = {s: st for s, (_, st) in built.items()}
+                stars.append([k, n, seed, _stars(cert.decomposition), built_stars])
+    return kept, stars
 
 
-def digest() -> str:
-    text = json.dumps(answers(), sort_keys=True, separators=(",", ":"))
+def _digest(data: list) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@cache
+def digests() -> tuple[str, str]:
+    kept, stars = answers()
+    return _digest(kept), _digest(stars)
+
+
 def test_answers_match_pinned_digest():
-    assert digest() == PINNED_DIGEST
+    assert digests()[0] == ANSWERS_DIGEST
+
+
+def test_stars_match_pinned_digest():
+    assert digests()[1] == STARS_DIGEST
 
 
 if __name__ == "__main__":
-    print(digest())
+    answers_digest, stars_digest = digests()
+    print("answers", answers_digest)
+    print("stars", stars_digest)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stardecomp.embedding import REASON_UNKNOWN, embed, greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
+from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
     Graph,
     complete_graph,
@@ -74,6 +75,8 @@ def _same_as_built_from_edges(h):
     assert all(a < b for a, b in zip(h.edges, h.edges[1:]))
     plain = graph_from_edges(h.n, h.edges)
     assert h == plain and hash(h) == hash(plain)
+    # join and complement fill the degrees cache without counting edges
+    assert h.degrees == plain.degrees
 
 
 @SETTINGS
@@ -118,6 +121,56 @@ def test_flow_agrees_with_subset_enumeration(inst):
         assert all(gamma[x] >= 1 for x in result.vertices)
     for t in tsets:
         assert all(gamma[x] >= 1 for x in t)
+
+
+def _star_union(rng):
+    """A random union of edge-disjoint k-stars and its center counts, with
+    one center moved half the time, which often leaves no decomposition."""
+    n = rng.randint(3, 10)
+    k = rng.choice([2, 3])
+    used = set()
+    gamma = [0] * n
+    for _ in range(rng.randint(1, 2 * n)):
+        x = rng.randrange(n)
+        free = [y for y in range(n) if y != x and (min(x, y), max(x, y)) not in used]
+        if len(free) < k:
+            continue
+        used.update((min(x, y), max(x, y)) for y in rng.sample(free, k))
+        gamma[x] += 1
+    if any(gamma) and rng.random() < 0.5:
+        gamma[rng.choice([x for x in range(n) if gamma[x]])] -= 1
+        gamma[rng.randrange(n)] += 1
+    return graph_from_edges(n, used), k, tuple(gamma)
+
+
+def test_decide_matches_subset_enumeration_on_every_branch(monkeypatch):
+    # Record the units each decide routes: 0 means the stars are read from
+    # the starting orientation, more means the flow repaired it.
+    routed = []
+    max_flow = MaxFlow.max_flow
+
+    def spy(net):
+        routed.append(max_flow(net))
+        return routed[-1]
+
+    monkeypatch.setattr(MaxFlow, "max_flow", spy)
+    rng = random.Random(15)
+    branches = {"started": 0, "repaired": 0, "refused": 0}
+    for trial in range(600):
+        g, k, gamma = _star_union(rng)
+        delta, smallest = enumerate_min_deficiency(g, k, gamma)
+        result = decide_star_decomposition(g, k, gamma)
+        if delta == 0:
+            assert isinstance(result, StarDecomposition)
+            assert validate_decomposition(g, result) is None
+            assert result.central_function(g.n) == gamma
+            assert all(list(star.leaves) == sorted(star.leaves) for star in result.stars)
+            branches["repaired" if routed[-1] else "started"] += 1
+        else:
+            assert result.delta == delta
+            assert [result.vertices] == smallest
+            branches["refused"] += 1
+    assert min(branches.values()) >= 20, branches
 
 
 @SETTINGS

@@ -27,7 +27,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import enumerate_min_deficiency
+from reference import arc_network, enumerate_min_deficiency
 
 
 def test_deficiency_empty_set_is_zero():
@@ -274,7 +274,7 @@ def test_max_flow_chain_longer_than_recursion_limit():
     n = sys.getrecursionlimit() + 500
     excess = [0] * n
     excess[0], excess[n - 1] = 2, -2
-    net = MaxFlow([(x, x + 1) for x in range(n - 1) for _ in range(2)], excess)
+    net = arc_network([(x, x + 1) for x in range(n - 1) for _ in range(2)], excess)
     assert net.max_flow() == 2
 
 
@@ -286,7 +286,7 @@ def test_max_flow_reverses_each_path_and_keeps_every_arc_once():
         n = rng.randint(2, 12)
         arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4 * n))]
         excess = [rng.randint(-4, 4) for _ in range(n)]
-        net = MaxFlow(arcs, excess)
+        net = arc_network(arcs, excess)
         value = net.max_flow()
         after = net.successors()
         assert sorted(sorted(a) for a in arcs) == sorted(
@@ -323,6 +323,21 @@ def test_decide_repairs_along_path_longer_than_recursion_limit():
 def test_decomposition_json_round_trip():
     dec = decompose_complete(6, 3)
     data = json.loads(json.dumps(dec.to_json_dict()))
+    assert StarDecomposition.from_json_dict(data) == dec
+
+
+def test_star_record_behaves_as_before():
+    star = Star(3, (0, 5))
+    assert repr(star) == "Star(center=3, leaves=(0, 5))"
+    assert star == Star(3, (0, 5)) and hash(star) == hash(Star(3, (0, 5)))
+    assert star != Star(3, (5, 0))
+    assert star.center == 3 and star.leaves == (0, 5)
+    assert star.edges() == [(0, 3), (3, 5)]
+    with pytest.raises(AttributeError):
+        star.center = 4
+    dec = StarDecomposition(2, (star, Star(1, (2, 4))))
+    data = json.loads(json.dumps(dec.to_json_dict()))
+    assert data["stars"][0] == {"center": 3, "leaves": [0, 5]}
     assert StarDecomposition.from_json_dict(data) == dec
 
 

@@ -316,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--flow-limit",
         type=_int_at_least(0),
-        help=f"largest flow graph built (default {families.FLOW_EDGE_LIMIT}; needs --verify)",
+        help=(
+            "largest graph a claim builds, complement or join "
+            f"(default {families.FLOW_EDGE_LIMIT}; needs --verify)"
+        ),
     )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_family)

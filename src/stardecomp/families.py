@@ -2,18 +2,21 @@
 
 Each generator builds a leave L together with explicit claims: what the
 family is supposed to demonstrate and how each item is checked (exact
-arithmetic, the degree-pair or independence obstructions, exhaustive search,
-flow construction, or a mechanized replay of a counting argument). The
-verifier runs every claim within a budget and reports verified / refuted /
-skipped-budget per claim, with enough evidence to recheck independently.
+arithmetic, the degree-pair or independence obstructions, flow construction,
+or the exact gamma search, which decides that a join L v K_s has no
+decomposition). The verifier runs every claim within a budget and reports
+verified / refuted / skipped-budget per claim, with enough evidence to
+recheck independently.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import oracle
 from .embedding import degree_pair_check, embed_large_case, general_cap, obstacle_check
@@ -26,14 +29,13 @@ from .solver import (
     validate_decomposition,
 )
 
-EXHAUSTIVE_NONEXISTENCE_EDGE_LIMIT = 24
-FLOW_EDGE_LIMIT = 5000  # largest graph a flow-construction claim builds by default
+FLOW_EDGE_LIMIT = 5000  # largest graph (complement or join) a claim builds by default
 
 
 @dataclass(frozen=True)
 class Claim:
     kind: str
-    method: str  # arithmetic | obstacle | degree-pair | exhaustive | flow-construction | proof-replay
+    method: str  # arithmetic | obstacle | degree-pair | exhaustive | flow-construction
     params: dict
     observational: bool = False
 
@@ -157,7 +159,6 @@ def gen_single_edge(k: int, n: int) -> FamilyInstance:
     blocked = join_edge_count(leave, k - 1)
     if blocked % k:
         raise ValueError("internal congruence failure")
-    small_enough = blocked <= EXHAUSTIVE_NONEXISTENCE_EDGE_LIMIT
     claims = [
         Claim(
             "construction-arithmetic",
@@ -166,11 +167,7 @@ def gen_single_edge(k: int, n: int) -> FamilyInstance:
         ),
         Claim("realizable-conditions", "arithmetic", {}),
         Claim("leave-realizable", "flow-construction", {}),
-        Claim(
-            "nonexistence-at-s",
-            "exhaustive" if small_enough else "proof-replay",
-            {"s": k - 1},
-        ),
+        Claim("nonexistence-at-s", "exhaustive", {"s": k - 1}),
     ]
     if _is_odd_prime_power(k):
         claims.append(
@@ -248,7 +245,7 @@ def gen_tightness_t2(t: int, n: int | None = None) -> FamilyInstance:
             {"below": 3 * k - 2, "expected": [k - 2, k - 1]},
         ),
         Claim("degree-pair-at-s", "degree-pair", {"s": k - 2}),
-        Claim("nonexistence-at-s", "proof-replay", {"s": k - 1}),
+        Claim("nonexistence-at-s", "exhaustive", {"s": k - 1}),
     )
     meta = {"t": t, "rootk": rootk, "r": (n - k - 2) // (2 * k)}
     return FamilyInstance("tightness-T2", k, n, leave, claims, meta)
@@ -377,99 +374,6 @@ def generate(family_id: str, **params: int) -> FamilyInstance:
 
 
 # ---------------------------------------------------------------------------
-# proof replays: the counting arguments as explicit arithmetic check lists
-
-
-def replay_single_edge_nonexistence(k: int, n: int) -> tuple[bool, list[dict]]:
-    """Counting argument: no decomposition of (single edge leave) v K_{k-1}."""
-    steps: list[dict] = []
-
-    def check(name: str, ok: bool, **values) -> bool:
-        steps.append({"step": name, "ok": bool(ok), **values})
-        return ok
-
-    r = (n - 2) // (2 * k)
-    total_edges = 1 + n * (k - 1) + (k - 1) * (k - 2) // 2
-    ok = check("preconditions", k % 2 == 1 and k >= 3 and n == 2 * k * r + 2, r=r)
-    ok &= check("join-divisible", total_edges % k == 0, edges=total_edges)
-    total = total_edges // k
-    ok &= check(
-        "total-centers",
-        Fraction(total) == (2 * r + Fraction(1, 2)) * (k - 1) + 1,
-        total=total,
-    )
-    # endpoint degrees force a single saturated center on the leave edge and
-    # zero centers elsewhere on the base
-    ok &= check("endpoint-degree", 1 + (k - 1) == k)
-    ok &= check("other-base-degree", (k - 1) < k)
-    sum_join = total - 1
-    ok &= check(
-        "join-total-exceeds-uniform",
-        sum_join > 2 * r * (k - 1) and k - 1 >= 1,
-        sum_join=sum_join,
-        uniform=2 * r * (k - 1),
-    )
-    # pigeonhole: some join vertex centers at least 2r+1 stars
-    forced = 2 * r + 1
-    degree_z = n + k - 2
-    ok &= check("join-degree-saturates", degree_z == k * forced, degree=degree_z)
-    ok &= check(
-        "double-cover",
-        True,
-        note="the saturated join vertex and the saturated endpoint both own their shared edge",
-    )
-    return ok, steps
-
-
-def replay_tightness_t2_nonexistence(k: int, n: int) -> tuple[bool, list[dict]]:
-    """Counting argument: no decomposition of the T2 leave joined with K_{k-1}."""
-    steps: list[dict] = []
-
-    def check(name: str, ok: bool, **values) -> bool:
-        steps.append({"step": name, "ok": bool(ok), **values})
-        return ok
-
-    rootk = math.isqrt(k)
-    r = (n - k - 2) // (2 * k)
-    edge_count = (k + 2) // 2
-    total_edges = edge_count + n * (k - 1) + (k - 1) * (k - 2) // 2
-    ok = check(
-        "preconditions",
-        rootk * rootk == k and k >= 16 and n == 2 * k * r + k + 2,
-        rootk=rootk,
-        r=r,
-    )
-    ok &= check("join-divisible", total_edges % k == 0, edges=total_edges)
-    total = total_edges // k
-    ok &= check(
-        "total-centers",
-        total == (2 * r + 1) * (k - 1) + k // 2 + 1,
-        total=total,
-    )
-    ok &= check("clique-degree-small", k + rootk - 2 < 2 * k)
-    v1_cap = rootk
-    v2_sum = rootk // 2 + 1
-    ok &= check("pair-degree-saturates", 1 + (k - 1) == k, v2_sum=v2_sum)
-    ok &= check("rest-degree", (k - 1) < k)
-    join_min = total - v1_cap - v2_sum
-    ok &= check(
-        "join-total-exceeds-uniform",
-        join_min > (2 * r + 1) * (k - 1),
-        join_min=join_min,
-        uniform=(2 * r + 1) * (k - 1),
-    )
-    forced = 2 * r + 2
-    degree_z = n + k - 2
-    ok &= check("join-degree-saturates", degree_z == k * forced, degree=degree_z)
-    ok &= check(
-        "double-cover",
-        v2_sum >= 1,
-        note="a saturated pair vertex and the saturated join vertex share an edge",
-    )
-    return ok, steps
-
-
-# ---------------------------------------------------------------------------
 # claim verification
 
 
@@ -521,7 +425,27 @@ def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, flow_edge_limit
     )
 
 
-def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> ClaimResult:
+_SEARCH_STATUS = {
+    oracle.EXHAUSTED: "verified",
+    oracle.FOUND: "refuted",
+    oracle.BUDGET_EXCEEDED: "skipped-budget",
+}
+
+
+def _nonexistence(leave: Graph, k: int, s: int, flow_edge_limit: int) -> tuple[str, dict]:
+    """The status and evidence of "L v K_s has no k-star decomposition",
+    decided by the exact gamma search; a join over the limit is not built."""
+    edges = join_edge_count(leave, s)
+    if edges > flow_edge_limit:
+        return "skipped-budget", {"join_edges": edges, "limit": flow_edge_limit}
+    transcript = oracle.exhaustive_gamma_search(join(leave, s), k)
+    evidence = {"gamma_search": transcript.to_json_dict() | {"decomposition": None}}
+    return _SEARCH_STATUS[transcript.outcome], evidence
+
+
+def _verify_claim(
+    inst: FamilyInstance, claim: Claim, flow_edge_limit: int, leave_alpha: Callable[[], int]
+) -> ClaimResult:
     leave = inst.leave
     k = inst.k
     n = inst.n
@@ -561,7 +485,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> C
         )
 
     if claim.kind == "alpha":
-        alpha = independence_number(leave)
+        alpha = leave_alpha()
         ok = alpha == claim.params["expected"]
         return ClaimResult(claim, "verified" if ok else "refuted", {"alpha": alpha})
 
@@ -594,7 +518,7 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> C
         s = claim.params["s"]
         if join_edge_count(leave, s) % k:
             return ClaimResult(claim, "refuted", {"error": "join not divisible"})
-        alpha = independence_number(leave)
+        alpha = leave_alpha()
         obstacle = obstacle_check(leave, k, s, alpha)
         required = obstacle.required
         evidence: dict = {"s": s, "required": required, "alpha": alpha}
@@ -617,27 +541,8 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> C
         return ClaimResult(claim, "verified" if ok else "refuted", evidence)
 
     if claim.kind == "nonexistence-at-s":
-        s = claim.params["s"]
-        if claim.method == "exhaustive":
-            target = join(leave, s)
-            transcript = oracle.exhaustive_decomposition(target, k)
-            gamma_transcript = oracle.exhaustive_gamma_search(target, k)
-            evidence = {
-                "search": transcript.to_json_dict() | {"decomposition": None},
-                "gamma_search": gamma_transcript.to_json_dict() | {"decomposition": None},
-            }
-            if oracle.BUDGET_EXCEEDED in (transcript.outcome, gamma_transcript.outcome):
-                return ClaimResult(claim, "skipped-budget", evidence)
-            ok = (
-                transcript.outcome == oracle.EXHAUSTED
-                and gamma_transcript.outcome == oracle.EXHAUSTED
-            )
-            return ClaimResult(claim, "verified" if ok else "refuted", evidence)
-        if inst.family_id == "single-edge":
-            ok, steps = replay_single_edge_nonexistence(k, n)
-        else:
-            ok, steps = replay_tightness_t2_nonexistence(k, n)
-        return ClaimResult(claim, "verified" if ok else "refuted", {"steps": steps})
+        status, evidence = _nonexistence(leave, k, claim.params["s"], flow_edge_limit)
+        return ClaimResult(claim, status, evidence)
 
     if claim.kind == "success-at-s":
         s = claim.params["s"]
@@ -669,29 +574,35 @@ def _verify_claim(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> C
         return ClaimResult(claim, "verified" if ok else "refuted", {"s": s})
 
     if claim.kind == "no-embedding-below":
-        allowed = set(claim.params["allowed"])
         found = _divisible_candidates(leave, k, claim.params["below"])
+        status = "verified" if set(found) <= set(claim.params["allowed"]) else "refuted"
         per_s: dict[str, str] = {}
-        ok = set(found) <= allowed
+        evidence = {"candidates": found, "per_s": per_s}
         for s in found:
             if degree_pair_check(leave, k, s) is not None:
                 per_s[str(s)] = "degree-pair"
             elif s == k - 1:
-                replay_ok, _ = replay_single_edge_nonexistence(k, n)
-                ok &= replay_ok
                 per_s[str(s)] = "nonexistence"
+                search_status, search_evidence = _nonexistence(leave, k, s, flow_edge_limit)
+                evidence |= search_evidence
+                if status != "refuted":
+                    status = search_status
             else:
-                ok = False
                 per_s[str(s)] = "unexplained"
-        return ClaimResult(
-            claim, "verified" if ok else "refuted", {"candidates": found, "per_s": per_s}
-        )
+                status = "refuted"
+        return ClaimResult(claim, status, evidence)
 
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 
 
 def verify_instance(inst: FamilyInstance, flow_edge_limit: int = FLOW_EDGE_LIMIT) -> VerificationReport:
-    """Check every claim; flow constructions on graphs with more than
-    ``flow_edge_limit`` edges are reported as skipped-budget."""
-    results = tuple(_verify_claim(inst, claim, flow_edge_limit) for claim in inst.claims)
+    """Check every claim. A claim that would build a graph with more than
+    ``flow_edge_limit`` edges (the complement for a flow construction, or a
+    join for a flow construction or the gamma search) is reported as
+    skipped-budget without building it. The leave's independence number is
+    computed at most once."""
+    leave_alpha = cache(lambda: independence_number(inst.leave))
+    results = tuple(
+        _verify_claim(inst, claim, flow_edge_limit, leave_alpha) for claim in inst.claims
+    )
     return VerificationReport(inst.family_id, inst.k, inst.n, results)

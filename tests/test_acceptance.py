@@ -241,7 +241,7 @@ def test_criterion_6_single_edge_family():
         assert by_kind["leave-realizable"].evidence["stars"] == 9
         nonexistence = by_kind["nonexistence-at-s"]
         assert nonexistence.claim.params["s"] == 2
-        assert nonexistence.evidence["search"]["outcome"] == EXHAUSTED
+        assert nonexistence.evidence["gamma_search"]["outcome"] == EXHAUSTED
         cert = embed(inst.leave, 3)
         assert cert.s == 4 == 2 * 3 - 2
         assert cert.minimality == "exact"
@@ -301,9 +301,9 @@ def test_criterion_9_tightness_family():
         assert by_kind["leave-realizable"].evidence["complement_edges"] == 1216
         degree = by_kind["degree-pair-at-s"]
         assert degree.claim.params["s"] == 14 and degree.status == "verified"
-        replay = by_kind["nonexistence-at-s"]
-        assert replay.claim.params["s"] == 15 and replay.status == "verified"
-        assert all(step["ok"] for step in replay.evidence["steps"])
+        nonexistence = by_kind["nonexistence-at-s"]
+        assert nonexistence.claim.params["s"] == 15 and nonexistence.status == "verified"
+        assert nonexistence.evidence["gamma_search"]["outcome"] == EXHAUSTED
 
 
 def test_criterion_10_two_star_characterization():

@@ -412,8 +412,10 @@ def test_family_verify_takes_flow_limit(tmp_path):
     out = tmp_path / "family.json"
     args = ["family", "--id", "single-edge", "--k", "3", "--n", "8", "--out", str(out)]
     assert run(args + ["--verify", "--flow-limit", "10"]) == 0
-    realizable = [c for c in json.loads(out.read_text())["claims"] if c["kind"] == "leave-realizable"]
-    assert realizable[0]["evidence"] == {"complement_edges": 27, "limit": 10}
+    claims = {c["kind"]: c for c in json.loads(out.read_text())["claims"]}
+    assert claims["leave-realizable"]["evidence"] == {"complement_edges": 27, "limit": 10}
+    # the gamma search's join is held to the same limit
+    assert claims["nonexistence-at-s"]["evidence"] == {"join_edges": 18, "limit": 10}
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):

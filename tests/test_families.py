@@ -8,11 +8,10 @@ from stardecomp.families import (
     gen_single_edge,
     gen_tightness_t2,
     generate,
-    replay_single_edge_nonexistence,
-    replay_tightness_t2_nonexistence,
     verify_instance,
 )
-from stardecomp.graphs import Graph, disjoint_cliques, graph_from_edges
+from stardecomp.graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
+from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, exhaustive_gamma_search
 
 
 def claim_results(report, kind):
@@ -28,13 +27,21 @@ def test_single_edge_k3_n8_fully_verified():
     assert statuses["leave-realizable"] == "verified"
     assert statuses["nonexistence-at-s"] == "verified"
     assert statuses["no-embedding-below"] == "verified"
-    # the blocked join is small enough for the exhaustive route
     nonexistence = claim_results(report, "nonexistence-at-s")[0]
     assert nonexistence.claim.method == "exhaustive"
-    assert nonexistence.evidence["search"]["outcome"] == "exhausted-nonexistence"
-    assert nonexistence.evidence["gamma_search"]["outcome"] == "exhausted-nonexistence"
+    assert nonexistence.evidence == {
+        "gamma_search": {"nodes_explored": 2, "outcome": EXHAUSTED, "decomposition": None}
+    }
     realizable = claim_results(report, "leave-realizable")[0]
     assert realizable.evidence["stars"] == 9
+
+
+def test_single_edge_k3_n8_search_agrees_with_backtracking():
+    # the flow-free backtracking search over edges confirms the gamma search
+    # on the smallest blocked join; it is far too slow a few sizes up
+    target = join(gen_single_edge(3, 8).leave, 2)
+    assert exhaustive_gamma_search(target, 3).outcome == EXHAUSTED
+    assert exhaustive_decomposition(target, 3).outcome == EXHAUSTED
 
 
 def test_internal_error_in_repair_is_not_a_refutation(monkeypatch):
@@ -47,15 +54,58 @@ def test_internal_error_in_repair_is_not_a_refutation(monkeypatch):
         verify_instance(gen_single_edge(3, 8))
 
 
-def test_single_edge_k5_uses_proof_replay():
+def test_single_edge_k5_decided_by_search():
     inst = gen_single_edge(5, 12)
     nonexistence = [c for c in inst.claims if c.kind == "nonexistence-at-s"][0]
-    assert nonexistence.method == "proof-replay"
+    assert nonexistence.method == "exhaustive"
     report = verify_instance(inst)
     assert report.all_ok()
     below = claim_results(report, "no-embedding-below")[0]
+    assert below.status == "verified"
     assert below.evidence["candidates"] == [3, 4]
     assert below.evidence["per_s"] == {"3": "degree-pair", "4": "nonexistence"}
+    assert below.evidence["gamma_search"]["outcome"] == EXHAUSTED
+
+
+NONEXISTENCE_CASES = [
+    pytest.param(gen_single_edge, (k, 2 * k * r + 2), id=f"single-edge-k{k}-n{2 * k * r + 2}")
+    for k in range(3, 32, 2)
+    for r in (1, 2, 3)
+] + [pytest.param(gen_tightness_t2, (t,), id=f"tightness-T2-t{t}") for t in (4, 6)]
+
+
+@pytest.mark.parametrize("gen, params", NONEXISTENCE_CASES)
+def test_nonexistence_decided_by_gamma_search(gen, params):
+    inst = gen(*params)
+    s = inst.k - 1
+    # a limit that admits the blocked join; larger complements stay unbuilt
+    report = verify_instance(inst, flow_edge_limit=join_edge_count(inst.leave, s))
+    assert report.all_ok()
+    for result in report.results:
+        if result.claim.kind in ("nonexistence-at-s", "no-embedding-below"):
+            assert result.status == "verified"
+            assert result.evidence["gamma_search"]["outcome"] == EXHAUSTED
+
+
+def test_nonexistence_over_the_limit_never_builds_the_join(monkeypatch):
+    def no_join(leave, s):
+        raise RuntimeError("join built before the limit was checked")
+
+    monkeypatch.setattr("stardecomp.families.join", no_join)
+    report = verify_instance(gen_tightness_t2(10))
+    assert report.all_ok()
+    nonexistence = claim_results(report, "nonexistence-at-s")[0]
+    assert nonexistence.status == "skipped-budget"
+    assert nonexistence.evidence == {"join_edges": 3667968, "limit": 5000}
+
+
+def test_no_embedding_below_skipped_when_search_is_over_the_limit():
+    report = verify_instance(gen_single_edge(29, 176))
+    assert report.all_ok()
+    below = claim_results(report, "no-embedding-below")[0]
+    assert below.status == "skipped-budget"
+    assert below.evidence["per_s"] == {"27": "degree-pair", "28": "nonexistence"}
+    assert (below.evidence["join_edges"], below.evidence["limit"]) == (5307, 5000)
 
 
 def test_single_edge_trivial_n2():
@@ -69,14 +119,6 @@ def test_single_edge_rejects_bad_parameters():
         gen_single_edge(4, 10)  # even k
     with pytest.raises(ValueError):
         gen_single_edge(3, 9)  # wrong congruence class
-
-
-def test_single_edge_replay_steps_all_pass():
-    ok, steps = replay_single_edge_nonexistence(3, 8)
-    assert ok
-    assert all(step["ok"] for step in steps)
-    total = [s for s in steps if s["step"] == "total-centers"][0]
-    assert total["total"] == 6
 
 
 def test_bound_n_t7_frozen_arithmetic():
@@ -130,16 +172,9 @@ def test_tightness_t2_t4_all_stages():
     assert divisible.evidence["found"] == [14, 15]
     degree = claim_results(report, "degree-pair-at-s")[0]
     assert degree.status == "verified"
-    replay = claim_results(report, "nonexistence-at-s")[0]
-    assert replay.status == "verified"
-
-
-def test_tightness_t2_replay_steps():
-    ok, steps = replay_tightness_t2_nonexistence(16, 50)
-    assert ok
-    by_name = {s["step"]: s for s in steps}
-    assert by_name["preconditions"]["r"] == 1
-    assert by_name["total-centers"]["total"] == (2 + 1) * 15 + 8 + 1
+    nonexistence = claim_results(report, "nonexistence-at-s")[0]
+    assert nonexistence.status == "verified"
+    assert nonexistence.evidence["gamma_search"]["nodes_explored"] == 16
 
 
 def test_tightness_t2_rejects_bad_parameters():

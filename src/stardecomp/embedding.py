@@ -21,7 +21,7 @@ from math import isqrt
 
 from . import oracle
 from .exactnum import RootBound, Surd
-from .graphs import Graph, join, join_edge_count
+from .graphs import Graph, graph_from_rows, join, join_edge_count, labels_of, mask_of
 from .independence import (
     DEFAULT_ALPHA_BUDGET,
     BudgetExceeded,
@@ -241,21 +241,25 @@ def _construction_gamma(
 
 def greedy_star_removal(base: Graph, k: int) -> tuple[tuple[Star, ...], Graph]:
     """Remove k-stars (lowest center, lowest leaves first) until the graph has
-    maximum degree at most k-1. Returns the stars removed and the remainder."""
-    adj = [set(base.neighbors(v)) for v in range(base.n)]
+    maximum degree at most k-1. Returns the stars removed and the remainder.
+
+    While v is the center, only v's own stars remove edges at v, so they
+    take v's remaining neighbours in ascending order, k at a time, and leave
+    the last fewer than k."""
+    rows = list(base.rows)
     stars: list[Star] = []
-    v = 0
-    while v < base.n:
-        if len(adj[v]) >= k:
-            leaves = sorted(adj[v])[:k]
-            stars.append(Star(v, tuple(leaves)))
-            for w in leaves:
-                adj[v].discard(w)
-                adj[w].discard(v)
-        else:
-            v += 1
-    edges = tuple((u, w) for u in range(base.n) for w in sorted(adj[u]) if u < w)
-    return tuple(stars), Graph(base.n, edges)
+    for v, row in enumerate(rows):
+        if row.bit_count() < k:
+            continue
+        nbrs = labels_of(row)
+        taken = len(nbrs) - len(nbrs) % k
+        stars += [Star(v, tuple(nbrs[i : i + k])) for i in range(0, taken, k)]
+        for w in nbrs[:taken]:
+            rows[w] ^= 1 << v
+        rows[v] = mask_of(nbrs[taken:])
+    if not stars:
+        return (), base
+    return tuple(stars), graph_from_rows(rows)
 
 
 def general_cap(k: int) -> Fraction | Surd:

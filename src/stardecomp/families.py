@@ -546,11 +546,10 @@ def _verify_claim(
 
     if claim.kind == "success-at-s":
         s = claim.params["s"]
-        if join_edge_count(leave, s) > flow_edge_limit:
+        edges = join_edge_count(leave, s)
+        if edges > flow_edge_limit:
             return ClaimResult(
-                claim,
-                "skipped-budget",
-                {"join_edges": join_edge_count(leave, s)},
+                claim, "skipped-budget", {"join_edges": edges, "limit": flow_edge_limit}
             )
         target = join(leave, s)
         dec = embed_large_case(leave, k, s, target)

@@ -6,6 +6,15 @@ Graphs are immutable and hashable; all operations return new graphs. A
 graph keeps its edges once, as the tuple of pairs (u, v) with u < v in label
 order: ``Graph(n, edges)`` takes them only in that form, and
 ``graph_from_edges`` accepts any pairs.
+
+Its one adjacency is a bitset row per vertex (``Graph.rows``): a Python int
+whose bit w is set iff w is a neighbour. A row costs about n/8 bytes, so the
+rows of a graph cost about n^2/8 bytes whatever its edge count. The builders
+here (``complete_graph``, ``disjoint_cliques``, ``join``, ``complement`` and
+``graph_from_rows``) fill the rows and degrees in O(n) big-int operations
+and emit label-ordered edges by construction, so they skip the per-edge check
+that ``Graph(n, edges)`` makes; a graph built from edges computes its rows
+the first time they are read.
 """
 
 from __future__ import annotations
@@ -14,10 +23,35 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from pathlib import Path
 
 Edge = tuple[int, int]
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def labels_of(mask: int) -> list[int]:
+    """The labels of the set bits of ``mask``, ascending."""
+    # One pass in C over the binary digits costs about as much as peeling
+    # off one set bit per eighth of the digits, plus a fixed eight or so,
+    # so denser masks take it.
+    if mask.bit_count() * 8 > mask.bit_length() + 64:
+        digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest first
+        return list(compress(range(len(digits)), digits))
+    out = []
+    base = -1
+    while mask:
+        shift = (mask & -mask).bit_length()
+        base += shift
+        out.append(base)
+        mask >>= shift
+    return out
+
+
+def mask_of(labels) -> int:
+    """The mask with the bits of ``labels`` set; the labels must be distinct."""
+    return sum(map((1).__lshift__, labels))
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -28,6 +62,10 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
+    """A graph on labels 0..n-1: its edges in label order, checked here, and
+    its bitset rows, one int of about n/8 bytes per vertex, read off the
+    edges on first use unless a builder supplied them."""
+
     n: int
     edges: tuple[Edge, ...]  # distinct pairs (u, v), u < v, in label order
 
@@ -50,16 +88,17 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+    def rows(self) -> tuple[int, ...]:
+        """Bit w of ``rows[v]`` is set iff vw is an edge; about n/8 bytes a row."""
+        rows = [0] * self.n
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return tuple(rows)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        # counted from the edges, so asking for degrees builds no adjacency
+        # counted from the edges, so asking for degrees builds no rows
         deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1
@@ -71,9 +110,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
 
     def complement(self) -> "Graph":
         n = self.n
@@ -90,29 +126,54 @@ class Graph:
                 lo = v + 1
             edges += zip(repeat(u), labels[lo:])
             start = end
-        g = Graph(n, tuple(edges))
-        vars(g)["degrees"] = tuple([n - 1 - d for d in self.degrees])
-        return g
+        full = (1 << n) - 1
+        rows = [full ^ row ^ (1 << v) for v, row in enumerate(self.rows)]
+        return _built(n, tuple(edges), rows, [n - 1 - d for d in self.degrees])
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
+        rows = self.rows
+        seen = bytearray(self.n)
         comps: list[list[int]] = []
         for start in range(self.n):
             if seen[start]:
                 continue
-            seen[start] = True
-            comp = [start]
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adjacency[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
+            if not rows[start]:
+                comps.append([start])
+                continue
+            # Every vertex below start lies in an earlier component, so the
+            # masks hold labels relative to start and stay as small as the
+            # component's span. They grow a breadth-first layer at a time.
+            comp = new = (rows[start] >> start) | 1
+            while new:
+                reach = 0
+                for i in labels_of(new):
+                    reach |= rows[start + i]
+                new = (reach >> start) & ~comp
+                comp |= new
+            comp_labels = [start + i for i in labels_of(comp)]
+            for x in comp_labels:
+                seen[x] = 1
+            comps.append(comp_labels)
         return comps
+
+
+def _built(n: int, edges: tuple[Edge, ...], rows, degrees) -> Graph:
+    """A graph from a builder that emits label-ordered edges by construction,
+    with its rows and degrees; unlike ``Graph(n, edges)`` nothing is re-checked."""
+    g = object.__new__(Graph)
+    vars(g).update(n=n, edges=edges, rows=tuple(rows), degrees=tuple(degrees))
+    return g
+
+
+def graph_from_rows(rows) -> Graph:
+    """The graph whose adjacency is ``rows``, which must be symmetric and free
+    of self-loops (not checked); its edges are read off the rows in label order."""
+    edges: list[Edge] = []
+    for u, row in enumerate(rows):
+        # the labels above u, read with u's own and lower bits cleared
+        edges += zip(repeat(u), labels_of((row >> (u + 1)) << (u + 1)))
+    return _built(len(rows), tuple(edges), rows, [row.bit_count() for row in rows])
 
 
 def component_edge_counts(g: Graph, comps: list[list[int]]) -> list[int]:
@@ -137,19 +198,26 @@ def graph_from_edges(n: int, edges) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return Graph(n, tuple(combinations(range(n), 2)))
+    full = (1 << n) - 1
+    rows = [full ^ (1 << v) for v in range(n)]
+    return _built(n, tuple(combinations(range(n), 2)), rows, [n - 1] * n)
 
 
 def disjoint_cliques(sizes: list[int]) -> Graph:
     """Vertex-disjoint union of cliques, laid out in the order given."""
     edges: list[Edge] = []
+    rows: list[int] = []
+    degrees: list[int] = []
     offset = 0
     for size in sizes:
         if size < 0:
             raise ValueError("clique sizes must be nonnegative")
-        edges.extend(combinations(range(offset, offset + size), 2))
+        block = (1 << (offset + size)) - (1 << offset)
+        edges += combinations(range(offset, offset + size), 2)
+        rows += [block ^ (1 << v) for v in range(offset, offset + size)]
+        degrees += [size - 1] * size
         offset += size
-    return Graph(offset, tuple(edges))
+    return _built(offset, tuple(edges), rows, degrees)
 
 
 def join(base: Graph, s: int) -> Graph:
@@ -168,12 +236,13 @@ def join(base: Graph, s: int) -> Graph:
         edges += zip(repeat(u), new)
         start = end
     edges += combinations(new, 2)
-    g = Graph(n + s, tuple(edges))
-    # the degrees cache, filled in O(n + s) rather than by a pass over the edges
+    full = (1 << (n + s)) - 1
+    clique = full ^ ((1 << n) - 1)
+    rows = [row | clique for row in base.rows]
+    rows += [full ^ (1 << z) for z in new]
     degrees = [d + s for d in base.degrees]
     degrees += [n + s - 1] * s
-    vars(g)["degrees"] = tuple(degrees)
-    return g
+    return _built(n + s, tuple(edges), rows, degrees)
 
 
 def join_edge_count(base: Graph, s: int) -> int:

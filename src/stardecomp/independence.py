@@ -3,17 +3,19 @@ independent sets.
 
 Components are solved independently. A clique component is answered at once,
 which covers the disjoint clique unions of the tightness families at any
-size. Any other component gets one search over bitmasks of its vertices:
-vertices of degree 0 or 1 are taken in a loop (settling forests, paths and
-cycles with at most one branch), and the rest is branched on a vertex of
-maximum degree, with pending masks on an explicit stack. The budget counts
-branch nodes and the memo holds one entry per branch node, so the memo never
-outgrows the budget. The same memo answers ``maximum_independent_set``.
+size. Any other component gets one search over masks of vertex labels, read
+against the graph's own bitset rows: vertices of degree 0 or 1 are taken in
+a loop (settling forests, paths and cycles with at most one branch), and the
+rest is branched on a vertex of maximum degree, with pending masks on an
+explicit stack. The budget counts branch nodes and the memo holds one entry
+per branch node, so the memo never outgrows the budget. Masks of different
+components never meet, so one memo serves them all, and it also answers
+``maximum_independent_set``.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, mask_of
 
 DEFAULT_ALPHA_BUDGET = 10_000_000
 
@@ -22,15 +24,11 @@ class BudgetExceeded(Exception):
     """A branch-and-bound search hit its node budget before finishing."""
 
 
-class _Component:
-    """A connected component as bitmasks over its sorted vertex list."""
+class _Search:
+    """Independence numbers of vertex masks, memoized, on one node budget."""
 
-    def __init__(self, g: Graph, comp: list[int], budget: list[int]) -> None:
-        index = {v: i for i, v in enumerate(comp)}
-        self.adj = [0] * len(comp)
-        for i, v in enumerate(comp):
-            for w in g.neighbors(v):
-                self.adj[i] |= 1 << index[w]
+    def __init__(self, g: Graph, budget: int) -> None:
+        self.adj = g.rows
         self.budget = budget
         self.memo = {0: 0}
 
@@ -62,8 +60,8 @@ class _Component:
                 continue
             if top in memo:
                 continue
-            self.budget[0] -= 1
-            if self.budget[0] < 0:
+            self.budget -= 1
+            if self.budget < 0:
                 raise BudgetExceeded("independence search budget exhausted")
             best_v = best_d = -1
             m = top
@@ -79,24 +77,22 @@ class _Component:
         return taken + memo[core]
 
 
-def _components(g: Graph, budget: int):
-    """Each component with its search (None for a clique) and its alpha, all
-    drawing on one budget."""
-    counter = [budget]
+def _component_alphas(g: Graph, search: _Search):
+    """Each component with its mask (None for a clique) and its alpha."""
     for comp in g.components():
         size = len(comp)
         if all(g.degree(v) == size - 1 for v in comp):
             # every neighbour lies in the component, so each vertex sees all the others
             yield comp, None, 1
         else:
-            c = _Component(g, comp, counter)
-            yield comp, c, c.alpha((1 << size) - 1)
+            mask = mask_of(comp)
+            yield comp, mask, search.alpha(mask)
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_ALPHA_BUDGET) -> int:
     """Exact independence number; raises BudgetExceeded once the search has
     branched ``budget`` times."""
-    return sum(alpha for _, _, alpha in _components(g, budget))
+    return sum(alpha for _, _, alpha in _component_alphas(g, _Search(g, budget)))
 
 
 def maximum_independent_set(g: Graph, budget: int = DEFAULT_ALPHA_BUDGET) -> tuple[int, ...]:
@@ -106,19 +102,20 @@ def maximum_independent_set(g: Graph, budget: int = DEFAULT_ALPHA_BUDGET) -> tup
     some maximum independent set of what is left contains it. Components do
     not interact, so the union of their answers is the smallest overall.
     """
+    search = _Search(g, budget)
+    adj = g.rows
     chosen: list[int] = []
-    for comp, c, remaining in _components(g, budget):
-        if c is None:
+    for comp, mask, remaining in _component_alphas(g, search):
+        if mask is None:
             chosen.append(comp[0])
             continue
         # alpha(mask) == remaining throughout
-        mask = (1 << len(comp)) - 1
-        for i, v in enumerate(comp):
-            if remaining and mask >> i & 1:
-                rest = mask & ~(c.adj[i] | 1 << i)
-                if 1 + c.alpha(rest) == remaining:
+        for v in comp:
+            if remaining and mask >> v & 1:
+                rest = mask & ~(adj[v] | 1 << v)
+                if 1 + search.alpha(rest) == remaining:
                     chosen.append(v)
                     mask, remaining = rest, remaining - 1
                 else:
-                    mask &= ~(1 << i)
+                    mask &= ~(1 << v)
     return tuple(sorted(chosen))

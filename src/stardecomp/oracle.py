@@ -25,11 +25,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import Graph, complete_graph
+from .graphs import Graph, complete_graph, labels_of
 from .solver import Star, StarDecomposition, decide_star_decomposition
 
 DEFAULT_SEARCH_BUDGET = 100_000_000
 DEFAULT_GAMMA_BUDGET = 1_000_000
+# 2^30 - 35: a prime of one CPython int digit, so a row's residue takes one
+# short pass, with 2 as a primitive root
+_ROW_PRIME = 1_073_741_789
 
 FOUND = "found"
 EXHAUSTED = "exhausted-nonexistence"
@@ -194,17 +197,32 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     in N(y) and y in N[z] = N[x], so y would be in N(x) = N(y). So the
     classes partition the vertices, and an open neighbourhood never equals a
     closed one, so one table serves both kinds.
+
+    The table is keyed by each row's residue mod a prime and every match is
+    checked against the class's first member. A dict keyed by the rows
+    themselves would hash them mod 2^61 - 1, under which rows that differ by
+    a shift of 61 labels collide: a path's rows fill a few dozen slots, and
+    each lookup scans one. The prime has 2 as a primitive root, so no shift
+    shorter than the prime collides, and the closed row's residue is the
+    open one's plus 2^x.
     """
-    index: dict[frozenset[int], int] = {}
+    rows = g.rows
+    index: dict[int, list[int]] = {}  # residue of an open or closed row -> classes
     classes: list[list[int]] = []
-    for x in range(g.n):
-        nbrs = g.adjacency[x]
-        closed = nbrs | {x}
-        c = index.get(nbrs, index.get(closed))
-        if c is None:
-            c = index[nbrs] = index[closed] = len(classes)
-            classes.append([])
-        classes[c].append(x)
+    power = 1  # 2^x mod the prime
+    for x, row in enumerate(rows):
+        key = row % _ROW_PRIME
+        closed_key = (key + power) % _ROW_PRIME
+        power = 2 * power % _ROW_PRIME
+        for c in index.get(key, []) + index.get(closed_key, []):
+            z = classes[c][0]
+            if rows[z] == row or rows[z] | (1 << z) == row | (1 << x):
+                classes[c].append(x)
+                break
+        else:
+            index.setdefault(key, []).append(len(classes))
+            index.setdefault(closed_key, []).append(len(classes))
+            classes.append([x])
     return [tuple(members) for members in classes]
 
 
@@ -258,7 +276,7 @@ def iter_class_totals(g: Graph, k: int, classes):
     vertex_caps = gamma_caps(g, k)
     cap = [vertex_caps[members[0]] for members in classes]
     size = [len(members) for members in classes]
-    nbrs = [{of[w] for w in g.adjacency[members[0]]} for members in classes]
+    nbrs = [{of[w] for w in labels_of(g.rows[group[0]])} for group in classes]
     clique = [c in nbrs[c] for c in range(len(classes))]
     zero = [x == 0 for x in cap]
     if any(zero[c] and zero[w] for c in range(len(classes)) for w in nbrs[c]):

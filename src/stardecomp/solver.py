@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .flow import MaxFlow
-from .graphs import Graph, complete_graph, component_edge_counts
+from .graphs import Graph, complete_graph, component_edge_counts, labels_of, mask_of
 
 
 class Star(NamedTuple):
@@ -131,17 +131,13 @@ def shrink_witness(g: Graph, k: int, gamma, vertices) -> tuple[int, ...]:
         raise ValueError("shrink_witness expects a set with negative deficiency")
     # Dropping x loses its edges to vertices outside the current set and
     # k*gamma(x) of demand, so the deficiency does not grow iff
-    # k*gamma(x) <= deg(x) - inside[x].
-    inside = [0] * g.n
-    for x in current:
-        for y in g.neighbors(x):
-            inside[y] += 1
+    # k*gamma(x) <= deg(x) minus its neighbours in the current set.
+    rows = g.rows
+    kept = mask_of(current)
     for x in sorted(current, reverse=True):
-        if k * gamma[x] <= g.degree(x) - inside[x]:
-            current.remove(x)
-            for y in g.neighbors(x):
-                inside[y] -= 1
-    return tuple(sorted(current))
+        if k * gamma[x] <= g.degree(x) - (rows[x] & kept).bit_count():
+            kept ^= 1 << x
+    return tuple(labels_of(kept))
 
 
 def decide_star_decomposition(
@@ -327,12 +323,17 @@ def two_star_decompose(g: Graph) -> StarDecomposition | None:
 
     Per component the edges are paired bottom-up along a BFS tree: each
     vertex pairs its still-unused non-parent edges, attaching a leftover to
-    the parent edge.
+    the parent edge. Neighbours are visited in ascending order, read from
+    lists that one pass over the label-ordered edges fills in that order.
     """
     comps = g.components()
     counts = component_edge_counts(g, comps)
     if any(c % 2 for c in counts):
         return None
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     stars: list[Star] = []
     used: set[tuple[int, int]] = set()
     for comp, comp_edges in zip(comps, counts):
@@ -346,7 +347,7 @@ def two_star_decompose(g: Graph) -> StarDecomposition | None:
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            for y in sorted(g.neighbors(x)):
+            for y in nbrs[x]:
                 if y not in parent:
                     parent[y] = x
                     order.append(y)
@@ -355,7 +356,7 @@ def two_star_decompose(g: Graph) -> StarDecomposition | None:
             p = parent[v]
             avail = [
                 w
-                for w in sorted(g.neighbors(v))
+                for w in nbrs[v]
                 if w != p and (min(v, w), max(v, w)) not in used
             ]
             for i in range(0, len(avail) - 1, 2):

@@ -213,6 +213,9 @@ def test_even_bound_t5_arithmetic():
     assert report.all_ok()
     skipped = [r for r in report.results if r.status == "skipped-budget"]
     assert {r.claim.kind for r in skipped} == {"leave-realizable", "success-at-s"}
+    success = claim_results(report, "success-at-s")[0]
+    # a skip names the limit that stopped it, as the other skipped claims do
+    assert success.evidence == {"join_edges": 13344, "limit": 2000}
 
 
 def test_even_bound_rejects_even_t():

@@ -14,6 +14,8 @@ from stardecomp.graphs import (
     graph_to_json_dict,
     join,
     join_edge_count,
+    labels_of,
+    mask_of,
     parse_edge_list,
     read_graph,
     write_graph,
@@ -83,7 +85,7 @@ def test_join_degrees_and_twins():
     # join vertices are pairwise twin
     for z1 in range(4, 7):
         for z2 in range(z1 + 1, 7):
-            assert g.neighbors(z1) - {z2} == g.neighbors(z2) - {z1}
+            assert g.rows[z1] | 1 << z1 == g.rows[z2] | 1 << z2
 
 
 def test_complement_involution():
@@ -116,6 +118,42 @@ def test_components_and_induced_edges():
     assert comps == [[0, 1, 2], [3], [4, 5]]
     assert sum(u in {0, 1, 2} and v in {0, 1, 2} for u, v in g.edges) == 2
     assert sum(u in {4, 5} and v in {4, 5} for u, v in g.edges) == 1
+
+
+def test_labels_of_inverts_mask_of():
+    rng = random.Random(3)
+    for size in (1, 7, 64, 300, 5000):
+        for share in (0.001, 0.05, 0.2, 0.9):  # both ways of reading a mask
+            labels = sorted(x for x in range(size) if rng.random() < share)
+            assert labels_of(mask_of(labels)) == labels
+    assert labels_of(0) == [] and mask_of([]) == 0
+
+
+def test_components_match_union_find():
+    # interleaved labels and long paths: the masks are taken relative to
+    # each component's lowest label and grown a layer at a time
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 60)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        edges = [e for e in edges if e[0] != e[1]]
+        order = list(range(n))
+        rng.shuffle(order)
+        edges += [(order[i], order[i + 1]) for i in range(rng.randint(0, n - 1))]
+        g = graph_from_edges(n, edges)
+        root = list(range(n))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for u, v in g.edges:
+            root[find(u)] = find(v)
+        groups = {}
+        for x in range(n):
+            groups.setdefault(find(x), []).append(x)
+        assert g.components() == sorted(groups.values())
 
 
 def test_edge_list_round_trip(tmp_path):

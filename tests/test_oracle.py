@@ -140,12 +140,50 @@ def _full_gamma_enumeration(g, k):
 
 
 def _twin_classes(g):
+    nbrs = [set() for _ in range(g.n)]  # from the edges, not the rows under test
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     classes = {}
     for x in range(g.n):
-        open_nbrs = frozenset(g.neighbors(x))
+        open_nbrs = frozenset(nbrs[x])
         classes.setdefault(("open", open_nbrs), []).append(x)
         classes.setdefault(("closed", open_nbrs | {x}), []).append(x)
     return [c for c in classes.values() if len(c) > 1]
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_twin_classes_rest_on_full_row_comparisons(monkeypatch, prime):
+    # with a tiny prime nearly every residue is shared, so only the full
+    # comparisons keep the classes apart
+    rng = random.Random(5)
+    graphs = [
+        join(disjoint_cliques([3, 2, 1, 3]), 2),
+        graph_from_edges(9, [(i, i + 1) for i in range(8)]),
+        join(graph_from_edges(12, [(0, 1), (2, 3), (4, 5), (6, 8), (7, 8)]), 3),
+    ]
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+        graphs.append(join(graph_from_edges(n, edges), rng.randint(0, 2)))
+    expected = [twin_classes(g) for g in graphs]
+    monkeypatch.setattr(oracle, "_ROW_PRIME", prime)
+    for g, want in zip(graphs, expected):
+        got = twin_classes(g)
+        assert got == want
+        assert sorted(c for c in got if len(c) > 1) == sorted(map(tuple, _twin_classes(g)))
+        assert sorted(x for c in got for x in c) == list(range(g.n))
+
+
+def test_twin_classes_of_a_long_path_join_take_one_pass():
+    # Python hashes ints mod 2^61 - 1, so the rows of a path joined with K_3,
+    # keyed as ints, would share a few dozen slots and each lookup would
+    # scan one: about 7 s on a 2-core host, against 0.2 s
+    g = join(graph_from_edges(20000, [(i, i + 1) for i in range(19999)]), 3)
+    start = time.perf_counter()
+    classes = twin_classes(g)
+    assert time.perf_counter() - start < 2.0
+    assert len(classes) == 20001
 
 
 def _class_totals_by_brute_force(g, k):

@@ -16,6 +16,7 @@ from stardecomp.graphs import (
     complete_graph,
     disjoint_cliques,
     graph_from_edges,
+    graph_from_rows,
     join,
     join_edge_count,
 )
@@ -71,21 +72,31 @@ def test_complement_is_an_involution(g):
 
 
 def _same_as_built_from_edges(h):
-    # the label-order constructors hand Graph strictly increasing edges
-    assert all(a < b for a, b in zip(h.edges, h.edges[1:]))
-    plain = graph_from_edges(h.n, h.edges)
+    # The builders skip Graph's per-edge check and fill the rows and degrees
+    # themselves, so rebuild h from its edges with the check on, and count
+    # its rows and degrees from the edge list.
+    plain = Graph(h.n, h.edges)
     assert h == plain and hash(h) == hash(plain)
-    # join and complement fill the degrees cache without counting edges
-    assert h.degrees == plain.degrees
+    rows = [0] * h.n
+    degrees = [0] * h.n
+    for u, v in h.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        degrees[u] += 1
+        degrees[v] += 1
+    assert h.rows == tuple(rows)
+    assert h.degrees == tuple(degrees)
 
 
 @SETTINGS
-@given(small_graphs(), st.integers(min_value=0, max_value=5))
-def test_constructed_graphs_come_in_label_order(g, s):
+@given(small_graphs(), st.integers(min_value=0, max_value=5), st.sampled_from([2, 3, 4]))
+def test_constructed_graphs_come_in_label_order(g, s, k):
     _same_as_built_from_edges(join(g, s))
     _same_as_built_from_edges(g.complement())
     _same_as_built_from_edges(complete_graph(g.n + s))
     _same_as_built_from_edges(join(g.complement(), s))
+    _same_as_built_from_edges(graph_from_rows(join(g, s).rows))
+    _same_as_built_from_edges(greedy_star_removal(join(g, s), k)[1])
 
 
 @SETTINGS
@@ -347,6 +358,20 @@ def test_embed_rejections_hold_for_the_given_leave(inst):
 @given(small_graphs(), st.sampled_from([2, 3, 4]))
 def test_greedy_removal_reaches_low_degree(g, k):
     stars, reduced = greedy_star_removal(g, k)
+    # the same stars as removing them one at a time from neighbour sets
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    expected = []
+    for v in range(g.n):
+        while len(adj[v]) >= k:
+            leaves = sorted(adj[v])[:k]
+            expected.append((v, tuple(leaves)))
+            for w in leaves:
+                adj[v].discard(w)
+                adj[w].discard(v)
+    assert [(star.center, star.leaves) for star in stars] == expected
     assert reduced.max_degree() <= k - 1
     assert reduced.num_edges + k * len(stars) == g.num_edges
     seen = set(reduced.edges)

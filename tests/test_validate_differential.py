@@ -54,7 +54,8 @@ def sequential_validate(g, d):
 def _swap_leaf(rng, g, stars):
     i = rng.randrange(len(stars))
     star = stars[i]
-    far = [x for x in range(g.n) if x != star.center and x not in g.neighbors(star.center)]
+    row = g.rows[star.center]
+    far = [x for x in range(g.n) if x != star.center and not row >> x & 1]
     if not far:
         return
     leaves = list(star.leaves)

@@ -1,5 +1,11 @@
 """Deterministic unit-arc max-flow (Dinic) for the orientation-repair networks.
 
+Two forms hold the same network, the current orientation of a graph's
+edges: ``MaxFlow`` keeps one arc id per edge, and ``max_flow_on_rows`` keeps
+one out-neighbour bitset per vertex. The solver takes the rows for graphs of
+at least 128 vertices and n^2/16 edges and the arcs otherwise; the
+``solver`` docstring times one against the other.
+
 All arcs have capacity one. Arc ids come in pairs: ``to[a]`` is the head of
 arc a and ``a ^ 1`` is its reverse. Each vertex has an out-list of the ids
 leaving it; a unit pushed along an arc reverses it, so the residual graph
@@ -13,9 +19,17 @@ walked with an explicit stack, so they may be as long as the network has
 vertices. Out-lists are scanned in insertion order, so identical inputs give
 the same flow. After a maximum flow, the vertices with a directed path to
 unmet deficit are the smallest sink side over all minimum cuts.
+
+On rows, ``out[x]`` is an int whose bit y is set iff the edge xy leaves x.
+A breadth-first frontier is the OR of its vertices' out-rows, a path step
+takes the lowest bit of ``out[x]`` on the next live level, and reversing an
+arc xy flips bit y of ``out[x]`` and bit x of ``out[y]``. Each step costs an
+operation on n-bit ints, so the rows pay off only on dense graphs.
 """
 
 from __future__ import annotations
+
+from .graphs import labels_of
 
 
 class MaxFlow:
@@ -134,3 +148,79 @@ def _closure(seen: list[bool], adj: list[list[int]]) -> list[bool]:
                 seen[y] = True
                 stack.append(y)
     return seen
+
+
+def max_flow_on_rows(out: list[int], excess: list[int]) -> int:
+    """``MaxFlow.max_flow`` on out-rows: route surplus to deficit, reversing
+    each path in ``out`` and updating ``excess`` in place; the return value
+    is the number of units routed."""
+    total = 0
+    while True:
+        sources = sinks = 0
+        for x, e in enumerate(excess):
+            if e > 0:
+                sources |= 1 << x
+            elif e < 0:
+                sinks |= 1 << x
+        if not (sources and sinks):
+            return total
+        # levels[d]: the vertices first reached after d arcs
+        levels = [sources]
+        seen = frontier = sources
+        while True:
+            later = 0
+            for x in labels_of(frontier):
+                later |= out[x]
+            frontier = later & ~seen
+            if not frontier:
+                return total
+            reached = frontier & sinks
+            if reached:
+                # paths end on the deepest level, so only its deficit vertices stay
+                levels.append(reached)
+                break
+            levels.append(frontier)
+            seen |= frontier
+        depth = len(levels) - 1
+        for s in labels_of(sources):
+            path = [s]
+            while True:
+                x = path[-1]
+                d = len(path)
+                if d > depth:
+                    for a, b in zip(path, path[1:]):
+                        out[a] ^= 1 << b
+                        out[b] ^= 1 << a
+                    total += 1
+                    excess[s] -= 1
+                    excess[x] += 1
+                    if not excess[x]:
+                        levels[depth] ^= 1 << x
+                    if not excess[s]:
+                        break
+                    # every arc of the path is reversed now
+                    del path[1:]
+                    continue
+                step = out[x] & levels[d]
+                if step:
+                    path.append((step & -step).bit_length() - 1)
+                else:
+                    # dead end for the rest of the phase: retreat
+                    levels[d - 1] &= ~(1 << x)
+                    path.pop()
+                    if not path:
+                        break
+
+
+def reaching_on_rows(rows, out: list[int], excess: list[int]) -> int:
+    """The mask of the vertices that reach unmet deficit along ``out``, the
+    orientation of the graph with adjacency ``rows``: the smallest sink side
+    of a minimum cut, read through the in-rows ``rows[y] & ~out[y]``."""
+    reach = frontier = sum(1 << x for x, e in enumerate(excess) if e < 0)
+    while frontier:
+        into = 0
+        for y in labels_of(frontier):
+            into |= rows[y] & ~out[y]
+        frontier = into & ~reach
+        reach |= frontier
+    return reach

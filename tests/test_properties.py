@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stardecomp import solver
 from stardecomp.embedding import REASON_UNKNOWN, embed, greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
 from stardecomp.flow import MaxFlow
@@ -34,6 +36,7 @@ from stardecomp.solver import (
     StarDecomposition,
     decide_star_decomposition,
     decompose_with_repair,
+    deficiency,
     two_star_decompose,
     validate_decomposition,
 )
@@ -154,32 +157,47 @@ def _star_union(rng):
     return graph_from_edges(n, used), k, tuple(gamma)
 
 
-def test_decide_matches_subset_enumeration_on_every_branch(monkeypatch):
+@pytest.mark.parametrize("route", ["arcs", "rows"])
+def test_decide_matches_subset_enumeration_on_every_branch(monkeypatch, route):
     # Record the units each decide routes: 0 means the stars are read from
-    # the starting orientation, more means the flow repaired it.
+    # the starting orientation, more means the flow repaired it. These
+    # graphs are below the rows threshold, so the rows route is called
+    # directly.
     routed = []
-    max_flow = MaxFlow.max_flow
 
-    def spy(net):
-        routed.append(max_flow(net))
-        return routed[-1]
+    def spy(max_flow):
+        def counted(*args):
+            routed.append(max_flow(*args))
+            return routed[-1]
 
-    monkeypatch.setattr(MaxFlow, "max_flow", spy)
+        return counted
+
+    if route == "arcs":
+        decide = decide_star_decomposition
+        monkeypatch.setattr(MaxFlow, "max_flow", spy(MaxFlow.max_flow))
+    else:
+        decide = solver._decide_on_rows
+        monkeypatch.setattr(solver, "max_flow_on_rows", spy(solver.max_flow_on_rows))
     rng = random.Random(15)
     branches = {"started": 0, "repaired": 0, "refused": 0}
     for trial in range(600):
         g, k, gamma = _star_union(rng)
         delta, smallest = enumerate_min_deficiency(g, k, gamma)
-        result = decide_star_decomposition(g, k, gamma)
+        result = decide(g, k, gamma)
         if delta == 0:
             assert isinstance(result, StarDecomposition)
             assert validate_decomposition(g, result) is None
+            centers = [star.center for star in result.stars]
+            leaves = [star.leaves for star in result.stars]
+            assert solver._covers_on_rows(g, k, centers, leaves)
             assert result.central_function(g.n) == gamma
             assert all(list(star.leaves) == sorted(star.leaves) for star in result.stars)
             branches["repaired" if routed[-1] else "started"] += 1
         else:
-            assert result.delta == delta
+            # the smallest minimum-deficiency set, whatever the route
             assert [result.vertices] == smallest
+            assert result == deficiency(g, k, gamma, smallest[0])
+            assert result.delta == delta
             branches["refused"] += 1
     assert min(branches.values()) >= 20, branches
 

@@ -5,15 +5,18 @@ from itertools import combinations, product
 
 import pytest
 
+from stardecomp.families import generate
 from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
     Graph,
     complete_graph,
     disjoint_cliques,
     graph_from_edges,
+    join_edge_count,
 )
 from stardecomp.solver import (
     DeficiencyWitness,
+    _on_rows,
     Star,
     StarDecomposition,
     balanced_gamma,
@@ -198,6 +201,41 @@ def test_two_star_k5():
     dec = two_star_decompose(g)
     assert len(dec.stars) == 5
     assert validate_decomposition(g, dec) is None
+
+
+def test_rows_route_only_for_large_dense_graphs():
+    # Validation on rows costs O(|E| n/64) word operations, so it would go
+    # quadratic on long sparse graphs; below 128 vertices the arcs are faster.
+    def complement_size(leave):
+        return leave.n, leave.n * (leave.n - 1) // 2 - leave.num_edges
+
+    def join_size(leave, s):
+        return leave.n + s, join_edge_count(leave, s)
+
+    # every join of the sweep and constructions grids (k <= 7, n <= 30,
+    # s <= 4k), even as a complete graph
+    arcs = [(n, n * (n - 1) // 2) for n in range(1, 59)]
+    # the bench's tiny families: complements and success joins
+    tiny = (("single-edge", {"k": 3, "n": 8}, 2), ("even-bound", {"t": 3}, 20))
+    for family_id, params, s in tiny:
+        leave = generate(family_id, **params).leave
+        arcs += [complement_size(leave), join_size(leave, s)]
+    # long sparse joins: paths of 500 and 2,000 vertices with K_4, and a
+    # 12,000-vertex caterpillar (a 9,000-vertex path with 3,000 legs) with K_3
+    for n in (500, 2000):
+        arcs.append(join_size(graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]), 4))
+    legs = [(3 * i + 1, 9000 + i) for i in range(3000)]
+    caterpillar = graph_from_edges(12000, [(i, i + 1) for i in range(8999)] + legs)
+    arcs.append(join_size(caterpillar, 3))
+    assert arcs[-1] == (12003, 48002)
+    assert not any(_on_rows(n, edges) for n, edges in arcs)
+
+    t2 = generate("tightness-T2", t=8).leave
+    even_bound = generate("even-bound", t=7).leave
+    assert complement_size(t2) == (770, 295936)
+    assert join_size(even_bound, 384) == (768, 223872)
+    assert _on_rows(*complement_size(t2))
+    assert _on_rows(*join_size(even_bound, 384))
 
 
 def test_two_star_disconnected_components():

@@ -5,7 +5,8 @@ violation. The sorted-code check must return the same string (or None)
 on valid decompositions and on ones corrupted in each way a decomposition
 can go wrong, both against the whole graph and against the graph of just
 the edges the stars use (which drops the coverage check for partial
-decompositions).
+decompositions). The tests on a tightness-T2 complement run the rows route,
+which dense graphs of 128 vertices or more take.
 """
 
 import random
@@ -18,6 +19,7 @@ from stardecomp.graphs import Graph, graph_from_edges, join
 from stardecomp.oracle import sample_maximal_partial
 from stardecomp.solver import (
     Star,
+    _on_rows,
     StarDecomposition,
     decompose_with_repair,
     validate_decomposition,
@@ -185,12 +187,21 @@ def test_guards_catch_stars_whose_codes_match(g, d):
     assert validate_decomposition(g, d) == expected
 
 
-def test_corrupted_large_complement_matches_reference():
+@pytest.fixture(scope="module")
+def dense():
+    """A graph above the rows threshold, so validation takes the rows
+    route, and one of its decompositions."""
     inst = generate("tightness-T2", t=6)
     g = inst.leave.complement()
     assert g.num_edges == 18688
+    assert _on_rows(g.n, g.num_edges)
     d = decompose_with_repair(g, inst.k)
     assert validate_decomposition(g, d) is None
+    return g, d
+
+
+def test_corrupted_large_complement_matches_reference(dense):
+    g, d = dense
     rng = random.Random(6)
     for corrupt in CORRUPTIONS:
         stars = list(d.stars)
@@ -200,3 +211,41 @@ def test_corrupted_large_complement_matches_reference():
         expected = sequential_validate(g, bad)
         assert expected is not None, corrupt.__name__
         assert validate_decomposition(g, bad) == expected, corrupt.__name__
+
+
+def _leaves(stars, i, leaves):
+    """``stars`` with the leaves of star i replaced."""
+    stars = list(stars)
+    stars[i] = Star(stars[i].center, tuple(leaves))
+    return stars
+
+
+def _non_neighbour(g, star):
+    row = g.rows[star.center]
+    return next(x for x in range(g.n) if x != star.center and not row >> x & 1)
+
+
+# Each defect rewrites the star list of the valid decomposition of ``dense``.
+DEFECTS = {
+    "short star": lambda g, s: _leaves(s, 0, s[0].leaves[1:]),
+    "repeated leaf": lambda g, s: _leaves(s, 3, s[3].leaves[:1] * 2 + s[3].leaves[2:]),
+    "center as leaf": lambda g, s: _leaves(s, 5, (s[5].center, *s[5].leaves[1:])),
+    "non-edge": lambda g, s: _leaves(s, 0, (_non_neighbour(g, s[0]), *s[0].leaves[1:])),
+    "double cover": lambda g, s: [*s, s[len(s) // 2]],
+    "missing edge": lambda g, s: s[:-1],
+    "negative leaf": lambda g, s: _leaves(s, -1, (-1, *s[-1].leaves[1:])),
+    "leaf n": lambda g, s: _leaves(s, 0, (*s[0].leaves[:-1], g.n)),
+    "huge leaf": lambda g, s: _leaves(s, 0, (*s[0].leaves[:-1], 10**18)),
+    "center n": lambda g, s: [*s[:2], Star(g.n, s[2].leaves), *s[3:]],
+    "negative center": lambda g, s: [*s[:-1], Star(-1, s[-1].leaves)],
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_each_defect_on_rows_matches_reference(dense, defect):
+    g, d = dense
+    bad = StarDecomposition(d.k, tuple(DEFECTS[defect](g, d.stars)))
+    expected = sequential_validate(g, bad)
+    assert expected is not None
+    # the same message as the reference, and no label outside 0..n-1 reaches a shift
+    assert validate_decomposition(g, bad) == expected

@@ -11,9 +11,13 @@ Its one adjacency is a bitset row per vertex (``Graph.rows``): a Python int
 whose bit w is set iff w is a neighbour. A row costs about n/8 bytes, so the
 rows of a graph cost about n^2/8 bytes whatever its edge count. The builders
 here (``complete_graph``, ``disjoint_cliques``, ``join``, ``complement`` and
-``graph_from_rows``) fill the rows and degrees in O(n) big-int operations
-and emit label-ordered edges by construction, so they skip the per-edge check
-that ``Graph(n, edges)`` makes; a graph built from edges computes its rows
+``graph_from_rows``) fill only the rows, degrees and edge count, in O(n)
+big-int operations. Each keeps its own code for the edge tuple, which runs on the
+first read of ``edges`` and emits label-ordered pairs by construction, so
+the per-edge check that ``Graph(n, edges)`` makes is skipped, and
+``num_edges`` is half the degree sum. An edge tuple costs about 64 bytes an
+edge, so a dense graph that is only decided and validated on its rows (see
+``solver``) never pays for one. A graph built from edges computes its rows
 the first time they are read.
 """
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, compress, repeat
 from pathlib import Path
 
@@ -31,14 +35,21 @@ Edge = tuple[int, int]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def labels_in(mask: int, labels) -> list:
+    """The items of ``labels`` at the set bits of ``mask``, in order;
+    ``labels`` needs at least ``mask.bit_length()`` items. Lists read
+    against one tuple of labels share its int objects."""
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest first
+    return list(compress(labels, digits))
+
+
 def labels_of(mask: int) -> list[int]:
     """The labels of the set bits of ``mask``, ascending."""
     # One pass in C over the binary digits costs about as much as peeling
     # off one set bit per eighth of the digits, plus a fixed eight or so,
     # so denser masks take it.
     if mask.bit_count() * 8 > mask.bit_length() + 64:
-        digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest first
-        return list(compress(range(len(digits)), digits))
+        return labels_in(mask, range(mask.bit_length()))
     out = []
     base = -1
     while mask:
@@ -62,9 +73,13 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """A graph on labels 0..n-1: its edges in label order, checked here, and
-    its bitset rows, one int of about n/8 bytes per vertex, read off the
-    edges on first use unless a builder supplied them."""
+    """A graph on labels 0..n-1: its edges in label order and its bitset
+    rows, one int of about n/8 bytes per vertex.
+
+    ``Graph(n, edges)`` checks the edges and reads the rows off them on
+    first use. A builder's graph holds its rows, degrees and edge count and
+    builds its edge tuple on the first read of ``edges``. Equality, hashing and ``repr``
+    read the edges, so they mean the same for both kinds."""
 
     n: int
     edges: tuple[Edge, ...]  # distinct pairs (u, v), u < v, in label order
@@ -83,8 +98,9 @@ class Graph:
                 raise ValueError(f"edge {e} repeated or out of label order")
             prev = e
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
+        # a builder's graph has it already: half its degree sum
         return len(self.edges)
 
     @cached_property
@@ -113,22 +129,10 @@ class Graph:
 
     def complement(self) -> "Graph":
         n = self.n
-        below = self.edges
-        labels = tuple(range(n))  # slices share one int object per label
-        edges: list[Edge] = []
-        start = 0
-        for u in labels:
-            # u's non-neighbours above u fill the gaps between its upper neighbours
-            end = bisect_left(below, (u + 1,), start)
-            lo = u + 1
-            for _, v in below[start:end]:
-                edges += zip(repeat(u), labels[lo:v])
-                lo = v + 1
-            edges += zip(repeat(u), labels[lo:])
-            start = end
         full = (1 << n) - 1
         rows = [full ^ row ^ (1 << v) for v, row in enumerate(self.rows)]
-        return _built(n, tuple(edges), rows, [n - 1 - d for d in self.degrees])
+        degrees = [n - 1 - d for d in self.degrees]
+        return _built(n, rows, degrees, _complement_edges, self)
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -158,22 +162,74 @@ class Graph:
         return comps
 
 
-def _built(n: int, edges: tuple[Edge, ...], rows, degrees) -> Graph:
-    """A graph from a builder that emits label-ordered edges by construction,
-    with its rows and degrees; unlike ``Graph(n, edges)`` nothing is re-checked."""
+class _EdgesOnFirstRead:
+    """``Graph.edges`` of a builder's graph. A graph that holds its edges
+    keeps them in its instance dict, which Python reads before this
+    (non-data) descriptor, so only a builder's graph reaches it, once: it
+    runs the builder's edge code and keeps the tuple in the dict. Unlike a
+    ``__getattr__`` hook, this leaves every other attribute read as fast as
+    a plain dataclass's."""
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        state = vars(g)
+        edges = state["edges"] = state["_edges_of"]()
+        del state["_edges_of"]  # and with it what the edge code held
+        return edges
+
+
+# set after the dataclass is made, so that it is not taken for a default
+Graph.edges = _EdgesOnFirstRead()
+
+
+def _built(n: int, rows, degrees, edges_of, *args) -> Graph:
+    """A builder's graph: its rows, degrees and edge count now, and its
+    edges on first read from ``edges_of(*args)``, which must emit them in
+    label order; unlike ``Graph(n, edges)`` nothing is re-checked."""
     g = object.__new__(Graph)
-    vars(g).update(n=n, edges=edges, rows=tuple(rows), degrees=tuple(degrees))
+    degrees = tuple(degrees)
+    vars(g).update(
+        n=n,
+        rows=tuple(rows),
+        degrees=degrees,
+        num_edges=sum(degrees) // 2,
+        _edges_of=partial(edges_of, *args),
+    )
     return g
+
+
+def _complement_edges(g: Graph) -> tuple[Edge, ...]:
+    """The edges of g's complement in label order."""
+    below = g.edges
+    labels = tuple(range(g.n))  # slices share one int object per label
+    edges: list[Edge] = []
+    start = 0
+    for u in labels:
+        # u's non-neighbours above u fill the gaps between its upper neighbours
+        end = bisect_left(below, (u + 1,), start)
+        lo = u + 1
+        for _, v in below[start:end]:
+            edges += zip(repeat(u), labels[lo:v])
+            lo = v + 1
+        edges += zip(repeat(u), labels[lo:])
+        start = end
+    return tuple(edges)
 
 
 def graph_from_rows(rows) -> Graph:
     """The graph whose adjacency is ``rows``, which must be symmetric and free
     of self-loops (not checked); its edges are read off the rows in label order."""
+    rows = tuple(rows)
+    return _built(len(rows), rows, [row.bit_count() for row in rows], _upper_edges, rows)
+
+
+def _upper_edges(rows: tuple[int, ...]) -> tuple[Edge, ...]:
     edges: list[Edge] = []
     for u, row in enumerate(rows):
         # the labels above u, read with u's own and lower bits cleared
         edges += zip(repeat(u), labels_of((row >> (u + 1)) << (u + 1)))
-    return _built(len(rows), tuple(edges), rows, [row.bit_count() for row in rows])
+    return tuple(edges)
 
 
 def component_edge_counts(g: Graph, comps: list[list[int]]) -> list[int]:
@@ -200,12 +256,12 @@ def complete_graph(n: int) -> Graph:
         raise ValueError("vertex count must be nonnegative")
     full = (1 << n) - 1
     rows = [full ^ (1 << v) for v in range(n)]
-    return _built(n, tuple(combinations(range(n), 2)), rows, [n - 1] * n)
+    return _built(n, rows, [n - 1] * n, _clique_edges, (n,))
 
 
 def disjoint_cliques(sizes: list[int]) -> Graph:
     """Vertex-disjoint union of cliques, laid out in the order given."""
-    edges: list[Edge] = []
+    sizes = tuple(sizes)
     rows: list[int] = []
     degrees: list[int] = []
     offset = 0
@@ -213,17 +269,38 @@ def disjoint_cliques(sizes: list[int]) -> Graph:
         if size < 0:
             raise ValueError("clique sizes must be nonnegative")
         block = (1 << (offset + size)) - (1 << offset)
-        edges += combinations(range(offset, offset + size), 2)
         rows += [block ^ (1 << v) for v in range(offset, offset + size)]
         degrees += [size - 1] * size
         offset += size
-    return _built(offset, tuple(edges), rows, degrees)
+    return _built(offset, rows, degrees, _clique_edges, sizes)
+
+
+def _clique_edges(sizes: tuple[int, ...]) -> tuple[Edge, ...]:
+    """The edges of the union of cliques of ``sizes`` in label order."""
+    edges: list[Edge] = []
+    offset = 0
+    for size in sizes:
+        edges += combinations(range(offset, offset + size), 2)
+        offset += size
+    return tuple(edges)
 
 
 def join(base: Graph, s: int) -> Graph:
     """The join of ``base`` with K_s; new vertices get labels n..n+s-1."""
     if s < 0:
         raise ValueError("join size must be nonnegative")
+    n = base.n
+    full = (1 << (n + s)) - 1
+    clique = full ^ ((1 << n) - 1)
+    rows = [row | clique for row in base.rows]
+    rows += [full ^ (1 << z) for z in range(n, n + s)]
+    degrees = [d + s for d in base.degrees]
+    degrees += [n + s - 1] * s
+    return _built(n + s, rows, degrees, _join_edges, base, s)
+
+
+def _join_edges(base: Graph, s: int) -> tuple[Edge, ...]:
+    """The edges of ``join(base, s)`` in label order."""
     n = base.n
     new = tuple(range(n, n + s))  # one int object per label, shared by its edges
     below = base.edges
@@ -236,13 +313,7 @@ def join(base: Graph, s: int) -> Graph:
         edges += zip(repeat(u), new)
         start = end
     edges += combinations(new, 2)
-    full = (1 << (n + s)) - 1
-    clique = full ^ ((1 << n) - 1)
-    rows = [row | clique for row in base.rows]
-    rows += [full ^ (1 << z) for z in new]
-    degrees = [d + s for d in base.degrees]
-    degrees += [n + s - 1] * s
-    return _built(n + s, tuple(edges), rows, degrees)
+    return tuple(edges)
 
 
 def join_edge_count(base: Graph, s: int) -> int:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import Graph, complete_graph, labels_of
+from .graphs import Graph, labels_of
 from .solver import Star, StarDecomposition, decide_star_decomposition
 
 DEFAULT_SEARCH_BUDGET = 100_000_000
@@ -472,6 +472,6 @@ def sample_maximal_partial(n: int, k: int, seed: int) -> tuple[StarDecomposition
     )
     if leave.max_degree() > k - 1:
         raise RuntimeError("sampled leave has a vertex of degree k or more")
-    if complete_graph(n).num_edges != leave.num_edges + k * len(stars):
+    if n * (n - 1) // 2 != leave.num_edges + k * len(stars):
         raise RuntimeError("sampled stars and leave do not partition K_n")
     return StarDecomposition(k, tuple(stars)), leave

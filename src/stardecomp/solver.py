@@ -27,6 +27,8 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   highest-labelled upper neighbours it still needs, with O(n) big-int
   operations in all, and ``flow.max_flow_on_rows`` repairs the start.
   Validation of these graphs clears each star from a copy of the rows.
+  Neither reads ``Graph.edges``, so a builder's graph never builds its
+  edge tuple here.
 
 Both routes give the same verdict and witness; only the stars of a
 decomposition may differ. A bitset step costs O(n/64) word operations
@@ -52,7 +54,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .flow import MaxFlow, max_flow_on_rows, reaching_on_rows
-from .graphs import Graph, complete_graph, component_edge_counts, labels_of, mask_of
+from .graphs import (
+    Graph,
+    complete_graph,
+    component_edge_counts,
+    labels_in,
+    labels_of,
+    mask_of,
+)
 
 
 class Star(NamedTuple):
@@ -142,7 +151,13 @@ def deficiency(g: Graph, k: int, gamma, vertices) -> DeficiencyWitness:
     tset = set(vertices)
     if any(not (0 <= x < g.n) for x in tset):
         raise ValueError("witness vertices out of range")
-    plus = sum(1 for u, v in g.edges if u in tset or v in tset)
+    # the degrees count an edge inside T twice, once from each end
+    rows = g.rows
+    degrees = g.degrees
+    inside = mask_of(tset)
+    plus = sum(degrees[x] for x in tset) - sum(
+        (rows[x] & inside).bit_count() for x in tset
+    ) // 2
     minus = k * sum(gamma[x] for x in tset)
     return DeficiencyWitness(tuple(sorted(tset)), plus, minus)
 
@@ -298,7 +313,8 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
 
     surplus = sum(x for x in excess if x > 0)
     if max_flow_on_rows(out, excess) == surplus:
-        return _stars_of(k, gamma, map(labels_of, out))
+        labels = tuple(range(g.n))  # so that leaves with one label share its int
+        return _stars_of(k, gamma, (labels_in(row, labels) for row in out))
     return _refusal(g, k, gamma, labels_of(reaching_on_rows(g.rows, out, excess)))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from stardecomp.embedding import embed_large_case
 from stardecomp.families import (
     FAMILY_IDS,
     gen_bound_n,
@@ -12,6 +13,7 @@ from stardecomp.families import (
 )
 from stardecomp.graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
 from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, exhaustive_gamma_search
+from stardecomp.solver import decompose_with_repair, validate_decomposition
 
 
 def claim_results(report, kind):
@@ -97,6 +99,33 @@ def test_nonexistence_over_the_limit_never_builds_the_join(monkeypatch):
     nonexistence = claim_results(report, "nonexistence-at-s")[0]
     assert nonexistence.status == "skipped-budget"
     assert nonexistence.evidence == {"join_edges": 3667968, "limit": 5000}
+
+
+def test_dense_family_graphs_never_build_their_edge_tuples(monkeypatch):
+    # Only a graph without its edge tuple reaches the class attribute
+    # ``Graph.edges``, which builds the tuple; record every such read.
+    built = []
+    read_edges = vars(Graph)["edges"]
+
+    class Spy:
+        def __get__(self, g, owner=None):
+            built.append(g.n)
+            return read_edges.__get__(g, owner)
+
+    monkeypatch.setattr(Graph, "edges", Spy())
+
+    inst = gen_bound_n(7)
+    complement = inst.leave.complement()
+    assert validate_decomposition(complement, decompose_with_repair(complement, inst.k)) is None
+
+    inst = gen_even_bound(7)
+    s = next(c.params["s"] for c in inst.claims if c.kind == "success-at-s")
+    target = join(inst.leave, s)
+    assert validate_decomposition(target, embed_large_case(inst.leave, inst.k, s, target)) is None
+
+    inst = gen_tightness_t2(6)
+    assert exhaustive_gamma_search(join(inst.leave, inst.k - 1), inst.k).outcome == EXHAUSTED
+    assert built == []
 
 
 def test_no_embedding_below_skipped_when_search_is_over_the_limit():

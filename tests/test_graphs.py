@@ -1,5 +1,7 @@
 import json
+import pickle
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -10,6 +12,7 @@ from stardecomp.graphs import (
     disjoint_cliques,
     format_edge_list,
     graph_from_edges,
+    graph_from_rows,
     graph_from_json_dict,
     graph_to_json_dict,
     join,
@@ -203,3 +206,70 @@ def test_parse_edge_list_rejects_garbage():
 def test_json_graph_rejects_non_integer_data(data):
     with pytest.raises(ValueError):
         graph_from_json_dict(data)
+
+
+def _builder_cases(builder):
+    """Twenty random graphs of one builder: a call that builds each afresh,
+    and its edges found by filtering every pair."""
+    rng = random.Random(19)
+    for _ in range(20):
+        n = rng.randint(0, 14)
+        pairs = list(combinations(range(n), 2))
+        density = rng.random()
+        base_edges = tuple(p for p in pairs if rng.random() < density)
+        base = Graph(n, base_edges)
+        present = set(base_edges)
+        if builder == "join":
+            s = rng.randint(0, 4)
+            every = combinations(range(n + s), 2)
+            yield partial(join, base, s), tuple(p for p in every if p[1] >= n or p in present)
+        elif builder == "complement":
+            yield base.complement, tuple(p for p in pairs if p not in present)
+        elif builder == "complete_graph":
+            yield partial(complete_graph, n), tuple(pairs)
+        elif builder == "disjoint_cliques":
+            sizes = [rng.randint(0, 5) for _ in range(rng.randint(0, 4))]
+            block = [i for i, size in enumerate(sizes) for _ in range(size)]
+            every = combinations(range(len(block)), 2)
+            yield partial(disjoint_cliques, sizes), tuple(
+                (u, v) for u, v in every if block[u] == block[v]
+            )
+        else:
+            yield partial(graph_from_rows, list(base.rows)), base_edges
+
+
+BUILDERS = ["join", "complement", "complete_graph", "disjoint_cliques", "graph_from_rows"]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builders_defer_their_edges(builder):
+    for build, expected in _builder_cases(builder):
+        g = build()
+        assert g.num_edges == len(expected)
+        assert "edges" not in vars(g)  # counted from the degrees
+        assert g.edges == expected
+        assert g.num_edges == len(g.edges)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_deferred_edges_keep_equality_and_hashing(builder):
+    for build, expected in _builder_cases(builder):
+        g = build()
+        plain = Graph(g.n, expected)
+        assert g == plain and plain == build()
+        assert hash(build()) == hash(plain)
+        assert repr(build()) == repr(plain)
+        assert build() != Graph(g.n + 1, expected)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_deferred_edges_survive_pickling(builder):
+    for build, expected in _builder_cases(builder):
+        g = build()
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy.num_edges == len(expected)
+        assert copy.rows == g.rows and copy.degrees == g.degrees
+        assert copy.edges == expected
+        assert g.edges == expected
+        assert pickle.loads(pickle.dumps(g)) == copy
+

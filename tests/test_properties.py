@@ -109,6 +109,19 @@ def test_disjoint_cliques_come_in_label_order(sizes):
 
 
 @SETTINGS
+@given(small_graphs(), st.sampled_from([2, 3]), st.data())
+def test_deficiency_counts_incident_edges_from_the_rows(g, k, data):
+    gamma = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    tset = data.draw(st.sets(st.integers(0, g.n - 1)))
+    # g holds its edges; its complement reads them only below
+    for h in (g, g.complement()):
+        witness = deficiency(h, k, gamma, tset)
+        assert witness.delta_plus == sum(u in tset or v in tset for u, v in h.edges)
+        assert witness.delta_minus == k * sum(gamma[x] for x in tset)
+        assert witness.vertices == tuple(sorted(tset))
+
+
+@SETTINGS
 @given(small_graphs(), st.integers(min_value=0, max_value=4))
 def test_join_degrees(g, s):
     joined = join(g, s)

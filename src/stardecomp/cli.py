@@ -17,7 +17,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import families, oracle
@@ -197,6 +196,10 @@ def run_sweep(
         for seed in range(seeds)
     ]
     if jobs > 1:
+        # imported here: the pool loads multiprocessing, which a serial run
+        # does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, tasks, chunksize=8))
     else:

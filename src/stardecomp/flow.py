@@ -12,6 +12,10 @@ leaving it; a unit pushed along an arc reverses it, so the residual graph
 *is* the current orientation. A reversed id joins its new tail's out-list
 the first time, and ids reversed away are skipped. Instead of source and
 sink arcs, each vertex has a signed excess: surplus to send, or deficit.
+A path first enters a vertex other than its source along a starting arc,
+whose reverse then joins that vertex's out-list; so the vertices that paths
+touched are the surplus ones and those whose out-lists grew, and the solver
+re-reads the heads of those alone.
 
 Each phase is a breadth-first search from all surplus vertices, and
 augmenting paths end at deficit vertices on the nearest level. Paths are
@@ -36,7 +40,9 @@ class MaxFlow:
     def __init__(self, out: list[list[int]], to: list[int], excess: list[int]) -> None:
         """The network its caller built on ``len(out)`` vertices, taking over
         all three lists: unit arc i has id 2i, head ``to[2i]`` and tail
-        ``to[2i + 1]``, and ``out[x]`` lists the ids of the arcs leaving x."""
+        ``to[2i + 1]``, and ``out[x]`` lists the ids of the arcs leaving x.
+        Any numbering will do; the solver gives each vertex one run of ids,
+        filled in bulk from its list of heads."""
         self.out = out
         self.to = to
         self.excess = excess

@@ -448,28 +448,41 @@ def sample_maximal_partial(n: int, k: int, seed: int) -> tuple[StarDecomposition
 
     Stars are placed while some vertex still has k uncovered incident edges,
     so the leave always has maximum degree at most k-1. Deterministic for a
-    fixed seed.
+    fixed seed. The generator ``random.Random(seed)`` sees exactly two calls
+    per star, which keeps every seeded star and leave the same from version
+    to version: ``choice`` over the ascending labels of the vertices with k
+    or more uncovered edges picks the center, then ``sample(., k)`` over the
+    center's ascending uncovered neighbours picks the leaves, which the star
+    lists ascending.
+
+    Each vertex keeps its uncovered neighbours as a sorted list, and the
+    vertices with k or more as another; a star removes its 2k edge ends and
+    any vertex it leaves below k, so it never rescans the n vertices.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 2:
         raise ValueError("star size k must be at least 2")
     rng = random.Random(seed)
-    uncovered = [set(range(n)) - {v} for v in range(n)]
+    choice, sample = rng.choice, rng.sample
+    uncovered = [[*range(v), *range(v + 1, n)] for v in range(n)]
+    eligible = list(range(n)) if n > k else []
     stars: list[Star] = []
-    while True:
-        eligible = [v for v in range(n) if len(uncovered[v]) >= k]
-        if not eligible:
-            break
-        center = rng.choice(eligible)
-        leaves = rng.sample(sorted(uncovered[center]), k)
-        stars.append(Star(center, tuple(sorted(leaves))))
+    new = tuple.__new__
+    while eligible:
+        center = choice(eligible)
+        row = uncovered[center]
+        leaves = sorted(sample(row, k))
+        stars.append(new(Star, (center, tuple(leaves))))
         for leaf in leaves:
-            uncovered[center].discard(leaf)
-            uncovered[leaf].discard(center)
-    leave = Graph(
-        n, tuple((u, v) for u in range(n) for v in sorted(uncovered[u]) if u < v)
-    )
+            row.remove(leaf)
+            other = uncovered[leaf]
+            other.remove(center)
+            if len(other) == k - 1:  # it just fell below k
+                eligible.remove(leaf)
+        if len(row) < k:
+            eligible.remove(center)
+    leave = Graph(n, tuple((u, v) for u in range(n) for v in uncovered[u] if u < v))
     if leave.max_degree() > k - 1:
         raise RuntimeError("sampled leave has a vertex of degree k or more")
     if n * (n - 1) // 2 != leave.num_edges + k * len(stars):

@@ -19,8 +19,11 @@ The orientation is held in one of two ways, picked from n and |E| alone:
 
 - **Arcs** (the default). One pass over the edges orients each one, leaving
   the endpoint with the larger share of its not yet oriented edges still to
-  take, and adds it as a unit arc of a ``flow.MaxFlow``. When the start
-  needs no repair, the stars are read in edge order, unsorted.
+  take, and appends its head to the tail's list. A ``flow.MaxFlow`` is
+  built from those lists in bulk, one run of arc ids per vertex. The lists
+  ascend, as the edges do; so when the start needs no repair they are the
+  stars as they stand, and after a repair only the vertices some reversed
+  path touched are re-read and sorted.
 - **Rows**, for graphs of at least 128 vertices and n^2/16 edges, such as
   the dense family complements and joins: one out-neighbour bitset per
   vertex. Vertices are oriented in label order, each pointing at the
@@ -51,6 +54,7 @@ validation, at O(|E| n/64) word operations, would go quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .flow import MaxFlow, max_flow_on_rows, reaching_on_rows
@@ -210,14 +214,26 @@ def decide_star_decomposition(
 
 def _stars_of(k: int, gamma: tuple[int, ...], heads) -> StarDecomposition:
     """The stars of an orientation whose out-degrees are k*gamma: each
-    vertex's ascending out-neighbours ``heads[x]``, k at a time."""
-    stars: list[Star] = []
-    for x, leaves in enumerate(heads):
-        if len(leaves) != k * gamma[x]:
-            raise RuntimeError("orientation out-degree mismatch")
-        leaves = tuple(leaves)
-        stars += [Star(x, leaves[j : j + k]) for j in range(0, len(leaves), k)]
-    return StarDecomposition(k, tuple(stars))
+    vertex's ascending out-neighbours ``heads[x]``, k at a time. ``heads``
+    is read one vertex at a time."""
+
+    def checked():
+        for x, leaves in enumerate(heads):
+            if len(leaves) != k * gamma[x]:
+                raise RuntimeError("orientation out-degree mismatch")
+            yield leaves
+
+    # One iterator over all leaves, zipped k times, cuts them into k-tuples;
+    # each vertex's list holds whole stars, so the cuts line up with the
+    # centers, x repeated gamma(x) times.
+    rows = checked()
+    leaves = chain.from_iterable(rows)
+    centers = chain.from_iterable(map(repeat, range(len(gamma)), gamma))
+    pairs = zip(centers, zip(*[leaves] * k))
+    stars = tuple(map(tuple.__new__, repeat(Star), pairs))
+    for _ in rows:  # the vertices past the last center are checked too
+        pass
+    return StarDecomposition(k, stars)
 
 
 def _refusal(g: Graph, k: int, gamma, reach) -> DeficiencyWitness:
@@ -235,16 +251,14 @@ def _refusal(g: Graph, k: int, gamma, reach) -> DeficiencyWitness:
 
 
 def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
-    # One pass orients each edge and adds it to the network as a unit arc.
+    # One pass orients each edge, appending its head to its tail's list.
     # excess[x] is x's out-degree so far minus k*gamma(x), and rem[x] counts
     # x's edges not yet oriented. An edge leaves the endpoint whose need
     # (-excess) is the larger share of its rem, ties going to the lower
     # label: (u, v) leaves v iff need[v]*rem[u] > need[u]*rem[v].
     excess = [-k * c for c in gamma]
     rem = list(g.degrees)
-    out: list[list[int]] = [[] for _ in gamma]
-    to: list[int] = []
-    add = to.append
+    heads: list[list[int]] = [[] for _ in gamma]
     for u, v in g.edges:
         ru = rem[u]
         rv = rem[v]
@@ -253,19 +267,32 @@ def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
         if excess[u] * rv > excess[v] * ru:
             u, v = v, u
         excess[u] += 1
-        out[u].append(len(to))
-        add(v)
-        add(u)
+        heads[u].append(v)
 
+    # The network numbers each vertex's arcs in one run of ids, in the
+    # order of its list, so the flow scans them as if added one by one.
+    to = [0] * (2 * g.num_edges)
+    out: list[list[int]] = []
+    a = 0
+    for x, xs in enumerate(heads):
+        b = a + 2 * len(xs)
+        to[a:b:2] = xs
+        to[a + 1 : b : 2] = [x] * len(xs)
+        out.append(list(range(a, b, 2)))
+        a = b
     # what excess is left is surplus to route and deficit to fill
-    surplus = sum(x for x in excess if x > 0)
+    sources = [x for x, e in enumerate(excess) if e > 0]
+    surplus = sum(excess[x] for x in sources)
     net = MaxFlow(out, to, excess)
     if net.max_flow() == surplus:
-        if surplus:
-            # reversed paths left dead ids and appended new ones
-            return _stars_of(k, gamma, map(sorted, net.successors()))
-        # untouched: edge order, so heads ascend
-        return _stars_of(k, gamma, ([to[a] for a in arcs] for arcs in out))
+        # Edge order made every list ascend. Only the vertices the paths
+        # touched, the surplus ones and those whose out-lists grew (see
+        # ``flow``), can have other heads now, so only they are re-read.
+        live = net.live
+        grown = [x for x, arcs in enumerate(out) if len(arcs) != len(heads[x])]
+        for x in {*sources, *grown}:
+            heads[x] = sorted([to[a] for a in out[x] if live[a]])
+        return _stars_of(k, gamma, heads)
     reach = net.residual_reaching()
     return _refusal(g, k, gamma, [x for x in range(g.n) if reach[x]])
 

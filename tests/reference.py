@@ -13,13 +13,20 @@ comparisons, so it checks the closed form the library uses.
 
 ``arc_network`` builds a ``MaxFlow`` from a list of ``(tail, head)`` arcs,
 as the flow tests give their networks.
+
+``sample_maximal_partial_by_sets`` is the set-based sampler that
+``oracle.sample_maximal_partial`` replaced: it rescans every vertex and sorts
+the center's uncovered set for each star, and makes the same random draws,
+so it pins the library's seeded stars and leaves.
 """
 
+import random
 from functools import cache
 
 from stardecomp.exactnum import Surd
 from stardecomp.flow import MaxFlow
 from stardecomp.graphs import Graph
+from stardecomp.solver import Star, StarDecomposition
 
 
 def arc_network(arcs, excess) -> MaxFlow:
@@ -103,3 +110,37 @@ def short_on_zeros_plus_one_class(g: Graph, k: int, classes, gamma) -> bool:
             if k * sum(gamma[x] for x in u) < inside:
                 return True
     return False
+
+
+def sample_maximal_partial_by_sets(n: int, k: int, seed: int) -> tuple[StarDecomposition, Graph]:
+    """Random greedy maximal partial k-star decomposition of K_n.
+
+    Stars are placed while some vertex still has k uncovered incident edges,
+    so the leave always has maximum degree at most k-1. Deterministic for a
+    fixed seed.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if k < 2:
+        raise ValueError("star size k must be at least 2")
+    rng = random.Random(seed)
+    uncovered = [set(range(n)) - {v} for v in range(n)]
+    stars: list[Star] = []
+    while True:
+        eligible = [v for v in range(n) if len(uncovered[v]) >= k]
+        if not eligible:
+            break
+        center = rng.choice(eligible)
+        leaves = rng.sample(sorted(uncovered[center]), k)
+        stars.append(Star(center, tuple(sorted(leaves))))
+        for leaf in leaves:
+            uncovered[center].discard(leaf)
+            uncovered[leaf].discard(center)
+    leave = Graph(
+        n, tuple((u, v) for u in range(n) for v in sorted(uncovered[u]) if u < v)
+    )
+    if leave.max_degree() > k - 1:
+        raise RuntimeError("sampled leave has a vertex of degree k or more")
+    if n * (n - 1) // 2 != leave.num_edges + k * len(stars):
+        raise RuntimeError("sampled stars and leave do not partition K_n")
+    return StarDecomposition(k, tuple(stars)), leave

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -432,6 +435,19 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
         return rows
 
     assert strip_runtime(serial) == strip_runtime(pooled)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs 2 or more needs the pool, and with it multiprocessing
+    code = (
+        "import sys, stardecomp.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert child.stdout == "[]\n"
 
 
 def test_sweep_deterministic_apart_from_runtime(tmp_path):

@@ -24,7 +24,11 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import enumerate_min_deficiency, short_on_zeros_plus_one_class
+from reference import (
+    enumerate_min_deficiency,
+    sample_maximal_partial_by_sets,
+    short_on_zeros_plus_one_class,
+)
 
 
 def test_exhaustive_finds_k6():
@@ -361,6 +365,13 @@ def test_sample_maximal_partial_deterministic():
     assert a == b
     c = sample_maximal_partial(12, 4, seed=10)
     assert a != c
+
+
+def test_sample_maximal_partial_matches_the_set_based_sampler():
+    # Same random draws, so the same stars and leave for every seed; the
+    # benchmark's and the CLI's seeded leaves rest on this.
+    for k, n, seed in product(range(2, 9), range(1, 41), range(3)):
+        assert sample_maximal_partial(n, k, seed) == sample_maximal_partial_by_sets(n, k, seed)
 
 
 def test_transcript_serialization():

@@ -215,6 +215,36 @@ def test_decide_matches_subset_enumeration_on_every_branch(monkeypatch, route):
     assert min(branches.values()) >= 20, branches
 
 
+def test_repaired_stars_match_a_fresh_read_of_every_vertex(monkeypatch):
+    # After a repair the arc route re-reads only the vertices some reversed
+    # path touched and takes every other vertex's starting list as it is.
+    # Reading every vertex's heads afresh must give the same stars.
+    nets = []
+    max_flow = MaxFlow.max_flow
+
+    def kept(net):
+        nets.append(net)
+        return max_flow(net)
+
+    monkeypatch.setattr(MaxFlow, "max_flow", kept)
+    rng = random.Random(20)
+    repaired = partial = 0
+    for trial in range(6000):
+        g, k, gamma = _star_union(rng)
+        nets.clear()
+        result = decide_star_decomposition(g, k, gamma)
+        (net,) = nets
+        # an odd id is listed iff a path reversed the arc it is the reverse of
+        flipped = [b for b in range(1, len(net.to), 2) if net.listed[b]]
+        reversed_ends = {net.to[b] for b in flipped} | {net.to[b ^ 1] for b in flipped}
+        if not isinstance(result, StarDecomposition) or not reversed_ends:
+            continue
+        repaired += 1
+        partial += len(reversed_ends) < g.n
+        assert result == solver._stars_of(k, gamma, map(sorted, net.successors()))
+    assert repaired >= 300 and partial >= 50, (repaired, partial)
+
+
 @SETTINGS
 @given(precentral_instances())
 def test_produced_central_functions_satisfy_necessary_conditions(inst):

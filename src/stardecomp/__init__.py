@@ -34,7 +34,6 @@ from .solver import (
     decide_star_decomposition,
     decompose_complete,
     deficiency,
-    shrink_witness,
     two_star_decompose,
     validate_decomposition,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "maximum_independent_set",
     "obstacle_check",
     "read_graph",
-    "shrink_witness",
     "two_star_decompose",
     "validate_decomposition",
     "write_graph",

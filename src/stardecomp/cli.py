@@ -5,8 +5,8 @@ deterministic JSON or CSV; the sweep's runtime column is the only field that
 varies between runs. Each budget is a flag with a fixed default.
 
 Exit codes: 0 decision reached, 1 malformed input (including usage errors),
-2 budget or search limit exceeded, 3 internal error, 4 a family claim was
-refuted, 5 a sweep row broke its cap.
+2 budget or search limit exceeded (including memory running out), 3 internal
+error, 4 a family claim was refuted, 5 a sweep row broke its cap.
 """
 
 from __future__ import annotations
@@ -355,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: memory ran out", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -160,23 +160,7 @@ def embed_small_case(
     maximum independent set. Succeeds iff such a set exists; raises
     ObstacleViolated otherwise.
     """
-    n = base.n
-    m = join_edge_count(base, s)
-    if s < k or k < 2:
-        raise ValueError("small-case construction needs s >= k >= 2")
-    if base.max_degree() > k - 1:
-        raise ValueError("leave must have maximum degree at most k-1")
-    if m % k:
-        raise ValueError("edge count of the join must be divisible by k")
-    if m > k * (n + s):
-        raise ValueError("small-case construction needs |E| <= k(n+s)")
-    gamma = _construction_gamma(base, k, s, alpha_budget)
-    result = decide_star_decomposition(join(base, s), k, gamma)
-    if not isinstance(result, StarDecomposition):
-        raise RuntimeError(
-            "flow refused a small-case instance whose independent set exists"
-        )
-    return result
+    return _construct(base, k, s, "small", alpha_budget=alpha_budget)
 
 
 def embed_large_case(
@@ -189,25 +173,44 @@ def embed_large_case(
     guaranteed feasible, so a flow failure here is an internal error.
     ``target`` is ``join(base, s)`` when the caller has built it already.
     """
+    return _construct(base, k, s, "large", target)
+
+
+def _construct(
+    base: Graph,
+    k: int,
+    s: int,
+    case: str,
+    target: Graph | None = None,
+    alpha_budget: int = DEFAULT_ALPHA_BUDGET,
+) -> StarDecomposition:
+    """The ``case`` ("small" or "large") construction's decomposition of
+    L v K_s on ``target`` (built here when None), once its preconditions
+    hold. The flow decides exactly whether the construction's centers are
+    those of a decomposition, which the paper proves they are, so a refusal
+    is an internal error."""
     n = base.n
     m = join_edge_count(base, s)
     if s < k or k < 2:
-        raise ValueError("large-case construction needs s >= k >= 2")
-    if n < k:
+        raise ValueError(f"{case}-case construction needs s >= k >= 2")
+    if case == "large" and n < k:
         raise ValueError("large-case construction needs n >= k")
     if base.max_degree() > k - 1:
         raise ValueError("leave must have maximum degree at most k-1")
     if m % k:
         raise ValueError("edge count of the join must be divisible by k")
-    if m < k * (n + s):
+    if case == "large" and m < k * (n + s):
         raise ValueError("large-case construction needs |E| >= k(n+s)")
+    if case == "small" and m > k * (n + s):
+        raise ValueError("small-case construction needs |E| <= k(n+s)")
+    gamma = _construction_gamma(base, k, s, alpha_budget)
     if target is None:
         target = join(base, s)
     elif target.n != n + s or target.num_edges != m:
         raise ValueError("target is not the join of the leave with K_s")
-    result = decide_star_decomposition(target, k, _construction_gamma(base, k, s))
+    result = decide_star_decomposition(target, k, gamma)
     if not isinstance(result, StarDecomposition):
-        raise RuntimeError("flow refused a large-case instance; this cannot happen")
+        raise RuntimeError(f"flow refused a {case}-case construction's centers")
     return result
 
 

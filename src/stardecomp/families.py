@@ -170,13 +170,15 @@ def gen_single_edge(k: int, n: int) -> FamilyInstance:
         Claim("nonexistence-at-s", "exhaustive", {"s": k - 1}),
     ]
     if _is_odd_prime_power(k):
-        claims.append(
+        # with nonexistence-at-s, these rule out every s below 2k-2
+        claims += [
             Claim(
-                "no-embedding-below",
+                "divisible-candidates",
                 "arithmetic",
                 {"below": 2 * k - 2, "allowed": [k - 2, k - 1]},
-            )
-        )
+            ),
+            Claim("degree-pair-at-s", "degree-pair", {"s": k - 2}),
+        ]
     return FamilyInstance("single-edge", k, n, leave, tuple(claims), {"r": r})
 
 
@@ -432,17 +434,6 @@ _SEARCH_STATUS = {
 }
 
 
-def _nonexistence(leave: Graph, k: int, s: int, flow_edge_limit: int) -> tuple[str, dict]:
-    """The status and evidence of "L v K_s has no k-star decomposition",
-    decided by the exact gamma search; a join over the limit is not built."""
-    edges = join_edge_count(leave, s)
-    if edges > flow_edge_limit:
-        return "skipped-budget", {"join_edges": edges, "limit": flow_edge_limit}
-    transcript = oracle.exhaustive_gamma_search(join(leave, s), k)
-    evidence = {"gamma_search": transcript.to_json_dict() | {"decomposition": None}}
-    return _SEARCH_STATUS[transcript.outcome], evidence
-
-
 def _verify_claim(
     inst: FamilyInstance, claim: Claim, flow_edge_limit: int, leave_alpha: Callable[[], int]
 ) -> ClaimResult:
@@ -541,8 +532,16 @@ def _verify_claim(
         return ClaimResult(claim, "verified" if ok else "refuted", evidence)
 
     if claim.kind == "nonexistence-at-s":
-        status, evidence = _nonexistence(leave, k, claim.params["s"], flow_edge_limit)
-        return ClaimResult(claim, status, evidence)
+        # decided by the exact gamma search; a join over the limit is not built
+        s = claim.params["s"]
+        edges = join_edge_count(leave, s)
+        if edges > flow_edge_limit:
+            return ClaimResult(
+                claim, "skipped-budget", {"join_edges": edges, "limit": flow_edge_limit}
+            )
+        transcript = oracle.exhaustive_gamma_search(join(leave, s), k)
+        evidence = {"gamma_search": transcript.to_json_dict() | {"decomposition": None}}
+        return ClaimResult(claim, _SEARCH_STATUS[transcript.outcome], evidence)
 
     if claim.kind == "success-at-s":
         s = claim.params["s"]
@@ -571,25 +570,6 @@ def _verify_claim(
         s = claim.params["s"]
         ok = general_cap(k) > s
         return ClaimResult(claim, "verified" if ok else "refuted", {"s": s})
-
-    if claim.kind == "no-embedding-below":
-        found = _divisible_candidates(leave, k, claim.params["below"])
-        status = "verified" if set(found) <= set(claim.params["allowed"]) else "refuted"
-        per_s: dict[str, str] = {}
-        evidence = {"candidates": found, "per_s": per_s}
-        for s in found:
-            if degree_pair_check(leave, k, s) is not None:
-                per_s[str(s)] = "degree-pair"
-            elif s == k - 1:
-                per_s[str(s)] = "nonexistence"
-                search_status, search_evidence = _nonexistence(leave, k, s, flow_edge_limit)
-                evidence |= search_evidence
-                if status != "refuted":
-                    status = search_status
-            else:
-                per_s[str(s)] = "unexplained"
-                status = "refuted"
-        return ClaimResult(claim, status, evidence)
 
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 

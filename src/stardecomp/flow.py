@@ -6,16 +6,17 @@ one out-neighbour bitset per vertex. The solver takes the rows for graphs of
 at least 128 vertices and n^2/16 edges and the arcs otherwise; the
 ``solver`` docstring times one against the other.
 
-All arcs have capacity one. Arc ids come in pairs: ``to[a]`` is the head of
-arc a and ``a ^ 1`` is its reverse. Each vertex has an out-list of the ids
-leaving it; a unit pushed along an arc reverses it, so the residual graph
-*is* the current orientation. A reversed id joins its new tail's out-list
+All arcs have capacity one. ``MaxFlow`` numbers them itself from a list of
+heads per vertex, each vertex's arcs in one run of ids. Arc ids come in
+pairs: ``to[a]`` is the head of arc a and ``a ^ 1`` is its reverse. Each
+vertex has an out-list of the ids leaving it; a unit pushed along an arc
+reverses it, so the residual graph *is* the current orientation. A reversed id joins its new tail's out-list
 the first time, and ids reversed away are skipped. Instead of source and
 sink arcs, each vertex has a signed excess: surplus to send, or deficit.
 A path first enters a vertex other than its source along a starting arc,
 whose reverse then joins that vertex's out-list; so the vertices that paths
-touched are the surplus ones and those whose out-lists grew, and the solver
-re-reads the heads of those alone.
+touched are the surplus ones and those whose out-lists grew, and
+``ascending_heads`` re-reads those alone.
 
 Each phase is a breadth-first search from all surplus vertices, and
 augmenting paths end at deficit vertices on the nearest level. Paths are
@@ -37,15 +38,28 @@ from .graphs import labels_of
 
 
 class MaxFlow:
-    def __init__(self, out: list[list[int]], to: list[int], excess: list[int]) -> None:
-        """The network its caller built on ``len(out)`` vertices, taking over
-        all three lists: unit arc i has id 2i, head ``to[2i]`` and tail
-        ``to[2i + 1]``, and ``out[x]`` lists the ids of the arcs leaving x.
-        Any numbering will do; the solver gives each vertex one run of ids,
-        filled in bulk from its list of heads."""
+    def __init__(self, heads: list[list[int]], excess: list[int]) -> None:
+        """The network on ``len(heads)`` vertices with a unit arc from x to
+        each entry of ``heads[x]``, taking over both lists. Arcs are
+        numbered tail by tail, each list in its order: arc i has id 2i, head
+        ``to[2i]`` and tail ``to[2i + 1]``, and ``out[x]`` lists the ids
+        leaving x, so the flow scans them as if added one by one."""
+        to = [0] * (2 * sum(map(len, heads)))
+        out: list[list[int]] = []
+        a = 0
+        for x, xs in enumerate(heads):
+            b = a + 2 * len(xs)
+            to[a:b:2] = xs
+            to[a + 1 : b : 2] = [x] * len(xs)
+            out.append(list(range(a, b, 2)))
+            a = b
+        self.heads = heads
         self.out = out
         self.to = to
         self.excess = excess
+        # what the flow starts from: the surplus vertices and their total
+        self.sources = [x for x, e in enumerate(excess) if e > 0]
+        self.surplus = sum(excess[x] for x in self.sources)
         # live[a]: arc a is the current direction; listed[a]: a is in an out-list
         self.live = bytearray(b"\x01\x00") * (len(to) // 2)
         self.listed = bytearray(self.live)
@@ -126,6 +140,17 @@ class MaxFlow:
                         if not path:
                             break
                         x = to[path.pop() ^ 1]
+
+    def ascending_heads(self) -> list[list[int]]:
+        """The heads of the arcs leaving each vertex in the current
+        orientation, ascending when every list given ascended. Only the
+        vertices some path touched, the starting surplus ones and those
+        whose out-lists grew, are re-read; the others keep their lists."""
+        heads, out, to, live = self.heads, self.out, self.to, self.live
+        grown = [x for x, arcs in enumerate(out) if len(arcs) != len(heads[x])]
+        for x in {*self.sources, *grown}:
+            heads[x] = sorted([to[a] for a in out[x] if live[a]])
+        return heads
 
     def successors(self) -> list[list[int]]:
         """The heads of the arcs leaving each vertex in the current orientation."""

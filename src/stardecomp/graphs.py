@@ -12,9 +12,10 @@ whose bit w is set iff w is a neighbour. A row costs about n/8 bytes, so the
 rows of a graph cost about n^2/8 bytes whatever its edge count. The builders
 here (``complete_graph``, ``disjoint_cliques``, ``join``, ``complement`` and
 ``graph_from_rows``) fill only the rows, degrees and edge count, in O(n)
-big-int operations. Each keeps its own code for the edge tuple, which runs on the
-first read of ``edges`` and emits label-ordered pairs by construction, so
-the per-edge check that ``Graph(n, edges)`` makes is skipped, and
+big-int operations. The edge tuple is built on the first read of ``edges``:
+every builder but ``join`` reads it off the rows, and ``join`` splices it
+from its base's. Both emit label-ordered pairs by construction, so the
+per-edge check that ``Graph(n, edges)`` makes is skipped, and
 ``num_edges`` is half the degree sum. An edge tuple costs about 64 bytes an
 edge, so a dense graph that is only decided and validated on its rows (see
 ``solver``) never pays for one. A graph built from edges computes its rows
@@ -132,7 +133,7 @@ class Graph:
         full = (1 << n) - 1
         rows = [full ^ row ^ (1 << v) for v, row in enumerate(self.rows)]
         degrees = [n - 1 - d for d in self.degrees]
-        return _built(n, rows, degrees, _complement_edges, self)
+        return _built(rows, degrees)
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -183,48 +184,33 @@ class _EdgesOnFirstRead:
 Graph.edges = _EdgesOnFirstRead()
 
 
-def _built(n: int, rows, degrees, edges_of, *args) -> Graph:
-    """A builder's graph: its rows, degrees and edge count now, and its
-    edges on first read from ``edges_of(*args)``, which must emit them in
-    label order; unlike ``Graph(n, edges)`` nothing is re-checked."""
+def _built(rows, degrees, edges_of=None) -> Graph:
+    """A builder's graph on ``len(rows)`` vertices: its rows, degrees and
+    edge count now, and its edges on first read, from ``edges_of()`` when
+    given and off the rows otherwise. ``edges_of`` must emit them in label
+    order; unlike ``Graph(n, edges)`` nothing is re-checked."""
     g = object.__new__(Graph)
+    rows = tuple(rows)
     degrees = tuple(degrees)
     vars(g).update(
-        n=n,
-        rows=tuple(rows),
+        n=len(rows),
+        rows=rows,
         degrees=degrees,
         num_edges=sum(degrees) // 2,
-        _edges_of=partial(edges_of, *args),
+        _edges_of=edges_of or partial(_upper_edges, rows),
     )
     return g
-
-
-def _complement_edges(g: Graph) -> tuple[Edge, ...]:
-    """The edges of g's complement in label order."""
-    below = g.edges
-    labels = tuple(range(g.n))  # slices share one int object per label
-    edges: list[Edge] = []
-    start = 0
-    for u in labels:
-        # u's non-neighbours above u fill the gaps between its upper neighbours
-        end = bisect_left(below, (u + 1,), start)
-        lo = u + 1
-        for _, v in below[start:end]:
-            edges += zip(repeat(u), labels[lo:v])
-            lo = v + 1
-        edges += zip(repeat(u), labels[lo:])
-        start = end
-    return tuple(edges)
 
 
 def graph_from_rows(rows) -> Graph:
     """The graph whose adjacency is ``rows``, which must be symmetric and free
     of self-loops (not checked); its edges are read off the rows in label order."""
     rows = tuple(rows)
-    return _built(len(rows), rows, [row.bit_count() for row in rows], _upper_edges, rows)
+    return _built(rows, [row.bit_count() for row in rows])
 
 
 def _upper_edges(rows: tuple[int, ...]) -> tuple[Edge, ...]:
+    """The edges of the graph with adjacency ``rows`` in label order."""
     edges: list[Edge] = []
     for u, row in enumerate(rows):
         # the labels above u, read with u's own and lower bits cleared
@@ -256,12 +242,11 @@ def complete_graph(n: int) -> Graph:
         raise ValueError("vertex count must be nonnegative")
     full = (1 << n) - 1
     rows = [full ^ (1 << v) for v in range(n)]
-    return _built(n, rows, [n - 1] * n, _clique_edges, (n,))
+    return _built(rows, [n - 1] * n)
 
 
 def disjoint_cliques(sizes: list[int]) -> Graph:
     """Vertex-disjoint union of cliques, laid out in the order given."""
-    sizes = tuple(sizes)
     rows: list[int] = []
     degrees: list[int] = []
     offset = 0
@@ -272,17 +257,7 @@ def disjoint_cliques(sizes: list[int]) -> Graph:
         rows += [block ^ (1 << v) for v in range(offset, offset + size)]
         degrees += [size - 1] * size
         offset += size
-    return _built(offset, rows, degrees, _clique_edges, sizes)
-
-
-def _clique_edges(sizes: tuple[int, ...]) -> tuple[Edge, ...]:
-    """The edges of the union of cliques of ``sizes`` in label order."""
-    edges: list[Edge] = []
-    offset = 0
-    for size in sizes:
-        edges += combinations(range(offset, offset + size), 2)
-        offset += size
-    return tuple(edges)
+    return _built(rows, degrees)
 
 
 def join(base: Graph, s: int) -> Graph:
@@ -296,11 +271,17 @@ def join(base: Graph, s: int) -> Graph:
     rows += [full ^ (1 << z) for z in range(n, n + s)]
     degrees = [d + s for d in base.degrees]
     degrees += [n + s - 1] * s
-    return _built(n + s, rows, degrees, _join_edges, base, s)
+    return _built(rows, degrees, partial(_join_edges, base, s))
 
 
 def _join_edges(base: Graph, s: int) -> tuple[Edge, ...]:
     """The edges of ``join(base, s)`` in label order."""
+    # Joins alone splice their edges rather than read them off the rows:
+    # on the joins of 7-57 vertices that embed decides, the row reader is
+    # 1.6-3.4x slower (2.5x median), and this code already takes 0.14 s of
+    # a 1.3 s pass of the constructions benchmark. The other builders' edge
+    # tuples are cold: 4 of them, 534 edges and about 1 ms in all, over a
+    # whole families pass.
     n = base.n
     new = tuple(range(n, n + s))  # one int object per label, shared by its edges
     below = base.edges

@@ -19,11 +19,11 @@ The orientation is held in one of two ways, picked from n and |E| alone:
 
 - **Arcs** (the default). One pass over the edges orients each one, leaving
   the endpoint with the larger share of its not yet oriented edges still to
-  take, and appends its head to the tail's list. A ``flow.MaxFlow`` is
-  built from those lists in bulk, one run of arc ids per vertex. The lists
-  ascend, as the edges do; so when the start needs no repair they are the
-  stars as they stand, and after a repair only the vertices some reversed
-  path touched are re-read and sorted.
+  take, and appends its head to the tail's list. A ``flow.MaxFlow``
+  numbers its arcs from those lists. The lists ascend, as the edges do; so
+  when the start needs no repair they are the stars as they stand, and
+  after a repair only the vertices some reversed path touched are re-read
+  and sorted.
 - **Rows**, for graphs of at least 128 vertices and n^2/16 edges, such as
   the dense family complements and joins: one out-neighbour bitset per
   vertex. Vertices are oriented in label order, each pointing at the
@@ -269,30 +269,10 @@ def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
         excess[u] += 1
         heads[u].append(v)
 
-    # The network numbers each vertex's arcs in one run of ids, in the
-    # order of its list, so the flow scans them as if added one by one.
-    to = [0] * (2 * g.num_edges)
-    out: list[list[int]] = []
-    a = 0
-    for x, xs in enumerate(heads):
-        b = a + 2 * len(xs)
-        to[a:b:2] = xs
-        to[a + 1 : b : 2] = [x] * len(xs)
-        out.append(list(range(a, b, 2)))
-        a = b
-    # what excess is left is surplus to route and deficit to fill
-    sources = [x for x, e in enumerate(excess) if e > 0]
-    surplus = sum(excess[x] for x in sources)
-    net = MaxFlow(out, to, excess)
-    if net.max_flow() == surplus:
-        # Edge order made every list ascend. Only the vertices the paths
-        # touched, the surplus ones and those whose out-lists grew (see
-        # ``flow``), can have other heads now, so only they are re-read.
-        live = net.live
-        grown = [x for x, arcs in enumerate(out) if len(arcs) != len(heads[x])]
-        for x in {*sources, *grown}:
-            heads[x] = sorted([to[a] for a in out[x] if live[a]])
-        return _stars_of(k, gamma, heads)
+    # Edge order made every list ascend, as ``ascending_heads`` needs.
+    net = MaxFlow(heads, excess)
+    if net.max_flow() == net.surplus:
+        return _stars_of(k, gamma, net.ascending_heads())
     reach = net.residual_reaching()
     return _refusal(g, k, gamma, [x for x in range(g.n) if reach[x]])
 

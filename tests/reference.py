@@ -30,14 +30,12 @@ from stardecomp.solver import Star, StarDecomposition
 
 
 def arc_network(arcs, excess) -> MaxFlow:
-    """Unit arcs ``(tail, head)`` on ``len(excess)`` vertices, arc i with id
-    2i; the network gets a copy of ``excess``."""
-    out: list[list[int]] = [[] for _ in excess]
-    to: list[int] = []
+    """Unit arcs ``(tail, head)`` on ``len(excess)`` vertices, each tail's
+    arcs in the order given; the network gets a copy of ``excess``."""
+    heads: list[list[int]] = [[] for _ in excess]
     for u, v in arcs:
-        out[u].append(len(to))
-        to += (v, u)
-    return MaxFlow(out, to, list(excess))
+        heads[u].append(v)
+    return MaxFlow(heads, list(excess))
 
 
 @cache

@@ -225,6 +225,18 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: balanced centers refused\n"
 
 
+def test_memory_exhaustion_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    gpath = tmp_path / "leave.json"
+    write_graph(graph_from_edges(8, [(0, 1)]), gpath)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("stardecomp.cli.embed", exhausted)
+    assert run(["embed", "--leave", str(gpath), "--k", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: memory ran out\n")
+
+
 def test_family_internal_error_exits_3(monkeypatch, capsys):
     def broken(g, k, gamma):
         raise RuntimeError("broken flow")

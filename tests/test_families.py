@@ -1,5 +1,6 @@
 import pytest
 
+from stardecomp import oracle
 from stardecomp.embedding import embed_large_case
 from stardecomp.families import (
     FAMILY_IDS,
@@ -28,7 +29,9 @@ def test_single_edge_k3_n8_fully_verified():
     statuses = {r.claim.kind: r.status for r in report.results}
     assert statuses["leave-realizable"] == "verified"
     assert statuses["nonexistence-at-s"] == "verified"
-    assert statuses["no-embedding-below"] == "verified"
+    # with the nonexistence at s = 2, these rule out every s below 2k-2 = 4
+    assert statuses["divisible-candidates"] == "verified"
+    assert statuses["degree-pair-at-s"] == "verified"
     nonexistence = claim_results(report, "nonexistence-at-s")[0]
     assert nonexistence.claim.method == "exhaustive"
     assert nonexistence.evidence == {
@@ -36,6 +39,19 @@ def test_single_edge_k3_n8_fully_verified():
     }
     realizable = claim_results(report, "leave-realizable")[0]
     assert realizable.evidence["stars"] == 9
+
+
+def test_single_edge_runs_its_gamma_search_once(monkeypatch):
+    calls = []
+    search = oracle.exhaustive_gamma_search
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "exhaustive_gamma_search", counted)
+    assert verify_instance(gen_single_edge(3, 8)).all_ok()
+    assert calls == [10]
 
 
 def test_single_edge_k3_n8_search_agrees_with_backtracking():
@@ -62,11 +78,16 @@ def test_single_edge_k5_decided_by_search():
     assert nonexistence.method == "exhaustive"
     report = verify_instance(inst)
     assert report.all_ok()
-    below = claim_results(report, "no-embedding-below")[0]
-    assert below.status == "verified"
-    assert below.evidence["candidates"] == [3, 4]
-    assert below.evidence["per_s"] == {"3": "degree-pair", "4": "nonexistence"}
-    assert below.evidence["gamma_search"]["outcome"] == EXHAUSTED
+    # s = 3 and 4 are the only divisible s below 2k-2 = 8: the first has a
+    # degree-pair edge and the search rules out the second
+    (candidates,) = claim_results(report, "divisible-candidates")
+    assert candidates.status == "verified"
+    assert candidates.evidence == {"found": [3, 4]}
+    (pair,) = claim_results(report, "degree-pair-at-s")
+    assert (pair.claim.params, pair.status) == ({"s": 3}, "verified")
+    (nonexistence,) = claim_results(report, "nonexistence-at-s")
+    assert nonexistence.claim.params == {"s": 4}
+    assert nonexistence.evidence["gamma_search"]["outcome"] == EXHAUSTED
 
 
 NONEXISTENCE_CASES = [
@@ -84,7 +105,7 @@ def test_nonexistence_decided_by_gamma_search(gen, params):
     report = verify_instance(inst, flow_edge_limit=join_edge_count(inst.leave, s))
     assert report.all_ok()
     for result in report.results:
-        if result.claim.kind in ("nonexistence-at-s", "no-embedding-below"):
+        if result.claim.kind == "nonexistence-at-s":
             assert result.status == "verified"
             assert result.evidence["gamma_search"]["outcome"] == EXHAUSTED
 
@@ -131,10 +152,13 @@ def test_dense_family_graphs_never_build_their_edge_tuples(monkeypatch):
 def test_no_embedding_below_skipped_when_search_is_over_the_limit():
     report = verify_instance(gen_single_edge(29, 176))
     assert report.all_ok()
-    below = claim_results(report, "no-embedding-below")[0]
-    assert below.status == "skipped-budget"
-    assert below.evidence["per_s"] == {"27": "degree-pair", "28": "nonexistence"}
-    assert (below.evidence["join_edges"], below.evidence["limit"]) == (5307, 5000)
+    (candidates,) = claim_results(report, "divisible-candidates")
+    assert (candidates.status, candidates.evidence) == ("verified", {"found": [27, 28]})
+    (pair,) = claim_results(report, "degree-pair-at-s")
+    assert (pair.claim.params, pair.status) == ({"s": 27}, "verified")
+    (nonexistence,) = claim_results(report, "nonexistence-at-s")
+    assert (nonexistence.claim.params, nonexistence.status) == ({"s": 28}, "skipped-budget")
+    assert nonexistence.evidence == {"join_edges": 5307, "limit": 5000}
 
 
 def test_single_edge_trivial_n2():

@@ -37,7 +37,6 @@ from .solver import (
     two_star_decompose,
 )
 
-SWEEP_HEADER = "# stardecomp sweep v1: k,n,seed,s,minimality,general_cap,within_general_cap,large_n_cap,within_large_n_cap,runtime_ms"
 SWEEP_COLUMNS = [
     "k",
     "n",
@@ -50,6 +49,7 @@ SWEEP_COLUMNS = [
     "within_large_n_cap",
     "runtime_ms",
 ]
+SWEEP_HEADER = "# stardecomp sweep v1: " + ",".join(SWEEP_COLUMNS)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

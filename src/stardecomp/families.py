@@ -1,10 +1,12 @@
 """Generators and machine verifiers for the tightness families.
 
 Each generator builds a leave L together with explicit claims: what the
-family is supposed to demonstrate and how each item is checked (exact
-arithmetic, the degree-pair or independence obstructions, flow construction,
-or the exact gamma search, which decides that a join L v K_s has no
-decomposition). The verifier runs every claim within a budget and reports
+family is supposed to demonstrate, as a claim kind and its parameters. The
+kind fixes how the claim is checked (exact arithmetic, the degree-pair or
+independence obstructions, flow construction, or the exact gamma search,
+which decides that a join L v K_s has no decomposition), and one table,
+``_CHECKS``, holds each kind's method, the graph its budget gate measures
+and its check. The verifier runs every claim within a budget and reports
 verified / refuted / skipped-budget per claim, with enough evidence to
 recheck independently.
 """
@@ -20,7 +22,14 @@ from functools import cache
 
 from . import oracle
 from .embedding import degree_pair_check, embed_large_case, general_cap, obstacle_check
-from .graphs import Graph, disjoint_cliques, graph_from_edges, join, join_edge_count
+from .graphs import (
+    Graph,
+    disjoint_cliques,
+    graph_from_edges,
+    graph_to_json_dict,
+    join,
+    join_edge_count,
+)
 from .independence import independence_number
 from .solver import (
     StarDecomposition,
@@ -35,9 +44,21 @@ FLOW_EDGE_LIMIT = 5000  # largest graph (complement or join) a claim builds by d
 @dataclass(frozen=True)
 class Claim:
     kind: str
-    method: str  # arithmetic | obstacle | degree-pair | exhaustive | flow-construction
     params: dict
     observational: bool = False
+
+    @property
+    def method(self) -> str:
+        """arithmetic | obstacle | degree-pair | exhaustive | flow-construction"""
+        return _CHECKS[self.kind][0]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "method": self.method,
+            "params": self.params,
+            "observational": self.observational,
+        }
 
 
 @dataclass(frozen=True)
@@ -50,23 +71,13 @@ class FamilyInstance:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        from .graphs import graph_to_json_dict
-
         return {
             "family_id": self.family_id,
             "k": self.k,
             "n": self.n,
             "leave": graph_to_json_dict(self.leave),
             "meta": self.meta,
-            "claims": [
-                {
-                    "kind": c.kind,
-                    "method": c.method,
-                    "params": c.params,
-                    "observational": c.observational,
-                }
-                for c in self.claims
-            ],
+            "claims": [c.to_json_dict() for c in self.claims],
         }
 
 
@@ -75,16 +86,6 @@ class ClaimResult:
     claim: Claim
     status: str  # verified | refuted | skipped-budget
     evidence: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.claim.kind,
-            "method": self.claim.method,
-            "params": self.claim.params,
-            "observational": self.claim.observational,
-            "status": self.status,
-            "evidence": self.evidence,
-        }
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,10 @@ class VerificationReport:
             "k": self.k,
             "n": self.n,
             "all_ok": self.all_ok(),
-            "claims": [r.to_json_dict() for r in self.results],
+            "claims": [
+                r.claim.to_json_dict() | {"status": r.status, "evidence": r.evidence}
+                for r in self.results
+            ],
         }
 
 
@@ -129,21 +133,6 @@ def _divisible_candidates(leave: Graph, k: int, below: int) -> list[int]:
     return [s for s in range(max(below, 0)) if join_edge_count(leave, s) % k == 0]
 
 
-def _realizability_conditions(leave: Graph, k: int) -> dict:
-    """Arithmetic realizability conditions for the complement of the leave:
-    minimum degree at least n/2 + k - 1 and edge count divisible by k."""
-    n = leave.n
-    comp_degrees = [n - 1 - leave.degree(v) for v in range(n)]
-    comp_edges = n * (n - 1) // 2 - leave.num_edges
-    min_ok = all(2 * d >= n + 2 * k - 2 for d in comp_degrees)
-    return {
-        "complement_min_degree": min(comp_degrees) if n else 0,
-        "degree_condition": min_ok,
-        "complement_edges": comp_edges,
-        "divisibility": comp_edges % k == 0,
-    }
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -157,27 +146,20 @@ def gen_single_edge(k: int, n: int) -> FamilyInstance:
     leave = graph_from_edges(n, [(0, 1)])
     r = (n - 2) // (2 * k)
     blocked = join_edge_count(leave, k - 1)
-    if blocked % k:
-        raise ValueError("internal congruence failure")
     claims = [
         Claim(
             "construction-arithmetic",
-            "arithmetic",
             {"edge_count": 1, "r": r, "join_edges_at_k_minus_1": blocked},
         ),
-        Claim("realizable-conditions", "arithmetic", {}),
-        Claim("leave-realizable", "flow-construction", {}),
-        Claim("nonexistence-at-s", "exhaustive", {"s": k - 1}),
+        Claim("realizable-conditions", {}),
+        Claim("leave-realizable", {}),
+        Claim("nonexistence-at-s", {"s": k - 1}),
     ]
     if _is_odd_prime_power(k):
         # with nonexistence-at-s, these rule out every s below 2k-2
         claims += [
-            Claim(
-                "divisible-candidates",
-                "arithmetic",
-                {"below": 2 * k - 2, "allowed": [k - 2, k - 1]},
-            ),
-            Claim("degree-pair-at-s", "degree-pair", {"s": k - 2}),
+            Claim("divisible-candidates", {"below": 2 * k - 2, "allowed": [k - 2, k - 1]}),
+            Claim("degree-pair-at-s", {"s": k - 2}),
         ]
     return FamilyInstance("single-edge", k, n, leave, tuple(claims), {"r": r})
 
@@ -191,29 +173,22 @@ def gen_bound_n(t: int) -> FamilyInstance:
     if m * m != 2 * k:
         raise ValueError("internal block size failure")
     n = k * m // 4 - k
-    if n % m:
-        raise ValueError("internal congruence failure")
     leave = disjoint_cliques([m] * (n // m))
     required = k // 4 + 5 * m // 8
     alpha = n // m
     claims = (
         Claim(
             "construction-arithmetic",
-            "arithmetic",
             {
                 "edge_count": n * (m - 1) // 2,
                 "n_mod_2k": n % (2 * k),
                 "binom_divisible_at_k": ((n + k) * (n + k - 1) // 2) % k == 0,
             },
         ),
-        Claim("alpha", "arithmetic", {"expected": alpha}),
-        Claim(
-            "obstacle-at-s",
-            "obstacle",
-            {"s": k, "expected_required": required, "expected_alpha": alpha},
-        ),
-        Claim("realizable-conditions", "arithmetic", {}),
-        Claim("leave-realizable", "flow-construction", {}),
+        Claim("alpha", {"expected": alpha}),
+        Claim("obstacle-at-s", {"s": k, "expected_required": required, "expected_alpha": alpha}),
+        Claim("realizable-conditions", {}),
+        Claim("leave-realizable", {}),
     )
     return FamilyInstance("bound-n", k, n, leave, claims, {"t": t, "m": m})
 
@@ -231,23 +206,16 @@ def gen_tightness_t2(t: int, n: int | None = None) -> FamilyInstance:
     pairs = rootk // 2 + 1
     isolated = n - rootk - 2 * pairs
     leave = disjoint_cliques([rootk] + [2] * pairs + [1] * isolated)
-    if leave.num_edges != (k + 2) // 2:
-        raise ValueError("internal edge count failure")
     claims = (
         Claim(
             "construction-arithmetic",
-            "arithmetic",
             {"edge_count": (k + 2) // 2, "pairs": pairs, "isolated": isolated},
         ),
-        Claim("realizable-conditions", "arithmetic", {}),
-        Claim("leave-realizable", "flow-construction", {}),
-        Claim(
-            "divisible-candidates",
-            "arithmetic",
-            {"below": 3 * k - 2, "expected": [k - 2, k - 1]},
-        ),
-        Claim("degree-pair-at-s", "degree-pair", {"s": k - 2}),
-        Claim("nonexistence-at-s", "exhaustive", {"s": k - 1}),
+        Claim("realizable-conditions", {}),
+        Claim("leave-realizable", {}),
+        Claim("divisible-candidates", {"below": 3 * k - 2, "expected": [k - 2, k - 1]}),
+        Claim("degree-pair-at-s", {"s": k - 2}),
+        Claim("nonexistence-at-s", {"s": k - 1}),
     )
     meta = {"t": t, "rootk": rootk, "r": (n - k - 2) // (2 * k)}
     return FamilyInstance("tightness-T2", k, n, leave, claims, meta)
@@ -269,31 +237,22 @@ def gen_even_bound(t: int) -> FamilyInstance:
     s_success = 6 * k - n
     b = join_edge_count(leave, s_success) // k
     claims = (
-        Claim(
-            "construction-arithmetic",
-            "arithmetic",
-            {"edge_count": n * (m - 1) // 2},
-        ),
-        Claim("alpha", "arithmetic", {"expected": n // m}),
-        Claim(
-            "divisible-candidates",
-            "arithmetic",
-            {"below": s_success, "expected": [s_low, s_low + 1]},
-        ),
-        Claim("obstacle-at-s", "obstacle", {"s": s_low, "positivity": "even"}),
-        Claim("obstacle-at-s", "obstacle", {"s": s_low + 1, "positivity": "even"}),
-        Claim("realizable-conditions", "arithmetic", {}),
-        Claim("leave-realizable", "flow-construction", {}),
+        Claim("construction-arithmetic", {"edge_count": n * (m - 1) // 2}),
+        Claim("alpha", {"expected": n // m}),
+        Claim("divisible-candidates", {"below": s_success, "expected": [s_low, s_low + 1]}),
+        Claim("obstacle-at-s", {"s": s_low, "positivity": "even"}),
+        Claim("obstacle-at-s", {"s": s_low + 1, "positivity": "even"}),
+        Claim("realizable-conditions", {}),
+        Claim("leave-realizable", {}),
         Claim(
             "success-at-s",
-            "flow-construction",
             {
                 "s": s_success,
                 "expected_d": (b - n) // s_success,
                 "expected_extras": b - n - s_success * ((b - n) // s_success),
             },
         ),
-        Claim("cap-consistency", "arithmetic", {"s": s_success}),
+        Claim("cap-consistency", {"s": s_success}),
     )
     return FamilyInstance("even-bound", k, n, leave, claims, {"t": t, "m": m})
 
@@ -326,27 +285,15 @@ def gen_odd_bound(k: int) -> FamilyInstance:
     claims = [
         Claim(
             "construction-arithmetic",
-            "arithmetic",
             {"edge_count": r * (r - 1) // 2 + (m - 1) * m * (m - 1) // 2},
         ),
-        Claim("alpha", "arithmetic", {"expected": m}),
-        Claim("leave-realizable", "flow-construction", {"gamma": "zero-on-small-clique"}),
-        Claim(
-            "divisible-candidates",
-            "arithmetic",
-            {"below": 4 * k - n, "allowed": candidates},
-        ),
+        Claim("alpha", {"expected": m}),
+        Claim("leave-realizable", {"gamma": "zero-on-small-clique"}),
+        Claim("divisible-candidates", {"below": 4 * k - n, "allowed": candidates}),
     ]
     for s in _divisible_candidates(leave, k, 4 * k - n):
-        claims.append(
-            Claim(
-                "obstacle-at-s",
-                "obstacle",
-                {"s": s, "positivity": "odd"},
-                observational=True,
-            )
-        )
-    claims.append(Claim("cap-consistency", "arithmetic", {"s": 4 * k - n}))
+        claims.append(Claim("obstacle-at-s", {"s": s, "positivity": "odd"}, observational=True))
+    claims.append(Claim("cap-consistency", {"s": 4 * k - n}))
     return FamilyInstance(
         "odd-bound", k, n, leave, tuple(claims), {"m": m, "r": r}
     )
@@ -393,185 +340,180 @@ def _odd_positivity(k: int, n: int, s: int) -> Fraction:
     return Fraction(n * (6 * k - n + 1) - 4 * k * (k + m) - s * (s + 2 * n - 2 * k - 1))
 
 
-def _verify_leave_realizable(inst: FamilyInstance, claim: Claim, flow_edge_limit: int) -> ClaimResult:
-    leave = inst.leave
-    k = inst.k
-    n = leave.n
-    complement_edges = n * (n - 1) // 2 - leave.num_edges
-    if complement_edges > flow_edge_limit:
-        return ClaimResult(
-            claim,
-            "skipped-budget",
-            {"complement_edges": complement_edges, "limit": flow_edge_limit},
+# A check takes the instance, the claim's params and the leave's cached
+# independence number, and returns (status, evidence): True is verified,
+# False refuted, and a string is the status itself.
+Verdict = tuple[bool | str, dict]
+
+
+def _check_construction(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    leave, k, n, meta = inst.leave, inst.k, inst.n, inst.meta
+    expected = params.get("edge_count")
+    checks = {"edge_count": expected is None or leave.num_edges == expected}
+    if inst.family_id == "single-edge":
+        checks["n_congruence"] = (n - 2) % (2 * k) == 0
+        checks["join_divisible"] = join_edge_count(leave, k - 1) % k == 0
+    elif inst.family_id == "bound-n":
+        checks["n_congruence"] = n % (2 * k) == k
+        checks["block_count"] = n % meta["m"] == 0
+        checks["binom_divisible"] = ((n + k) * (n + k - 1) // 2) % k == 0
+    elif inst.family_id == "tightness-T2":
+        checks["n_congruence"] = n % (2 * k) == (k + 2) % (2 * k)
+        checks["n_large_enough"] = n >= 3 * k + 2
+    elif inst.family_id == "even-bound":
+        m = meta["m"]
+        checks["block_count"] = n % m == 0
+        checks["n_large_enough"] = (n - m) ** 2 > 4 * k * (2 * k + 1)
+        checks["n_minimal"] = (n - 2 * m) ** 2 <= 4 * k * (2 * k + 1) or n - m <= m
+    elif inst.family_id == "odd-bound":
+        m, r = meta["m"], meta["r"]
+        checks["square"] = m * m == 2 * n - 2 * k
+        checks["r_value"] = r == 2 * k - n + m and r >= 1
+        checks["n_large_enough"] = (
+            4 * n - 7 * k - 5 > 0 and (4 * n - 7 * k - 5) ** 2 > 4 * (6 * k + 6)
         )
-    complement = leave.complement()
-    if claim.params.get("gamma") == "zero-on-small-clique":
+    return all(checks.values()), {"edge_count": leave.num_edges, "checks": checks}
+
+
+def _check_alpha(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    alpha = leave_alpha()
+    return alpha == params["expected"], {"alpha": alpha}
+
+
+def _check_realizable_conditions(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    """Balanced centers decompose the leave's complement when every degree
+    there is at least n/2 + k - 1 and k divides its edge count; a complement
+    with no edges decomposes trivially."""
+    leave, k = inst.leave, inst.k
+    n = leave.n
+    comp_degrees = [n - 1 - leave.degree(v) for v in range(n)]
+    comp_edges = n * (n - 1) // 2 - leave.num_edges
+    facts = {
+        "complement_min_degree": min(comp_degrees) if n else 0,
+        "degree_condition": all(2 * d >= n + 2 * k - 2 for d in comp_degrees),
+        "complement_edges": comp_edges,
+        "divisibility": comp_edges % k == 0,
+    }
+    return comp_edges == 0 or (facts["degree_condition"] and facts["divisibility"]), facts
+
+
+def _check_leave_realizable(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    complement = inst.leave.complement()
+    if params.get("gamma") == "zero-on-small-clique":
         m = inst.meta["m"]
         small_start = (m - 1) * m
-        gamma = [1] * small_start + [0] * (n - small_start)
-        result = decide_star_decomposition(complement, k, gamma)
-        if not isinstance(result, StarDecomposition):
-            return ClaimResult(
-                claim, "refuted", {"witness": result.to_json_dict()}
-            )
-        dec = result
+        gamma = [1] * small_start + [0] * (inst.leave.n - small_start)
+        dec = decide_star_decomposition(complement, inst.k, gamma)
+        if not isinstance(dec, StarDecomposition):
+            return False, {"witness": dec.to_json_dict()}
     else:
-        dec = decompose_with_repair(complement, k)
+        dec = decompose_with_repair(complement, inst.k)
     problem = validate_decomposition(complement, dec)
     if problem is not None:
-        return ClaimResult(claim, "refuted", {"violation": problem})
-    return ClaimResult(
-        claim,
-        "verified",
-        {"stars": len(dec.stars), "complement_edges": complement.num_edges},
-    )
+        return False, {"violation": problem}
+    return True, {"stars": len(dec.stars), "complement_edges": complement.num_edges}
+
+
+def _check_divisible_candidates(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    found = _divisible_candidates(inst.leave, inst.k, params["below"])
+    if "expected" in params:
+        return found == list(params["expected"]), {"found": found}
+    return set(found) <= set(params["allowed"]), {"found": found}
+
+
+def _check_degree_pair(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    edge = degree_pair_check(inst.leave, inst.k, params["s"])
+    return edge is not None, {"edge": None if edge is None else list(edge)}
+
+
+def _check_obstacle(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    leave, k, s = inst.leave, inst.k, params["s"]
+    if join_edge_count(leave, s) % k:
+        return False, {"error": "join not divisible"}
+    alpha = leave_alpha()
+    obstacle = obstacle_check(leave, k, s, alpha)
+    required = obstacle.required
+    evidence: dict = {"s": s, "required": required, "alpha": alpha}
+    ok = obstacle.status == "violated"
+    if "expected_required" in params:
+        ok &= required == params["expected_required"]
+    if "expected_alpha" in params:
+        ok &= alpha == params["expected_alpha"]
+    positivity = params.get("positivity")
+    if positivity is not None:
+        closed_form = _even_positivity if positivity == "even" else _odd_positivity
+        expr = closed_form(k, inst.n, s)
+        evidence["positivity_value"] = str(expr)
+        ok &= expr > 0
+    return ok, evidence
 
 
 _SEARCH_STATUS = {
-    oracle.EXHAUSTED: "verified",
-    oracle.FOUND: "refuted",
+    oracle.EXHAUSTED: True,
+    oracle.FOUND: False,
     oracle.BUDGET_EXCEEDED: "skipped-budget",
 }
 
 
-def _verify_claim(
-    inst: FamilyInstance, claim: Claim, flow_edge_limit: int, leave_alpha: Callable[[], int]
-) -> ClaimResult:
-    leave = inst.leave
-    k = inst.k
-    n = inst.n
+def _check_nonexistence(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    transcript = oracle.exhaustive_gamma_search(join(inst.leave, params["s"]), inst.k)
+    evidence = {"gamma_search": transcript.to_json_dict() | {"decomposition": None}}
+    return _SEARCH_STATUS[transcript.outcome], evidence
 
-    if claim.kind == "construction-arithmetic":
-        expected = claim.params.get("edge_count")
-        checks = {"edge_count": expected is None or leave.num_edges == expected}
-        if inst.family_id == "single-edge":
-            checks["n_congruence"] = (n - 2) % (2 * k) == 0
-            checks["join_divisible"] = join_edge_count(leave, k - 1) % k == 0
-        elif inst.family_id == "bound-n":
-            m = inst.meta["m"]
-            checks["n_congruence"] = n % (2 * k) == k
-            checks["block_count"] = n % m == 0
-            checks["binom_divisible"] = ((n + k) * (n + k - 1) // 2) % k == 0
-        elif inst.family_id == "tightness-T2":
-            checks["n_congruence"] = n % (2 * k) == (k + 2) % (2 * k)
-            checks["n_large_enough"] = n >= 3 * k + 2
-        elif inst.family_id == "even-bound":
-            m = inst.meta["m"]
-            checks["block_count"] = n % m == 0
-            checks["n_large_enough"] = (n - m) ** 2 > 4 * k * (2 * k + 1)
-            checks["n_minimal"] = (n - 2 * m) ** 2 <= 4 * k * (2 * k + 1) or n - m <= m
-        elif inst.family_id == "odd-bound":
-            m = inst.meta["m"]
-            r = inst.meta["r"]
-            checks["square"] = m * m == 2 * n - 2 * k
-            checks["r_value"] = r == 2 * k - n + m and r >= 1
-            checks["n_large_enough"] = (
-                4 * n - 7 * k - 5 > 0 and (4 * n - 7 * k - 5) ** 2 > 4 * (6 * k + 6)
-            )
-        ok = all(checks.values())
-        return ClaimResult(
-            claim,
-            "verified" if ok else "refuted",
-            {"edge_count": leave.num_edges, "checks": checks},
-        )
 
-    if claim.kind == "alpha":
-        alpha = leave_alpha()
-        ok = alpha == claim.params["expected"]
-        return ClaimResult(claim, "verified" if ok else "refuted", {"alpha": alpha})
+def _check_success(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    s = params["s"]
+    target = join(inst.leave, s)
+    dec = embed_large_case(inst.leave, inst.k, s, target)
+    problem = validate_decomposition(target, dec)
+    if problem is not None:
+        return False, {"violation": problem}
+    join_gammas = sorted(dec.central_function(inst.n + s)[inst.n :])
+    d, extras = params["expected_d"], params["expected_extras"]
+    ok = join_gammas == [d] * (s - extras) + [d + 1] * extras
+    return ok, {"stars": len(dec.stars), "d": d, "extras": extras}
 
-    if claim.kind == "realizable-conditions":
-        facts = _realizability_conditions(leave, k)
-        special = leave.n == 2 and leave.num_edges == 1
-        ok = special or (facts["degree_condition"] and facts["divisibility"])
-        return ClaimResult(claim, "verified" if ok else "refuted", facts)
 
-    if claim.kind == "leave-realizable":
-        return _verify_leave_realizable(inst, claim, flow_edge_limit)
+def _check_cap(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
+    return general_cap(inst.k) > params["s"], {"s": params["s"]}
 
-    if claim.kind == "divisible-candidates":
-        found = _divisible_candidates(leave, k, claim.params["below"])
-        if "expected" in claim.params:
-            ok = found == list(claim.params["expected"])
-        else:
-            ok = set(found) <= set(claim.params["allowed"])
-        return ClaimResult(claim, "verified" if ok else "refuted", {"found": found})
 
-    if claim.kind == "degree-pair-at-s":
-        edge = degree_pair_check(leave, k, claim.params["s"])
-        return ClaimResult(
-            claim,
-            "verified" if edge is not None else "refuted",
-            {"edge": None if edge is None else list(edge)},
-        )
+# The graph a claim builds, as (evidence key, edge count), measured before
+# it is built so that one over the flow limit never is.
+def _complement_size(inst: FamilyInstance, params: dict) -> tuple[str, int]:
+    n = inst.leave.n
+    return "complement_edges", n * (n - 1) // 2 - inst.leave.num_edges
 
-    if claim.kind == "obstacle-at-s":
-        s = claim.params["s"]
-        if join_edge_count(leave, s) % k:
-            return ClaimResult(claim, "refuted", {"error": "join not divisible"})
-        alpha = leave_alpha()
-        obstacle = obstacle_check(leave, k, s, alpha)
-        required = obstacle.required
-        evidence: dict = {"s": s, "required": required, "alpha": alpha}
-        ok = obstacle.status == "violated"
-        if "expected_required" in claim.params:
-            ok &= required == claim.params["expected_required"]
-        if "expected_alpha" in claim.params:
-            ok &= alpha == claim.params["expected_alpha"]
-        positivity = claim.params.get("positivity")
-        if positivity is not None:
-            expr = (
-                _even_positivity(k, n, s)
-                if positivity == "even"
-                else _odd_positivity(k, n, s)
-            )
-            evidence["positivity_value"] = str(expr)
-            # the closed form must agree with the direct comparison
-            ok &= (expr > 0) == (required > alpha)
-            ok &= expr > 0
-        return ClaimResult(claim, "verified" if ok else "refuted", evidence)
 
-    if claim.kind == "nonexistence-at-s":
-        # decided by the exact gamma search; a join over the limit is not built
-        s = claim.params["s"]
-        edges = join_edge_count(leave, s)
+def _join_size(inst: FamilyInstance, params: dict) -> tuple[str, int]:
+    return "join_edges", join_edge_count(inst.leave, params["s"])
+
+
+# claim kind -> (method, budget gate or None, check)
+_CHECKS: dict[str, tuple[str, Callable | None, Callable[..., Verdict]]] = {
+    "construction-arithmetic": ("arithmetic", None, _check_construction),
+    "alpha": ("arithmetic", None, _check_alpha),
+    "realizable-conditions": ("arithmetic", None, _check_realizable_conditions),
+    "leave-realizable": ("flow-construction", _complement_size, _check_leave_realizable),
+    "divisible-candidates": ("arithmetic", None, _check_divisible_candidates),
+    "degree-pair-at-s": ("degree-pair", None, _check_degree_pair),
+    "obstacle-at-s": ("obstacle", None, _check_obstacle),
+    "nonexistence-at-s": ("exhaustive", _join_size, _check_nonexistence),
+    "success-at-s": ("flow-construction", _join_size, _check_success),
+    "cap-consistency": ("arithmetic", None, _check_cap),
+}
+
+
+def _verify(inst: FamilyInstance, claim: Claim, flow_edge_limit: int, leave_alpha) -> ClaimResult:
+    _, gate, check = _CHECKS[claim.kind]
+    if gate is not None:
+        key, edges = gate(inst, claim.params)
         if edges > flow_edge_limit:
-            return ClaimResult(
-                claim, "skipped-budget", {"join_edges": edges, "limit": flow_edge_limit}
-            )
-        transcript = oracle.exhaustive_gamma_search(join(leave, s), k)
-        evidence = {"gamma_search": transcript.to_json_dict() | {"decomposition": None}}
-        return ClaimResult(claim, _SEARCH_STATUS[transcript.outcome], evidence)
-
-    if claim.kind == "success-at-s":
-        s = claim.params["s"]
-        edges = join_edge_count(leave, s)
-        if edges > flow_edge_limit:
-            return ClaimResult(
-                claim, "skipped-budget", {"join_edges": edges, "limit": flow_edge_limit}
-            )
-        target = join(leave, s)
-        dec = embed_large_case(leave, k, s, target)
-        problem = validate_decomposition(target, dec)
-        if problem is not None:
-            return ClaimResult(claim, "refuted", {"violation": problem})
-        gamma = dec.central_function(n + s)
-        join_gammas = sorted(gamma[n:])
-        d = claim.params["expected_d"]
-        extras = claim.params["expected_extras"]
-        ok = join_gammas == [d] * (s - extras) + [d + 1] * extras
-        return ClaimResult(
-            claim,
-            "verified" if ok else "refuted",
-            {"stars": len(dec.stars), "d": d, "extras": extras},
-        )
-
-    if claim.kind == "cap-consistency":
-        s = claim.params["s"]
-        ok = general_cap(k) > s
-        return ClaimResult(claim, "verified" if ok else "refuted", {"s": s})
-
-    raise ValueError(f"unknown claim kind {claim.kind!r}")
+            return ClaimResult(claim, "skipped-budget", {key: edges, "limit": flow_edge_limit})
+    status, evidence = check(inst, claim.params, leave_alpha)
+    if isinstance(status, bool):
+        status = "verified" if status else "refuted"
+    return ClaimResult(claim, status, evidence)
 
 
 def verify_instance(inst: FamilyInstance, flow_edge_limit: int = FLOW_EDGE_LIMIT) -> VerificationReport:
@@ -581,7 +523,5 @@ def verify_instance(inst: FamilyInstance, flow_edge_limit: int = FLOW_EDGE_LIMIT
     skipped-budget without building it. The leave's independence number is
     computed at most once."""
     leave_alpha = cache(lambda: independence_number(inst.leave))
-    results = tuple(
-        _verify_claim(inst, claim, flow_edge_limit, leave_alpha) for claim in inst.claims
-    )
+    results = tuple(_verify(inst, claim, flow_edge_limit, leave_alpha) for claim in inst.claims)
     return VerificationReport(inst.family_id, inst.k, inst.n, results)

@@ -331,7 +331,7 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty graph file")
     n = int(lines[0])

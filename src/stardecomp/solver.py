@@ -126,17 +126,6 @@ class DeficiencyWitness:
             "delta": self.delta,
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "DeficiencyWitness":
-        w = DeficiencyWitness(
-            tuple(int(x) for x in data["T"]),
-            int(data["delta_plus"]),
-            int(data["delta_minus"]),
-        )
-        if w.delta != int(data["delta"]):
-            raise ValueError("inconsistent deficiency record")
-        return w
-
 
 def _check_gamma(g: Graph, k: int, gamma) -> tuple[int, ...]:
     if k < 2:

@@ -302,6 +302,12 @@ def test_decompose_witness_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "n11_witness_decompose_k3.json").read_text()
 
 
+def test_family_verify_matches_golden(capsys):
+    # every claim of the smallest single-edge instance, with its evidence
+    assert run(["family", "--id", "single-edge", "--k", "3", "--n", "8", "--verify"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "single_edge_k3_n8_verify.json").read_text()
+
+
 def test_embed_max_s_exhausted(tmp_path, capsys):
     gpath = tmp_path / "leave.json"
     write_graph(graph_from_edges(8, [(0, 1)]), gpath)

@@ -181,6 +181,11 @@ def test_json_round_trip(tmp_path):
     assert data["edges"] == [[0, 1], [2, 3]]
 
 
+def test_parse_edge_list_skips_indented_comments():
+    text = "# a path\n3\n  # note\n0 1\n\t# another\n1 2\n"
+    assert parse_edge_list(text) == graph_from_edges(3, [(0, 1), (1, 2)])
+
+
 def test_parse_edge_list_rejects_garbage():
     with pytest.raises(ValueError):
         parse_edge_list("")

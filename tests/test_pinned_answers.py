@@ -1,4 +1,5 @@
-"""Pin the program's answers on a small grid to two digests.
+"""Pin the program's answers on a small grid to two digests, and the
+``family`` command's output to a third.
 
 The grid is every ``embed`` certificate and the large/small-case
 constructions for every divisible s in [k, 2k], for k = 3..5, k < n <= 12
@@ -12,12 +13,19 @@ that only moves stars, such as a new starting orientation for the flow,
 keeps the answers digest and re-pins the stars digest. Either digest is
 recomputed with ``PYTHONPATH=src python tests/test_pinned_answers.py``, and
 a change that re-pins one says so in CHANGES.md.
+
+The families digest covers the exit code and the exact bytes ``stardecomp
+family`` writes for each instance in FAMILY_INSTANCES: its generate JSON and
+its ``--verify`` JSON at the default flow limit and at 400,000 edges.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from functools import cache
 
+from stardecomp import cli
 from stardecomp.embedding import (
     ObstacleViolated,
     embed,
@@ -29,9 +37,19 @@ from stardecomp.oracle import sample_maximal_partial
 
 ANSWERS_DIGEST = "f411ef0083895e4c1d28603e8db1d436eb5da53a97e1a9daa29e3fc96b631ae6"
 STARS_DIGEST = "2a041f05481d4b5f0b7095a009263975fb6ec1c5e1f487e4ccc0e8891c440d81"
+FAMILIES_DIGEST = "4ac682394097ecd1c40a0473ec9833645341e6de30eae120d79eafc9f073536a"
 
 GAMMA_BUDGET = 2000
 ALPHA_BUDGET = 100_000
+
+FAMILY_INSTANCES = (
+    [["single-edge", "--k", str(k), "--n", str(n)] for k, n in ((3, 8), (3, 2), (5, 12), (7, 16))]
+    + [["bound-n", "--t", str(t)] for t in (7, 9)]
+    + [["tightness-T2", "--t", str(t)] for t in (4, 6, 8)]
+    + [["even-bound", "--t", str(t)] for t in (3, 5, 7)]
+    + [["odd-bound", "--k", str(k)] for k in (27, 125)]
+)
+FAMILY_MODES = ([], ["--verify"], ["--verify", "--flow-limit", "400000"])
 
 
 def _stars(dec) -> list:
@@ -70,6 +88,19 @@ def answers() -> tuple[list, list]:
     return kept, stars
 
 
+def family_outputs() -> list:
+    """[argv, exit code, stdout] of every ``family`` run the digest covers."""
+    runs = []
+    for instance in FAMILY_INSTANCES:
+        for mode in FAMILY_MODES:
+            argv = ["family", "--id", *instance, *mode]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            runs.append([argv, code, out.getvalue()])
+    return runs
+
+
 def _digest(data: list) -> str:
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -89,7 +120,12 @@ def test_stars_match_pinned_digest():
     assert digests()[1] == STARS_DIGEST
 
 
+def test_family_outputs_match_pinned_digest():
+    assert _digest(family_outputs()) == FAMILIES_DIGEST
+
+
 if __name__ == "__main__":
     answers_digest, stars_digest = digests()
     print("answers", answers_digest)
     print("stars", stars_digest)
+    print("families", _digest(family_outputs()))

@@ -121,9 +121,9 @@ def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
         if base.degree(u) + s < k and base.degree(v) + s < k:
             return (u, v)
     if s >= 1 and join_deg < k:
-        for u in range(n):
-            if base.degree(u) + s < k:
-                return (u, n)
+        # every vertex of the join has degree below k, and L has no edge
+        if n:
+            return (0, n)
         if s >= 2:
             return (n, n + 1)
     return None

@@ -457,8 +457,12 @@ _SEARCH_STATUS = {
 
 def _check_nonexistence(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
     transcript = oracle.exhaustive_gamma_search(join(inst.leave, params["s"]), inst.k)
-    evidence = {"gamma_search": transcript.to_json_dict() | {"decomposition": None}}
-    return _SEARCH_STATUS[transcript.outcome], evidence
+    evidence = {
+        "nodes_explored": transcript.nodes_explored,
+        "outcome": transcript.outcome,
+        "decomposition": None,  # a decomposition found refutes the claim and is not kept
+    }
+    return _SEARCH_STATUS[transcript.outcome], {"gamma_search": evidence}
 
 
 def _check_success(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:

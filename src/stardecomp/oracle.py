@@ -1,9 +1,11 @@
 """Exhaustive searches: ground truth for the flow solver, and the decision
 procedure of the embedder for every s its constructions do not cover.
 
-``exhaustive_decomposition`` backtracks over edge assignments. It uses no
-flow and prunes only by counting arguments that follow directly from what a
-star is, so it remains an independent check on the flow formulation.
+``exhaustive_decomposition`` backtracks over which endpoint centers each
+edge, one side bit per decided edge, and keeps a choice while both endpoints
+can still center a multiple of k edges (exactly k*gamma(x) when gamma is
+given). It uses no flow and prunes only by counting, so it remains an
+independent check on the flow formulation.
 
 ``exhaustive_gamma_search`` enumerates one center-count function per vector
 of twin-class totals, the one that spreads each total evenly over its class,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .graphs import Graph, labels_of
-from .solver import Star, StarDecomposition, decide_star_decomposition
+from .solver import Star, StarDecomposition, _check_gamma, decide_star_decomposition
 
 DEFAULT_SEARCH_BUDGET = 100_000_000
 DEFAULT_GAMMA_BUDGET = 1_000_000
@@ -45,15 +47,6 @@ class SearchTranscript:
     outcome: str
     decomposition: StarDecomposition | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes_explored": self.nodes_explored,
-            "outcome": self.outcome,
-            "decomposition": None
-            if self.decomposition is None
-            else self.decomposition.to_json_dict(),
-        }
-
 
 def exhaustive_decomposition(
     g: Graph, k: int, budget: int = DEFAULT_SEARCH_BUDGET, gamma=None
@@ -61,11 +54,15 @@ def exhaustive_decomposition(
     """Backtracking search for a k-star decomposition, optionally with the
     number of stars per center fixed to gamma.
 
-    Edges are processed in lexicographic order; each is assigned to an open
-    star at one of its endpoints or to a new star there. Stars at a vertex
-    are therefore created in increasing order of first leaf, which breaks the
-    symmetry between them. Exhaustion is definitive: either every branch was
-    explored or the budget tripped.
+    Any k edges at one center form a star, so a decomposition is the same
+    as a choice of center, one endpoint per edge, under which every vertex
+    centers a multiple of k edges, exactly k*gamma(x) of them when gamma is
+    given (Tarsi, Discrete Math. 1981). Edges are decided in label order,
+    the lower endpoint tried first, and a choice stands while both endpoints
+    can still reach their count with their undecided edges. Each edge
+    reached afresh is one node of the budget. The stars at a center take
+    its edges in ascending order, k at a time. Exhaustion is definitive:
+    either every branch was explored or the budget tripped.
     """
     if k < 2:
         raise ValueError("star size k must be at least 2")
@@ -73,9 +70,7 @@ def exhaustive_decomposition(
     if m % k:
         return SearchTranscript(0, EXHAUSTED)
     if gamma is not None:
-        gamma = tuple(int(x) for x in gamma)
-        if len(gamma) != g.n or any(x < 0 for x in gamma):
-            raise ValueError("bad gamma")
+        gamma = _check_gamma(g, k, gamma)
         if k * sum(gamma) != m:
             return SearchTranscript(0, EXHAUSTED)
         if any(k * gamma[x] > g.degree(x) for x in range(g.n)):
@@ -88,80 +83,52 @@ def exhaustive_decomposition(
         return SearchTranscript(0, FOUND, StarDecomposition(k, ()))
 
     edges = g.edges
-    rem = list(g.degrees)  # undecided edges incident to each vertex
-    open_stars: list[list[list[int]]] = [[] for _ in range(g.n)]
-    opened = [0] * g.n
-    need = [0] * g.n  # missing leaves over open stars at each vertex
-    nodes = 0
+    rem = list(g.degrees)  # undecided edges at each vertex
+    held = [0] * g.n  # decided edges each vertex centers
+    want = None if gamma is None else [k * x for x in gamma]
 
-    def feasible(x: int) -> bool:
-        if need[x] > rem[x]:
-            return False
-        if gamma is not None and need[x] + k * (gamma[x] - opened[x]) > rem[x]:
-            return False
-        return True
+    def fits(x: int) -> bool:
+        if want is None:
+            return -held[x] % k <= rem[x]
+        return held[x] <= want[x] <= held[x] + rem[x]
 
-    def undo(center: int, j: int, new: bool) -> None:
-        if new:
-            open_stars[center].pop()
-            opened[center] -= 1
-            need[center] -= k - 1
-        else:
-            open_stars[center][j - 1].pop()
-            need[center] += 1
-
-    # cursor[i] = (side, j, new): edge i's leaf went to the star j - 1 at its
-    # side-th endpoint (a new star there when new); retries resume after it
-    cursor: list[tuple[int, int, bool]] = []
-    i = 0
-    fresh = True
+    sides = [0] * m  # 1 where the higher endpoint centers the edge
+    nodes = i = side = 0  # side: the endpoint edge i tries next, 2 when both failed
     while i < m:
         u, v = edges[i]
-        if fresh:
+        if side:
+            held[v if side == 2 else u] -= 1  # take back the last try
+        else:
             nodes += 1
             if nodes > budget:
                 return SearchTranscript(nodes, BUDGET_EXCEEDED)
             rem[u] -= 1
             rem[v] -= 1
-            side, j = 0, 0
-        else:
-            side, j, new = cursor.pop()
-            undo(v if side else u, j, new)
-        while side < 2:
-            center, leaf = (v, u) if side else (u, v)
-            stars = open_stars[center]
-            new = j == len(stars)
-            if j > len(stars) or (new and gamma is not None and opened[center] >= gamma[center]):
-                side, j = side + 1, 0
-                continue
-            j += 1
-            if new:
-                stars.append([leaf])
-                opened[center] += 1
-                need[center] += k - 1
-            elif len(stars[j - 1]) < k:
-                stars[j - 1].append(leaf)
-                need[center] -= 1
-            else:
-                continue
-            if feasible(u) and feasible(v):
-                break
-            undo(center, j, new)
-        fresh = side < 2
-        if fresh:
-            cursor.append((side, j, new))
-            i += 1
-        else:
-            # no choice left for edge i: give it back and retry edge i - 1
+        if side == 2:
+            # no endpoint left for edge i: give it back and retry edge i - 1
             rem[u] += 1
             rem[v] += 1
             if i == 0:
                 return SearchTranscript(nodes, EXHAUSTED)
             i -= 1
+            side = sides[i] + 1
+            continue
+        held[v if side else u] += 1
+        if fits(u) and fits(v):
+            sides[i] = side
+            i += 1
+            side = 0
+        else:
+            side += 1
+    # the edges are in label order, so each center's leaves come ascending
+    leaves: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), side in zip(edges, sides):
+        center, leaf = (v, u) if side else (u, v)
+        leaves[center].append(leaf)
     stars = [
-        Star(x, tuple(sorted(star)))
-        for x in range(g.n)
-        for star in open_stars[x]
+        Star(x, tuple(row[j : j + k]))
+        for x, row in enumerate(leaves)
+        for j in range(0, len(row), k)
     ]
     return SearchTranscript(nodes, FOUND, StarDecomposition(k, tuple(stars)))
 

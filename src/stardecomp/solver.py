@@ -130,11 +130,11 @@ class DeficiencyWitness:
 def _check_gamma(g: Graph, k: int, gamma) -> tuple[int, ...]:
     if k < 2:
         raise ValueError("star size k must be at least 2")
-    gamma = tuple(int(x) for x in gamma)
+    gamma = tuple(gamma)
     if len(gamma) != g.n:
         raise ValueError(f"gamma has {len(gamma)} entries for {g.n} vertices")
-    if any(x < 0 for x in gamma):
-        raise ValueError("gamma values must be nonnegative")
+    if any(not isinstance(x, int) or x < 0 for x in gamma):
+        raise ValueError("gamma values must be nonnegative integers")
     return gamma
 
 

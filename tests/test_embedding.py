@@ -53,6 +53,8 @@ def test_degree_pair_flags_join_edges_for_tiny_graphs():
     # K_1 joined with 2 vertices: every edge has both ends below k = 5
     g = Graph(1, ())
     assert degree_pair_check(g, 5, 2) == (0, 1)
+    # no base vertex: the one edge of K_2 is the join's own
+    assert degree_pair_check(Graph(0, ()), 5, 2) == (0, 1)
 
 
 def test_obstacle_violated_for_clique_blocks():

@@ -373,9 +373,3 @@ def test_sample_maximal_partial_matches_the_set_based_sampler():
     for k, n, seed in product(range(2, 9), range(1, 41), range(3)):
         assert sample_maximal_partial(n, k, seed) == sample_maximal_partial_by_sets(n, k, seed)
 
-
-def test_transcript_serialization():
-    tr = exhaustive_decomposition(complete_graph(6), 3)
-    data = tr.to_json_dict()
-    assert data["outcome"] == FOUND
-    assert data["decomposition"]["k"] == 3

@@ -14,6 +14,7 @@ from stardecomp.graphs import (
     graph_from_edges,
     join_edge_count,
 )
+from stardecomp.oracle import exhaustive_decomposition
 from stardecomp.solver import (
     DeficiencyWitness,
     _on_rows,
@@ -65,6 +66,16 @@ def test_decide_on_empty_graph():
 def test_decide_rejects_non_precentral():
     with pytest.raises(ValueError):
         decide_star_decomposition(complete_graph(4), 2, (1, 1, 1, 1))
+
+
+def test_fractional_gamma_is_refused_not_truncated():
+    g = complete_graph(6)
+    with pytest.raises(ValueError, match="integers"):
+        decide_star_decomposition(g, 3, [1.9, 1, 1, 1, 1, 0.2])
+    with pytest.raises(ValueError, match="integers"):
+        deficiency(g, 3, [1.5] * 6, [0, 1])
+    with pytest.raises(ValueError, match="integers"):
+        exhaustive_decomposition(g, 3, gamma=[1.7, 1, 1, 1, 1, 0])
 
 
 def test_no_gamma_succeeds_on_two_odd_triangles():

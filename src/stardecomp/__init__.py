@@ -10,7 +10,7 @@ from .embedding import (
     embed_large_case,
     embed_small_case,
     guaranteed_s,
-    obstacle_check,
+    obstacle_required,
 )
 from .graphs import (
     Graph,
@@ -63,7 +63,7 @@ __all__ = [
     "join",
     "join_edge_count",
     "maximum_independent_set",
-    "obstacle_check",
+    "obstacle_required",
     "read_graph",
     "two_star_decompose",
     "validate_decomposition",

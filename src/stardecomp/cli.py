@@ -28,7 +28,7 @@ from .embedding import (
     general_cap,
     large_n_cap,
 )
-from .graphs import complete_graph, component_edge_counts, read_graph
+from .graphs import complete_graph, read_graph
 from .solver import (
     StarDecomposition,
     decide_star_decomposition,
@@ -109,11 +109,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             dec = two_star_decompose(g)
             payload = {"exists": dec is not None}
             if dec is None:
-                comps = g.components()
+                # a degree sum is twice the edge count, 2 mod 4 when that is odd
+                degrees = g.degrees
                 payload["odd_components"] = [
-                    comp
-                    for comp, count in zip(comps, component_edge_counts(g, comps))
-                    if count % 2 == 1
+                    comp for comp in g.components() if sum(degrees[x] for x in comp) % 4 == 2
                 ]
         else:
             budget = oracle.DEFAULT_GAMMA_BUDGET if args.budget is None else args.budget

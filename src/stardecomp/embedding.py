@@ -102,13 +102,6 @@ class EmbeddingCertificate:
         )
 
 
-@dataclass(frozen=True)
-class ObstacleReport:
-    status: str  # "passes" | "violated" | "unknown"
-    required: int
-    alpha: int | None = None
-
-
 def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
     """First edge of L v K_s whose endpoints both have degree below k, if any.
 
@@ -129,25 +122,15 @@ def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
     return None
 
 
-def obstacle_check(base: Graph, k: int, s: int, alpha: int | None) -> ObstacleReport:
-    """Necessary condition: alpha(L) >= n + s - |E(L v K_s)| / k.
-
-    ``alpha`` is the caller's exact independence number of L, or None when
-    its search was cut off. With it the verdict is definite either way;
-    without it only a requirement of at most zero passes, and anything
-    else is "unknown".
+def obstacle_required(base: Graph, k: int, s: int) -> int:
+    """The n + s - |E(L v K_s)| / k that alpha(L) must reach: the necessary
+    condition alpha(L) >= n + s - |E|/k. Callers compare their own exact
+    alpha with it; a requirement of at most zero holds without one.
     """
     m = join_edge_count(base, s)
     if m % k:
         raise ValueError("edge count of the join must be divisible by k")
-    required = base.n + s - m // k
-    if required <= 0:
-        return ObstacleReport("passes", required)
-    if alpha is not None:
-        if alpha >= required:
-            return ObstacleReport("passes", required, alpha=alpha)
-        return ObstacleReport("violated", required, alpha=alpha)
-    return ObstacleReport("unknown", required)
+    return base.n + s - m // k
 
 
 def embed_small_case(
@@ -234,10 +217,10 @@ def _construction_gamma(
     if m < k * (n + s):
         # fewer than k(n+s) edges: some vertices must center no star
         best = maximum_independent_set(base, alpha_budget)
-        obstacle = obstacle_check(base, k, s, len(best))
-        if obstacle.status == "violated":
-            raise ObstacleViolated(obstacle.alpha, obstacle.required)
-        for x in best[: obstacle.required]:
+        required = obstacle_required(base, k, s)
+        if len(best) < required:
+            raise ObstacleViolated(len(best), required)
+        for x in best[:required]:
             gamma[x] = 0
     return gamma
 
@@ -364,14 +347,10 @@ def embed(
                 Rejection(s, REASON_DEGREE_PAIR, {"edge": list(edge)})
             )
             continue
-        obstacle = obstacle_check(base, k, s, alpha)
-        if obstacle.status == "violated":
+        required = obstacle_required(base, k, s)
+        if alpha is not None and alpha < required:
             rejections.append(
-                Rejection(
-                    s,
-                    REASON_OBSTACLE,
-                    {"alpha": obstacle.alpha, "required": obstacle.required},
-                )
+                Rejection(s, REASON_OBSTACLE, {"alpha": alpha, "required": required})
             )
             continue
         target = join(base, s)

@@ -218,19 +218,6 @@ def _upper_edges(rows: tuple[int, ...]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def component_edge_counts(g: Graph, comps: list[list[int]]) -> list[int]:
-    """The number of edges inside each of the connected components ``comps``
-    (as ``g.components()`` returns them), counted in one pass over the edges."""
-    where = [0] * g.n
-    for i, comp in enumerate(comps):
-        for x in comp:
-            where[x] = i
-    counts = [0] * len(comps)
-    for u, _ in g.edges:
-        counts[where[u]] += 1
-    return counts
-
-
 def graph_from_edges(n: int, edges) -> Graph:
     """A graph from any pairs: each is normalized to (low, high), repeats are
     dropped and the rest sorted."""

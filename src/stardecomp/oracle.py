@@ -28,7 +28,13 @@ from dataclasses import dataclass
 from functools import cache
 
 from .graphs import Graph, labels_of
-from .solver import Star, StarDecomposition, _check_gamma, decide_star_decomposition
+from .solver import (
+    Star,
+    StarDecomposition,
+    _check_gamma,
+    _stars_of,
+    decide_star_decomposition,
+)
 
 DEFAULT_SEARCH_BUDGET = 100_000_000
 DEFAULT_GAMMA_BUDGET = 1_000_000
@@ -60,18 +66,17 @@ def exhaustive_decomposition(
     given (Tarsi, Discrete Math. 1981). Edges are decided in label order,
     the lower endpoint tried first, and a choice stands while both endpoints
     can still reach their count with their undecided edges. Each edge
-    reached afresh is one node of the budget. The stars at a center take
-    its edges in ascending order, k at a time. Exhaustion is definitive:
+    reached afresh is one node of the budget. The stars are read as the
+    solver reads them (``solver._stars_of``): by ascending center, each
+    center's edges ascending, k at a time. Exhaustion is definitive:
     either every branch was explored or the budget tripped.
     """
     if k < 2:
         raise ValueError("star size k must be at least 2")
     m = g.num_edges
-    if m % k:
-        return SearchTranscript(0, EXHAUSTED)
     if gamma is not None:
         gamma = _check_gamma(g, k, gamma)
-        if k * sum(gamma) != m:
+        if k * sum(gamma) != m:  # so k divides m whenever gamma is given
             return SearchTranscript(0, EXHAUSTED)
         if any(k * gamma[x] > g.degree(x) for x in range(g.n)):
             # a center needs k distinct incident edges per star
@@ -79,6 +84,8 @@ def exhaustive_decomposition(
         if any(gamma[u] == 0 and gamma[v] == 0 for u, v in g.edges):
             # every edge must get a star centered at one of its endpoints
             return SearchTranscript(0, EXHAUSTED)
+    elif m % k:
+        return SearchTranscript(0, EXHAUSTED)
     if m == 0:
         return SearchTranscript(0, FOUND, StarDecomposition(k, ()))
 
@@ -125,12 +132,7 @@ def exhaustive_decomposition(
     for (u, v), side in zip(edges, sides):
         center, leaf = (v, u) if side else (u, v)
         leaves[center].append(leaf)
-    stars = [
-        Star(x, tuple(row[j : j + k]))
-        for x, row in enumerate(leaves)
-        for j in range(0, len(row), k)
-    ]
-    return SearchTranscript(nodes, FOUND, StarDecomposition(k, tuple(stars)))
+    return SearchTranscript(nodes, FOUND, _stars_of(k, [len(row) // k for row in leaves], leaves))
 
 
 def gamma_caps(g: Graph, k: int) -> list[int]:

@@ -61,7 +61,6 @@ from .flow import MaxFlow, max_flow_on_rows, reaching_on_rows
 from .graphs import (
     Graph,
     complete_graph,
-    component_edge_counts,
     labels_in,
     labels_of,
     mask_of,
@@ -466,57 +465,45 @@ def decompose_complete(n: int, k: int) -> StarDecomposition | None:
 def two_star_decompose(g: Graph) -> StarDecomposition | None:
     """A 2-star decomposition, or None when some component has odd edge count.
 
-    Per component the edges are paired bottom-up along a BFS tree: each
-    vertex pairs its still-unused non-parent edges, attaching a leftover to
-    the parent edge. Neighbours are visited in ascending order, read from
-    lists that one pass over the label-ordered edges fills in that order.
+    A 2-star decomposition is an orientation in which every out-degree is
+    even (Tarsi), read by ``_stars_of``: stars by ascending center, each
+    center's out-neighbours ascending, two at a time. The orientation grows
+    a breadth-first spanning forest, ascending neighbours first; every edge
+    off the forest leaves its lower end. Then, children before parents,
+    each tree edge leaves the child iff the child's out-degree so far is
+    odd, which makes it even. Only a root can be left odd, with the parity
+    of its component's edge count, so an odd root means there is none.
+    O(n + |E|) apart from sorting each vertex's out-neighbours.
     """
-    comps = g.components()
-    counts = component_edge_counts(g, comps)
-    if any(c % 2 for c in counts):
-        return None
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    stars: list[Star] = []
-    used: set[tuple[int, int]] = set()
-    for comp, comp_edges in zip(comps, counts):
-        if comp_edges == 0:
-            continue
-        root = comp[0]
-        parent: dict[int, int | None] = {root: None}
-        order = [root]
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+    heads: list[list[int]] = [[] for _ in range(g.n)]
+    parent = [-1] * g.n  # a root is its own parent
+    order: list[int] = []  # the forest, breadth-first
+    i = 0
+    for root in range(g.n):
+        if parent[root] < 0:
+            parent[root] = root
+            order.append(root)
+        while i < len(order):
+            x = order[i]
+            i += 1
             for y in nbrs[x]:
-                if y not in parent:
+                if parent[y] < 0:
                     parent[y] = x
                     order.append(y)
-                    queue.append(y)
-        for v in reversed(order):
-            p = parent[v]
-            avail = [
-                w
-                for w in nbrs[v]
-                if w != p and (min(v, w), max(v, w)) not in used
-            ]
-            for i in range(0, len(avail) - 1, 2):
-                a, b = avail[i], avail[i + 1]
-                stars.append(Star(v, (min(a, b), max(a, b))))
-                used.add((min(v, a), max(v, a)))
-                used.add((min(v, b), max(v, b)))
-            if len(avail) % 2 == 1:
-                if p is None:
-                    raise RuntimeError("odd leftover at component root")
-                a = avail[-1]
-                stars.append(Star(v, (min(a, p), max(a, p))))
-                used.add((min(v, a), max(v, a)))
-                used.add((min(v, p), max(v, p)))
-    return StarDecomposition(2, tuple(stars))
+                elif y != parent[x] and x < y:  # off the forest, met from both ends
+                    heads[x].append(y)
+    for x in reversed(order):
+        p = parent[x]
+        odd = len(heads[x]) % 2
+        if p != x:
+            heads[x if odd else p].append(p if odd else x)
+        elif odd:
+            return None  # x's component has an odd edge count
+    return _stars_of(2, [len(h) // 2 for h in heads], map(sorted, heads))
 
 
 _DOT_PALETTE = (

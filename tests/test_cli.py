@@ -302,6 +302,14 @@ def test_decompose_witness_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "n11_witness_decompose_k3.json").read_text()
 
 
+def test_decompose_two_star_matches_golden(capsys):
+    # K_5, K_4 and a 4-edge path, disjoint: the stars of the parity
+    # orientation by ascending center, each center's leaves ascending
+    args = ["decompose", "--graph", str(GOLDEN / "k5_k4_p5_graph.json"), "--k", "2"]
+    assert run(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "k5_k4_p5_decompose_k2.json").read_text()
+
+
 def test_family_verify_matches_golden(capsys):
     # every claim of the smallest single-edge instance, with its evidence
     assert run(["family", "--id", "single-edge", "--k", "3", "--n", "8", "--verify"]) == 0

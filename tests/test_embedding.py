@@ -14,7 +14,7 @@ from stardecomp.embedding import (
     embed_small_case,
     greedy_star_removal,
     guaranteed_s,
-    obstacle_check,
+    obstacle_required,
 )
 from stardecomp.exactnum import Surd
 from stardecomp.graphs import (
@@ -25,6 +25,7 @@ from stardecomp.graphs import (
     join,
     join_edge_count,
 )
+from stardecomp.independence import independence_number
 from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, sample_maximal_partial
 from stardecomp.solver import validate_decomposition
 
@@ -58,36 +59,27 @@ def test_degree_pair_flags_join_edges_for_tiny_graphs():
 
 
 def test_obstacle_violated_for_clique_blocks():
-    report = obstacle_check(SEVEN_K4, 8, 4, 7)
-    assert report.status == "violated"
-    assert report.required == 12
-    assert report.alpha == 7
+    assert independence_number(SEVEN_K4) == 7 < obstacle_required(SEVEN_K4, 8, 4) == 12
 
 
 def test_obstacle_passes_trivially_when_requirement_nonpositive():
     # no alpha is needed to pass a requirement of at most zero
-    report = obstacle_check(SINGLE_EDGE_8, 3, 4, None)
-    assert report.status == "passes"
-    assert report.required == -1
+    assert obstacle_required(SINGLE_EDGE_8, 3, 4) == -1
 
 
 def test_obstacle_passes_for_empty_leave():
-    report = obstacle_check(Graph(6, ()), 3, 3, 6)
-    assert report.status == "passes"
+    assert obstacle_required(Graph(6, ()), 3, 3) == 2 <= independence_number(Graph(6, ())) == 6
 
 
 def test_obstacle_unknown_when_alpha_cut_off():
     # a positive requirement cannot be decided without the exact alpha
     claw = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    report = obstacle_check(claw, 3, 3, None)
-    assert report.status == "unknown"
-    assert report.required == 1
-    assert report.alpha is None
+    assert obstacle_required(claw, 3, 3) == 1
 
 
 def test_obstacle_requires_divisibility():
     with pytest.raises(ValueError):
-        obstacle_check(SINGLE_EDGE_8, 3, 3, None)
+        obstacle_required(SINGLE_EDGE_8, 3, 3)
 
 
 def test_small_case_forced_all_ones():

@@ -73,6 +73,16 @@ def test_exhaustive_respects_gamma():
     assert exhaustive_decomposition(g, 3, gamma=(5, 0, 0, 0, 0, 0)).outcome == EXHAUSTED
 
 
+def test_exhaustive_checks_gamma_before_refusing():
+    # K_4's 6 edges are not a multiple of 4, but a malformed gamma is
+    # refused first
+    with pytest.raises(ValueError):
+        exhaustive_decomposition(complete_graph(4), 4, gamma=[0.5, "x"])
+    # 3 divides K_6's 15 edges, but six stars of 3 would need 18
+    tr = exhaustive_decomposition(complete_graph(6), 3, gamma=[1] * 6)
+    assert (tr.outcome, tr.nodes_explored) == (EXHAUSTED, 0)
+
+
 def test_gamma_search_two_triangles():
     assert exhaustive_gamma_search(disjoint_cliques([3, 3]), 2).outcome == EXHAUSTED
 

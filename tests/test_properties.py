@@ -301,6 +301,18 @@ def test_two_star_matches_component_parity(g):
         assert validate_decomposition(g, result) is None
 
 
+@SETTINGS
+@given(small_graphs())
+def test_two_star_lists_stars_by_center(g):
+    # the shape the decision and the reference give: ascending centers,
+    # each star's leaves ascending
+    result = two_star_decompose(g)
+    assume(result is not None)
+    centers = [star.center for star in result.stars]
+    assert centers == sorted(centers)
+    assert all(list(star.leaves) == sorted(star.leaves) for star in result.stars)
+
+
 # joins L v K_s of small random graphs: the s join vertices are twins, and
 # so are many base vertices
 SMALL_JOINS = (

@@ -256,7 +256,7 @@ def test_two_star_disconnected_components():
 
 
 def test_two_star_many_components():
-    # 8000 disjoint 2-edge paths: the component edge counts take one pass
+    # 8000 disjoint 2-edge paths: one forest, one orientation pass
     g = graph_from_edges(24000, [(3 * i + j, 3 * i + j + 1) for i in range(8000) for j in (0, 1)])
     dec = two_star_decompose(g)
     assert len(dec.stars) == 8000

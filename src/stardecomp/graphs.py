@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, compress, repeat
@@ -36,12 +37,12 @@ Edge = tuple[int, int]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def labels_in(mask: int, labels) -> list:
-    """The items of ``labels`` at the set bits of ``mask``, in order;
-    ``labels`` needs at least ``mask.bit_length()`` items. Lists read
+def labels_in(mask: int, labels) -> Iterator:
+    """The items of ``labels`` at the set bits of ``mask``, in order and
+    lazily; ``labels`` needs at least ``mask.bit_length()`` items. Reads
     against one tuple of labels share its int objects."""
     digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest first
-    return list(compress(labels, digits))
+    return compress(labels, digits)
 
 
 def labels_of(mask: int) -> list[int]:
@@ -50,7 +51,7 @@ def labels_of(mask: int) -> list[int]:
     # off one set bit per eighth of the digits, plus a fixed eight or so,
     # so denser masks take it.
     if mask.bit_count() * 8 > mask.bit_length() + 64:
-        return labels_in(mask, range(mask.bit_length()))
+        return list(labels_in(mask, range(mask.bit_length())))
     out = []
     base = -1
     while mask:

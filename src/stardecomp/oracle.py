@@ -26,6 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from .graphs import Graph, labels_of
 from .solver import (
@@ -132,7 +133,9 @@ def exhaustive_decomposition(
     for (u, v), side in zip(edges, sides):
         center, leaf = (v, u) if side else (u, v)
         leaves[center].append(leaf)
-    return SearchTranscript(nodes, FOUND, _stars_of(k, [len(row) // k for row in leaves], leaves))
+    gamma = [len(row) // k for row in leaves]
+    stars = _stars_of(k, gamma, map(len, leaves), chain.from_iterable(leaves))
+    return SearchTranscript(nodes, FOUND, stars)
 
 
 def gamma_caps(g: Graph, k: int) -> list[int]:

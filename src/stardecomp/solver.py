@@ -29,7 +29,8 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   vertex. Vertices are oriented in label order, each pointing at the
   highest-labelled upper neighbours it still needs, with O(n) big-int
   operations in all, and ``flow.max_flow_on_rows`` repairs the start.
-  Validation of these graphs clears each star from a copy of the rows.
+  Validation of these graphs writes the stars into an n-by-n byte matrix
+  and reads each vertex's row and column of it against its row of g.
   Neither reads ``Graph.edges``, so a builder's graph never builds its
   edge tuple here.
 
@@ -47,8 +48,9 @@ Times of the rows route relative to the arc route on the same inputs
 
 The 128-vertex floor keeps every sweep and constructions join (at most 58
 vertices) on arcs, where the gain is small and would move their pinned
-stars. The density floor keeps long sparse graphs off the rows, where
-validation, at O(|E| n/64) word operations, would go quadratic.
+stars. The density floor keeps long sparse graphs off the rows, whose
+bitsets and validation matrix take about n^2/8 and n^2 bytes: at most 2
+and 16 bytes an edge at the floor.
 """
 
 from __future__ import annotations
@@ -96,13 +98,13 @@ class StarDecomposition:
 
     @staticmethod
     def from_json_dict(data: dict) -> "StarDecomposition":
-        return StarDecomposition(
-            int(data["k"]),
-            tuple(
-                Star(int(s["center"]), tuple(int(x) for x in s["leaves"]))
-                for s in data["stars"]
-            ),
-        )
+        """Read ``to_json_dict``'s record, refusing labels that are not ints."""
+        k = data["k"]
+        stars = tuple(Star(s["center"], tuple(s["leaves"])) for s in data["stars"])
+        labels = chain((k,), *((star.center, *star.leaves) for star in stars))
+        if any(type(x) is not int for x in labels):
+            raise ValueError("a JSON decomposition needs integer k, centers and leaves")
+        return StarDecomposition(k, stars)
 
 
 @dataclass(frozen=True)
@@ -200,28 +202,18 @@ def decide_star_decomposition(
     return _decide_on_arcs(g, k, gamma)
 
 
-def _stars_of(k: int, gamma: tuple[int, ...], heads) -> StarDecomposition:
-    """The stars of an orientation whose out-degrees are k*gamma: each
-    vertex's ascending out-neighbours ``heads[x]``, k at a time. ``heads``
-    is read one vertex at a time."""
-
-    def checked():
-        for x, leaves in enumerate(heads):
-            if len(leaves) != k * gamma[x]:
-                raise RuntimeError("orientation out-degree mismatch")
-            yield leaves
-
-    # One iterator over all leaves, zipped k times, cuts them into k-tuples;
-    # each vertex's list holds whole stars, so the cuts line up with the
-    # centers, x repeated gamma(x) times.
-    rows = checked()
-    leaves = chain.from_iterable(rows)
+def _stars_of(k: int, gamma: tuple[int, ...], degrees, leaves) -> StarDecomposition:
+    """The stars of an orientation whose out-degrees ``degrees`` must be
+    k*gamma: ``leaves`` streams each vertex's ascending out-neighbours in
+    label order, and is cut k at a time."""
+    if list(degrees) != [k * c for c in gamma]:
+        raise RuntimeError("orientation out-degree mismatch")
+    # One iterator zipped k times cuts the stream into k-tuples; each vertex
+    # holds whole stars, so the cuts line up with the centers, x repeated
+    # gamma(x) times.
     centers = chain.from_iterable(map(repeat, range(len(gamma)), gamma))
-    pairs = zip(centers, zip(*[leaves] * k))
-    stars = tuple(map(tuple.__new__, repeat(Star), pairs))
-    for _ in rows:  # the vertices past the last center are checked too
-        pass
-    return StarDecomposition(k, stars)
+    pairs = zip(centers, zip(*[iter(leaves)] * k))
+    return StarDecomposition(k, tuple(map(tuple.__new__, repeat(Star), pairs)))
 
 
 def _refusal(g: Graph, k: int, gamma, reach) -> DeficiencyWitness:
@@ -260,7 +252,8 @@ def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
     # Edge order made every list ascend, as ``ascending_heads`` needs.
     net = MaxFlow(heads, excess)
     if net.max_flow() == net.surplus:
-        return _stars_of(k, gamma, net.ascending_heads())
+        heads = net.ascending_heads()
+        return _stars_of(k, gamma, map(len, heads), chain.from_iterable(heads))
     reach = net.residual_reaching()
     return _refusal(g, k, gamma, [x for x in range(g.n) if reach[x]])
 
@@ -309,7 +302,8 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
     surplus = sum(x for x in excess if x > 0)
     if max_flow_on_rows(out, excess) == surplus:
         labels = tuple(range(g.n))  # so that leaves with one label share its int
-        return _stars_of(k, gamma, (labels_in(row, labels) for row in out))
+        leaves = chain.from_iterable(map(labels_in, out, repeat(labels)))
+        return _stars_of(k, gamma, [row.bit_count() for row in out], leaves)
     return _refusal(g, k, gamma, labels_of(reaching_on_rows(g.rows, out, excess)))
 
 
@@ -328,13 +322,14 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     codes of g's edges iff the stars cover every edge exactly once: a
     repeated leaf, a center as its own leaf, a non-edge, a double cover and
     a missing edge each break the equality. On rows, once no label is
-    negative either, each star's leaf mask must have k bits (a repeated
-    leaf carries into fewer) and lie inside what is left of its center's row
-    (which never holds the center), and its edges are then cleared at both
-    ends; the stars cover every edge exactly once iff every row ends up
-    empty. That costs O(|E| n/64) word operations, which is why sparse
-    graphs keep the sorted codes. Only a failed check walks the stars to
-    name the first violation.
+    negative either, byte c*n + x of an n-by-n matrix of n^2 bytes is set
+    once per leaf x of a star at c, and the count of set bytes must be k
+    per star, which a repeated leaf or star breaks. Then at each vertex x,
+    its row of the matrix (what it claims) and its column (what claims it)
+    must be disjoint and make up g's row of x. That costs O(|E|) one-byte
+    writes plus O(n^2) bytes read in C, which is why sparse graphs keep
+    the sorted codes. Only a failed check walks the stars to name the
+    first violation.
     """
     k = d.k
     if k < 2:
@@ -391,24 +386,23 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
 
 def _covers_on_rows(g: Graph, k: int, centers, star_leaves) -> bool:
     """Whether stars of k leaves each, all labels in 0..n-1, cover every
-    edge of g exactly once, cleared from a copy of its rows."""
-    rows = list(g.rows)
-    top = g.n - 1
-    zeros = b"0" * g.n
+    edge of g exactly once, read off their claims matrix (see
+    ``validate_decomposition``)."""
+    n = g.n
+    claims = bytearray(b"0") * (n * n)
     for c, xs in zip(centers, star_leaves):
-        # the leaf mask's binary digits, most significant first
-        digits = bytearray(zeros)
+        base = c * n
         for x in xs:
-            digits[top - x] = 49  # "1"
-        leaves = int(digits, 2)
-        row = rows[c]
-        if leaves.bit_count() != k or leaves & ~row:
+            claims[base + x] = 49  # "1"
+    if claims.count(49) != k * len(centers):
+        return False
+    for x, row in enumerate(g.rows):
+        # reversed, so the binary digits come most significant first
+        out = int(claims[x * n : x * n + n][::-1], 2)
+        into = int(claims[x::n][::-1], 2)
+        if out & into or out | into != row:
             return False
-        rows[c] = row ^ leaves
-        bit = 1 << c
-        for x in xs:
-            rows[x] ^= bit
-    return not any(rows)
+    return True
 
 
 def balanced_gamma(g: Graph, k: int) -> tuple[int, ...]:
@@ -503,7 +497,8 @@ def two_star_decompose(g: Graph) -> StarDecomposition | None:
             heads[x if odd else p].append(p if odd else x)
         elif odd:
             return None  # x's component has an odd edge count
-    return _stars_of(2, [len(h) // 2 for h in heads], map(sorted, heads))
+    leaves = chain.from_iterable(map(sorted, heads))
+    return _stars_of(2, [len(h) // 2 for h in heads], map(len, heads), leaves)
 
 
 _DOT_PALETTE = (

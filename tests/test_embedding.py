@@ -350,6 +350,9 @@ def test_certificate_json_round_trip():
     data = json.loads(json.dumps(cert.to_json_dict(), sort_keys=True))
     again = EmbeddingCertificate.from_json_dict(data)
     assert again == cert
+    data["decomposition"]["stars"][0]["leaves"][0] += 0.5
+    with pytest.raises(ValueError, match="integer"):
+        EmbeddingCertificate.from_json_dict(data)
 
 
 def test_bound_report_threshold_is_eight_for_k8():

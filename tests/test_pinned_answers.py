@@ -1,5 +1,6 @@
-"""Pin the program's answers on a small grid to two digests, and the
-``family`` command's output to a third.
+"""Pin the program's answers on a small grid to two digests, the
+``family`` command's output to a third and the rows route's stars to a
+fourth.
 
 The grid is every ``embed`` certificate and the large/small-case
 constructions for every divisible s in [k, 2k], for k = 3..5, k < n <= 12
@@ -17,6 +18,13 @@ a change that re-pins one says so in CHANGES.md.
 The families digest covers the exit code and the exact bytes ``stardecomp
 family`` writes for each instance in FAMILY_INSTANCES: its generate JSON and
 its ``--verify`` JSON at the default flow limit and at 400,000 edges.
+
+The rows stars digest covers the stars of three decompositions on the
+solver's rows route, which the grid's joins, all below 128 vertices, never
+take: K_256 with k = 8, the balanced-center decomposition of tightness-T2
+t = 8's 770-vertex complement, and the 768-vertex join that even-bound
+t = 7's success-at-s claim decides. The families digest covers only their
+star counts.
 """
 
 import contextlib
@@ -32,12 +40,15 @@ from stardecomp.embedding import (
     embed_large_case,
     embed_small_case,
 )
+from stardecomp.families import generate
 from stardecomp.graphs import join_edge_count
 from stardecomp.oracle import sample_maximal_partial
+from stardecomp.solver import decompose_complete, decompose_with_repair
 
 ANSWERS_DIGEST = "f411ef0083895e4c1d28603e8db1d436eb5da53a97e1a9daa29e3fc96b631ae6"
 STARS_DIGEST = "2a041f05481d4b5f0b7095a009263975fb6ec1c5e1f487e4ccc0e8891c440d81"
 FAMILIES_DIGEST = "4ac682394097ecd1c40a0473ec9833645341e6de30eae120d79eafc9f073536a"
+ROWS_STARS_DIGEST = "810f8e6593c8ee8b411f097b3b9a27a607fab09b774a4f6dc4e1912d52140d11"
 
 GAMMA_BUDGET = 2000
 ALPHA_BUDGET = 100_000
@@ -101,6 +112,18 @@ def family_outputs() -> list:
     return runs
 
 
+def rows_stars() -> list:
+    """The stars of the three rows-route decompositions, in order."""
+    t2 = generate("tightness-T2", t=8)
+    even = generate("even-bound", t=7)
+    (s,) = [c.params["s"] for c in even.claims if c.kind == "success-at-s"]
+    return [
+        _stars(decompose_complete(256, 8)),
+        _stars(decompose_with_repair(t2.leave.complement(), t2.k)),
+        _stars(embed_large_case(even.leave, even.k, s)),
+    ]
+
+
 def _digest(data: list) -> str:
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -124,8 +147,13 @@ def test_family_outputs_match_pinned_digest():
     assert _digest(family_outputs()) == FAMILIES_DIGEST
 
 
+def test_rows_stars_match_pinned_digest():
+    assert _digest(rows_stars()) == ROWS_STARS_DIGEST
+
+
 if __name__ == "__main__":
     answers_digest, stars_digest = digests()
     print("answers", answers_digest)
     print("stars", stars_digest)
     print("families", _digest(family_outputs()))
+    print("rows stars", _digest(rows_stars()))

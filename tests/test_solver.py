@@ -1,7 +1,7 @@
 import json
 import random
 import sys
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from stardecomp.oracle import exhaustive_decomposition
 from stardecomp.solver import (
     DeficiencyWitness,
     _on_rows,
+    _stars_of,
     Star,
     StarDecomposition,
     balanced_gamma,
@@ -373,6 +374,35 @@ def test_decomposition_json_round_trip():
     dec = decompose_complete(6, 3)
     data = json.loads(json.dumps(dec.to_json_dict()))
     assert StarDecomposition.from_json_dict(data) == dec
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"k": 2, "stars": [{"center": 1.5, "leaves": [0, 2]}]},
+        {"k": 2, "stars": [{"center": True, "leaves": [0, 2]}]},
+        {"k": 2, "stars": [{"center": 1, "leaves": [0, 2.5]}]},
+        {"k": 2, "stars": [{"center": 1, "leaves": [False, 2]}]},
+        {"k": 2, "stars": [{"center": 1, "leaves": ["0", 2]}]},
+        {"k": 2.0, "stars": [{"center": 1, "leaves": [0, 2]}]},
+    ],
+)
+def test_decomposition_json_refuses_non_integers(data):
+    # int() would read 1.5 and true as 1, and 2.5 as 2
+    with pytest.raises(ValueError, match="integer"):
+        StarDecomposition.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "gamma,heads",
+    [
+        ((1, 1, 0), [[1, 2], [2], []]),  # vertex 1 is a leaf short
+        ((1, 0, 0), [[1, 2], [], [0]]),  # vertex 2, past the last center, has a leaf
+    ],
+)
+def test_stars_of_refuses_out_degrees_off_k_gamma(gamma, heads):
+    with pytest.raises(RuntimeError, match="orientation out-degree mismatch"):
+        _stars_of(2, gamma, map(len, heads), chain.from_iterable(heads))
 
 
 def test_star_record_behaves_as_before():

@@ -225,6 +225,36 @@ def _non_neighbour(g, star):
     return next(x for x in range(g.n) if x != star.center and not row >> x & 1)
 
 
+def _covered_from_both_ends(g, s):
+    """Star 0's first leaf moved to a vertex y whose own star covers
+    {c, y}, c being star 0's center: every count stays as it was, and only
+    the stars claiming c (its column) show {c, y} claimed from both ends."""
+    c = s[0].center
+    y = next(star.center for star in s if c in star.leaves)
+    return _leaves(s, 0, (y, *s[0].leaves[1:]))
+
+
+def _shared_leaf(g, s):
+    """Two stars of one center given the same first leaf."""
+    first = {}
+    for j, star in enumerate(s):
+        i = first.setdefault(star.center, j)
+        if i != j:
+            return _leaves(s, j, (s[i].leaves[0], *star.leaves[1:]))
+    raise AssertionError("no center has two stars")
+
+
+def _star_claimed_back(g, s):
+    """One more star, at the vertex y that the most stars have as a leaf,
+    whose leaves are k of those stars' centers: no claim repeats and every
+    edge stays covered, so only the edges claimed from both ends show it."""
+    y = max(range(g.n), key=lambda x: sum(x in star.leaves for star in s))
+    claimers = [star.center for star in s if y in star.leaves]
+    k = len(s[0].leaves)
+    assert len(claimers) >= k
+    return [*s, Star(y, tuple(sorted(claimers[:k])))]
+
+
 # Each defect rewrites the star list of the valid decomposition of ``dense``.
 DEFECTS = {
     "short star": lambda g, s: _leaves(s, 0, s[0].leaves[1:]),
@@ -238,6 +268,9 @@ DEFECTS = {
     "huge leaf": lambda g, s: _leaves(s, 0, (*s[0].leaves[:-1], 10**18)),
     "center n": lambda g, s: [*s[:2], Star(g.n, s[2].leaves), *s[3:]],
     "negative center": lambda g, s: [*s[:-1], Star(-1, s[-1].leaves)],
+    "covered from both ends": _covered_from_both_ends,
+    "leaf shared by two stars of one center": _shared_leaf,
+    "star on edges claimed from the other end": _star_claimed_back,
 }
 
 

@@ -89,15 +89,22 @@ class EmbeddingCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "EmbeddingCertificate":
+        """Read ``to_json_dict``'s record, refusing a k, n, s or rejection s
+        that is not an int, as ``StarDecomposition.from_json_dict`` refuses
+        labels that are not."""
+        rejections = tuple(
+            Rejection(r["s"], str(r["reason"]), r.get("detail"))
+            for r in data["rejections"]
+        )
+        k, n, s = data["k"], data["n"], data["s"]
+        if any(type(x) is not int for x in (k, n, s, *(r.s for r in rejections))):
+            raise ValueError("a JSON certificate needs integer k, n, s and rejection s")
         return EmbeddingCertificate(
-            int(data["k"]),
-            int(data["n"]),
-            int(data["s"]),
+            k,
+            n,
+            s,
             StarDecomposition.from_json_dict(data["decomposition"]),
-            tuple(
-                Rejection(int(r["s"]), str(r["reason"]), r.get("detail"))
-                for r in data["rejections"]
-            ),
+            rejections,
             str(data["minimality"]),
         )
 

@@ -309,29 +309,39 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
 
 def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     """None if the decomposition is valid for g, else a description of the
-    first violation found. Never raises.
+    first violation found. Never raises: a label that is no number, or an
+    int of any size outside 0..n-1, is a violation like any other. Labels
+    are read by value, so a float equal to a valid label stands for it.
 
-    Validity is decided in one pass, once every star has k leaves and no
-    label is n or more, on the route ``decide_star_decomposition`` takes:
-    rows at 128 vertices and n^2/16 edges or more, sorted codes otherwise
-    (the module docstring times the routes).
+    Validity is decided in one pass, once every star has k leaves, on the
+    route ``decide_star_decomposition`` takes: rows at 128 vertices and
+    n^2/16 edges or more, sorted codes otherwise (the module docstring
+    times the routes).
 
-    With sorted codes, the code low*n + high of a pair in 0..n-1 names
-    exactly that pair, and a pair with a negative label gets a negative
-    code, which no edge has. So the sorted codes of the star pairs equal the
-    codes of g's edges iff the stars cover every edge exactly once: a
-    repeated leaf, a center as its own leaf, a non-edge, a double cover and
-    a missing edge each break the equality. On rows, once no label is
-    negative either, byte c*n + x of an n-by-n matrix of n^2 bytes is set
-    once per leaf x of a star at c, and the count of set bytes must be k
+    With sorted codes, once no label is n or more, the code low*n + high of
+    a pair in 0..n-1 names exactly that pair, and a pair with a negative
+    label gets a negative code, which no edge has. So the sorted codes of
+    the star pairs equal the codes of g's edges iff the stars cover every
+    edge exactly once: a repeated leaf, a center as its own leaf, a
+    non-edge, a double cover and a missing edge each break the equality.
+
+    On rows, once every center is in 0..n-1 and no leaf is negative, each
+    star writes byte x of its center's row of an n-by-n matrix of n^2
+    bytes, once per leaf x, through one view of that row: the view's own
+    bounds check refuses a leaf of n or more, so no pass looks for the
+    largest label. A negative leaf would index the row from its end, which
+    is why the leaves are checked for one. The count of set bytes must be k
     per star, which a repeated leaf or star breaks. Then at each vertex x,
     its row of the matrix (what it claims) and its column (what claims it)
     must be disjoint and make up g's row of x. That costs O(|E|) one-byte
-    writes plus O(n^2) bytes read in C, which is why sparse graphs keep
-    the sorted codes. Only a failed check walks the stars to name the
-    first violation.
+    writes plus O(n^2) bytes read in C, which is why sparse graphs keep the
+    sorted codes.
+
+    Only a failed check walks the stars to name the first violation.
     """
     k = d.k
+    if not isinstance(k, int):
+        return f"star size {k!r} is not an integer"
     if k < 2:
         return f"star size {k} is below 2"
     n = g.n
@@ -339,21 +349,14 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     if all(len(star.leaves) == k for star in stars):
         centers = [star.center for star in stars]
         star_leaves = [star.leaves for star in stars]
-        high = max(max(centers, default=0), max(map(max, star_leaves), default=0))
-        if high < n:
-            if not _on_rows(n, g.num_edges):
-                codes = [
-                    c * n + x if c < x else x * n + c
-                    for c, xs in zip(centers, star_leaves)
-                    for x in xs
-                ]
-                codes.sort()
-                if codes == [u * n + v for u, v in g.edges]:
+        try:
+            if _on_rows(n, g.num_edges):
+                if _covers_on_rows(g, k, centers, star_leaves):
                     return None
-            else:
-                low = min(min(centers, default=0), min(map(min, star_leaves), default=0))
-                if low >= 0 and _covers_on_rows(g, k, centers, star_leaves):
-                    return None
+            elif _covers_by_codes(g, centers, star_leaves):
+                return None
+        except (TypeError, IndexError):
+            pass  # a label that is not an int, or one out of a row's range
     # invalid: walk the stars in order for the first violation
     edges = frozenset(g.edges)
     seen: set[tuple[int, int]] = set()
@@ -361,11 +364,15 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
         center, leaves = star.center, star.leaves
         if len(leaves) != d.k:
             return f"star {idx} at {center} has {len(leaves)} leaves, wanted {d.k}"
-        if len(set(leaves)) != d.k:
+        try:
+            pairs = [(center, x) if center < x else (x, center) for x in leaves]
+            repeats = len(set(leaves)) != d.k
+        except TypeError:  # unordered against the others, or unhashable
+            return f"star {idx} has a label that is not a number"
+        if repeats:
             return f"star {idx} at {center} repeats a leaf"
         if center in leaves:
             return f"star {idx} has its center {center} as a leaf"
-        pairs = [(center, x) if center < x else (x, center) for x in leaves]
         if edges.issuperset(pairs) and seen.isdisjoint(pairs):
             seen.update(pairs)
             continue
@@ -384,16 +391,36 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     return None
 
 
-def _covers_on_rows(g: Graph, k: int, centers, star_leaves) -> bool:
-    """Whether stars of k leaves each, all labels in 0..n-1, cover every
-    edge of g exactly once, read off their claims matrix (see
-    ``validate_decomposition``)."""
+def _covers_by_codes(g: Graph, centers, star_leaves) -> bool:
+    """Whether stars with all labels below n cover every edge of g exactly
+    once, read off their sorted pair codes (see ``validate_decomposition``)."""
     n = g.n
+    if max(max(centers, default=0), max(map(max, star_leaves), default=0)) >= n:
+        return False
+    codes = [
+        c * n + x if c < x else x * n + c
+        for c, xs in zip(centers, star_leaves)
+        for x in xs
+    ]
+    codes.sort()
+    return codes == [u * n + v for u, v in g.edges]
+
+
+def _covers_on_rows(g: Graph, k: int, centers, star_leaves) -> bool:
+    """Whether stars of k leaves each cover every edge of g exactly once,
+    read off their claims matrix (see ``validate_decomposition``). A leaf
+    of n or more, or one that is no int, raises from its row's view."""
+    n = g.n
+    if not 0 <= min(centers, default=0) <= max(centers, default=0) < n:
+        return False
+    if min(map(min, star_leaves), default=0) < 0:
+        return False
     claims = bytearray(b"0") * (n * n)
-    for c, xs in zip(centers, star_leaves):
-        base = c * n
-        for x in xs:
-            claims[base + x] = 49  # "1"
+    with memoryview(claims) as view:
+        for c, xs in zip(centers, star_leaves):
+            with view[c * n : c * n + n] as row:
+                for x in xs:
+                    row[x] = 49  # "1"
     if claims.count(49) != k * len(centers):
         return False
     for x, row in enumerate(g.rows):

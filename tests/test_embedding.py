@@ -353,6 +353,18 @@ def test_certificate_json_round_trip():
     data["decomposition"]["stars"][0]["leaves"][0] += 0.5
     with pytest.raises(ValueError, match="integer"):
         EmbeddingCertificate.from_json_dict(data)
+    # the certificate's own counts are refused, not truncated, when not ints
+    assert cert.rejections
+    for path in (("k",), ("n",), ("s",), ("rejections", 0, "s")):
+        for bad in (4.5, 4.0, "4", True):
+            data = json.loads(json.dumps(cert.to_json_dict()))
+            *up, key = path
+            record = data
+            for step in up:
+                record = record[step]
+            record[key] = bad
+            with pytest.raises(ValueError, match="integer"):
+                EmbeddingCertificate.from_json_dict(data)
 
 
 def test_bound_report_threshold_is_eight_for_k8():

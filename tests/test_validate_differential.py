@@ -15,12 +15,13 @@ import pytest
 
 from stardecomp.embedding import embed
 from stardecomp.families import generate
-from stardecomp.graphs import Graph, graph_from_edges, join
+from stardecomp.graphs import Graph, complete_graph, graph_from_edges, join
 from stardecomp.oracle import sample_maximal_partial
 from stardecomp.solver import (
     Star,
     _on_rows,
     StarDecomposition,
+    decompose_complete,
     decompose_with_repair,
     validate_decomposition,
 )
@@ -266,6 +267,13 @@ DEFECTS = {
     "negative leaf": lambda g, s: _leaves(s, -1, (-1, *s[-1].leaves[1:])),
     "leaf n": lambda g, s: _leaves(s, 0, (*s[0].leaves[:-1], g.n)),
     "huge leaf": lambda g, s: _leaves(s, 0, (*s[0].leaves[:-1], 10**18)),
+    # y - n writes the very byte y writes in the center's row, so only the
+    # leaves' nonnegativity check tells this from the valid decomposition
+    "negative leaf aliasing a real edge": lambda g, s: _leaves(
+        s, len(s) // 2, (s[len(s) // 2].leaves[0] - g.n, *s[len(s) // 2].leaves[1:])
+    ),
+    # too large for a row view's index, not just past its end
+    "leaf 10**30": lambda g, s: _leaves(s, 0, (*s[0].leaves[:-1], 10**30)),
     "center n": lambda g, s: [*s[:2], Star(g.n, s[2].leaves), *s[3:]],
     "negative center": lambda g, s: [*s[:-1], Star(-1, s[-1].leaves)],
     "covered from both ends": _covered_from_both_ends,
@@ -282,3 +290,26 @@ def test_each_defect_on_rows_matches_reference(dense, defect):
     assert expected is not None
     # the same message as the reference, and no label outside 0..n-1 reaches a shift
     assert validate_decomposition(g, bad) == expected
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (256, 8)], ids=["arcs", "rows"])
+@pytest.mark.parametrize("label", ["3", None, 2.5, 10**30], ids=repr)
+def test_labels_that_name_no_vertex_give_a_violation(n, k, label):
+    g = complete_graph(n)
+    d = decompose_complete(n, k)
+    assert _on_rows(n, g.num_edges) == (n == 256)
+    i = len(d.stars) // 2
+    center, leaves = d.stars[i]
+    for star in (Star(center, (label, *leaves[1:])), Star(label, leaves)):
+        bad = StarDecomposition(k, (*d.stars[:i], star, *d.stars[i + 1 :]))
+        problem = validate_decomposition(g, bad)
+        assert isinstance(problem, str) and problem.startswith(f"star {i} "), problem
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (256, 8)], ids=["arcs", "rows"])
+def test_labels_are_read_by_value_on_both_routes(n, k):
+    g = complete_graph(n)
+    d = decompose_complete(n, k)
+    center, leaves = d.stars[1]
+    floats = Star(float(center), tuple(map(float, leaves)))
+    assert validate_decomposition(g, StarDecomposition(k, (d.stars[0], floats, *d.stars[2:]))) is None

@@ -29,11 +29,12 @@ On rows, ``out[x]`` is an int whose bit y is set iff the edge xy leaves x.
 A breadth-first frontier is the OR of its vertices' out-rows, a path step
 takes the lowest bit of ``out[x]`` on the next live level, and reversing an
 arc xy flips bit y of ``out[x]`` and bit x of ``out[y]``. Each step costs an
-operation on n-bit ints, so the rows pay off only on dense graphs. The
-single-bit ints 1 << x are made once per call, in one table that every
-mask, level update and arc flip reads, instead of being shifted afresh at
-each use: most units on the dense family graphs walk two arcs, so the
-shifts were a large share of a unit's cost.
+operation on n-bit ints, so the rows pay off only on dense graphs. Most
+units on the dense family graphs walk two arcs, so what a unit costs
+besides its int operations counts: the single-bit ints 1 << x are made
+once per call, in one table that every mask, level update and arc flip
+reads, and the walk keeps its last vertex and length at hand instead of
+reading them off the path at each step.
 """
 
 from __future__ import annotations
@@ -220,13 +221,14 @@ def max_flow_on_rows(out: list[int], excess: list[int]) -> int:
         depth = len(levels) - 1
         for s in labels_of(sources):
             path = [s]
+            x, d = s, 1  # the path's last vertex and its vertex count
             while True:
-                x = path[-1]
-                d = len(path)
                 if d > depth:
-                    for a, b in zip(path, path[1:]):
+                    a = s
+                    for b in path[1:]:
                         out[a] ^= bit[b]
                         out[b] ^= bit[a]
+                        a = b
                     total += 1
                     excess[s] -= 1
                     excess[x] += 1
@@ -236,10 +238,13 @@ def max_flow_on_rows(out: list[int], excess: list[int]) -> int:
                         break
                     # every arc of the path is reversed now
                     del path[1:]
+                    x, d = s, 1
                     continue
                 step = out[x] & levels[d]
                 if step:
-                    path.append((step & -step).bit_length() - 1)
+                    x = (step & -step).bit_length() - 1
+                    path.append(x)
+                    d += 1
                 else:
                     # dead end for the rest of the phase: retreat. A path
                     # vertex keeps its level bit until then, so this clears it
@@ -247,6 +252,8 @@ def max_flow_on_rows(out: list[int], excess: list[int]) -> int:
                     path.pop()
                     if not path:
                         break
+                    x = path[-1]
+                    d -= 1
 
 
 def reaching_on_rows(rows, out: list[int], excess: list[int]) -> int:

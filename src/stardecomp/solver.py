@@ -309,9 +309,10 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
 
 def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     """None if the decomposition is valid for g, else a description of the
-    first violation found. Never raises: a label that is no number, or an
-    int of any size outside 0..n-1, is a violation like any other. Labels
-    are read by value, so a float equal to a valid label stands for it.
+    first violation found. Never raises: a k that is not an int, a label
+    that is no number and an int label of any size outside 0..n-1 are
+    violations like any other. Labels are read by value, as ``Star.edges``
+    reads them, so a float equal to a valid label stands for it.
 
     Validity is decided in one pass, once every star has k leaves, on the
     route ``decide_star_decomposition`` takes: rows at 128 vertices and

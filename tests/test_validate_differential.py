@@ -304,6 +304,7 @@ def test_labels_that_name_no_vertex_give_a_violation(n, k, label):
         bad = StarDecomposition(k, (*d.stars[:i], star, *d.stars[i + 1 :]))
         problem = validate_decomposition(g, bad)
         assert isinstance(problem, str) and problem.startswith(f"star {i} "), problem
+    assert isinstance(validate_decomposition(g, StarDecomposition(label, d.stars)), str)
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (256, 8)], ids=["arcs", "rows"])

@@ -355,14 +355,10 @@ def test_certificate_json_round_trip():
         EmbeddingCertificate.from_json_dict(data)
     # the certificate's own counts are refused, not truncated, when not ints
     assert cert.rejections
-    for path in (("k",), ("n",), ("s",), ("rejections", 0, "s")):
-        for bad in (4.5, 4.0, "4", True):
-            data = json.loads(json.dumps(cert.to_json_dict()))
-            *up, key = path
-            record = data
-            for step in up:
-                record = record[step]
-            record[key] = bad
+    for bad in (4.5, 4.0, "4", True):
+        for in_rejection, key in ((False, "k"), (False, "n"), (False, "s"), (True, "s")):
+            data = cert.to_json_dict()
+            (data["rejections"][0] if in_rejection else data)[key] = bad
             with pytest.raises(ValueError, match="integer"):
                 EmbeddingCertificate.from_json_dict(data)
 

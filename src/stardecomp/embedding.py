@@ -17,6 +17,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from . import oracle
@@ -25,6 +26,7 @@ from .graphs import Graph, graph_from_rows, join, join_edge_count, labels_of, ma
 from .independence import (
     DEFAULT_ALPHA_BUDGET,
     BudgetExceeded,
+    caro_wei_floor,
     independence_number,
     maximum_independent_set,
 )
@@ -41,6 +43,13 @@ REASON_OBSTACLE = "obstacle"
 REASON_DEGREE_PAIR = "degree-pair"
 REASON_EXHAUSTED = "exhausted-nonexistence"
 REASON_UNKNOWN = "unknown-skipped"
+_REASONS = (
+    REASON_DIVISIBILITY,
+    REASON_OBSTACLE,
+    REASON_DEGREE_PAIR,
+    REASON_EXHAUSTED,
+    REASON_UNKNOWN,
+)
 
 DEFAULT_GAMMA_SEARCH_BUDGET = 2000
 
@@ -91,21 +100,29 @@ class EmbeddingCertificate:
     def from_json_dict(data: dict) -> "EmbeddingCertificate":
         """Read ``to_json_dict``'s record, refusing a k, n, s or rejection s
         that is not an int, as ``StarDecomposition.from_json_dict`` refuses
-        labels that are not."""
+        labels that are not, a reason or minimality outside the strings
+        ``embed`` writes, and a detail that is neither an object nor null."""
         rejections = tuple(
-            Rejection(r["s"], str(r["reason"]), r.get("detail"))
-            for r in data["rejections"]
+            Rejection(r["s"], r["reason"], r.get("detail")) for r in data["rejections"]
         )
         k, n, s = data["k"], data["n"], data["s"]
         if any(type(x) is not int for x in (k, n, s, *(r.s for r in rejections))):
             raise ValueError("a JSON certificate needs integer k, n, s and rejection s")
+        for r in rejections:
+            if r.reason not in _REASONS:
+                raise ValueError(f"unknown rejection reason {r.reason!r}")
+            if r.detail is not None and type(r.detail) is not dict:
+                raise ValueError("a rejection detail must be a JSON object or null")
+        minimality = data["minimality"]
+        if minimality not in ("exact", "conditional"):
+            raise ValueError(f"minimality must be 'exact' or 'conditional', got {minimality!r}")
         return EmbeddingCertificate(
             k,
             n,
             s,
             StarDecomposition.from_json_dict(data["decomposition"]),
             rejections,
-            str(data["minimality"]),
+            minimality,
         )
 
 
@@ -269,6 +286,7 @@ def large_n_cap(k: int) -> int:
     return 2 * k - 2 if k % 2 == 1 else 3 * k - 2
 
 
+@cache
 def guaranteed_s(n: int, k: int) -> int:
     """An embedding size that always works for a leave with these (n, k).
 
@@ -277,6 +295,9 @@ def guaranteed_s(n: int, k: int) -> int:
     k clears the independence bound, for middling n the target K_{4k} works
     (K_{3k} for odd k when 4n <= 7k), and for n <= k the partial
     decomposition is empty so K_{2k} absorbs it.
+
+    The answer depends on (n, k) alone, so it is cached: the exact check
+    ``general_cap(k) > s`` that guards it runs once per (n, k).
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
@@ -326,6 +347,14 @@ def embed(
     given center counts exists, so it must accept the seed; a refusal is an
     internal error. Every other s runs the gamma search on L v K_s,
     and an s whose search hits ``gamma_budget`` is "unknown-skipped".
+
+    The obstacle test alpha(L) >= ``obstacle_required(L, k, s)`` needs the
+    exact alpha(L) only when the requirement exceeds the Caro–Wei floor
+    (``caro_wei_floor``), which is at most alpha(L); a requirement at or
+    below it holds without a search. So alpha's branch-and-bound runs at
+    most once, at the first requirement above the floor, and a search cut
+    off by ``alpha_budget`` gives no obstacle verdict at any s. Greedy star
+    removal likewise runs at the first s that needs a seed.
     Minimality is "exact" when every smaller divisible s was rejected for a
     definite reason and "conditional" otherwise.
     Raises NoEmbeddingFound when no s up to the limit works.
@@ -335,14 +364,13 @@ def embed(
     if max_s is not None and max_s < 0:
         raise ValueError(f"max_s must be nonnegative, got {max_s}")
     n = base.n
-    removed, core = greedy_star_removal(base, k)
     limit = guaranteed_s(n, k) if max_s is None else max_s
     rejections: list[Rejection] = []
     definite = True
-    try:
-        alpha = independence_number(base, alpha_budget)
-    except BudgetExceeded:
-        alpha = None
+    floor = caro_wei_floor(base)
+    alpha = None  # searched once, at the first requirement above the floor
+    searched = False
+    removed = core = None  # greedy star removal, at the first s that needs a seed
 
     for s in range(0, limit + 1):
         if join_edge_count(base, s) % k:
@@ -355,6 +383,10 @@ def embed(
             )
             continue
         required = obstacle_required(base, k, s)
+        if required > floor and not searched:
+            searched = True
+            with suppress(BudgetExceeded):  # a cut-off search gives no verdict
+                alpha = independence_number(base, alpha_budget)
         if alpha is not None and alpha < required:
             rejections.append(
                 Rejection(s, REASON_OBSTACLE, {"alpha": alpha, "required": required})
@@ -363,6 +395,8 @@ def embed(
         target = join(base, s)
         seed = None
         if k > 2 and s >= k:
+            if core is None:
+                removed, core = greedy_star_removal(base, k)
             with suppress(ObstacleViolated, BudgetExceeded):
                 seed = _construction_gamma(core, k, s, alpha_budget)
         if k == 2:

@@ -11,9 +11,16 @@ explicit stack. The budget counts branch nodes and the memo holds one entry
 per branch node, so the memo never outgrows the budget. Masks of different
 components never meet, so one memo serves them all, and it also answers
 ``maximum_independent_set``.
+
+``caro_wei_floor`` is the Caro–Wei lower bound on alpha, read off the
+degrees alone, for callers that need alpha only when it could fall below
+some number.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from math import lcm
 
 from .graphs import Graph, mask_of
 
@@ -87,6 +94,17 @@ def _component_alphas(g: Graph, search: _Search):
         else:
             mask = mask_of(comp)
             yield comp, mask, search.alpha(mask)
+
+
+def caro_wei_floor(g: Graph) -> int:
+    """The least integer at or above the sum over vertices v of
+    1/(deg v + 1), which is at most the independence number (Caro 1979,
+    Wei 1981). Exact in integers: each distinct degree adds its count times
+    D/(deg + 1) to a numerator over D, the lcm of the distinct deg + 1."""
+    counts = Counter(g.degrees)
+    den = lcm(*(d + 1 for d in counts))
+    num = sum(c * (den // (d + 1)) for d, c in counts.items())
+    return -(-num // den)
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_ALPHA_BUDGET) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
-from .graphs import Graph, labels_of
+from .graphs import Graph, labels_of, mask_of
 from .solver import (
     Star,
     StarDecomposition,
@@ -233,32 +233,35 @@ def iter_class_totals(g: Graph, k: int, classes):
     completely joined, so they may not both hold a zero. A class of cap 0
     stays at 0 and leaves the walk; then each of its neighbour classes must
     have no zero, and an edge between two cap-0 vertices leaves no vector.
-    The walk keeps its position in arrays rather than on the call stack, so
-    any number of classes is fine. It keeps, for every class, the number of
-    zeros next to each of its positive members, and the most that its spread
-    can carry, up to date as totals change, so a change costs the degree of
-    its class in the class graph, not n. A class the walk backs out of keeps
-    its total until the walk sets it again, since only the complete vectors
-    it yields are read.
+    A class's members share their neighbours outside it, so the set-up
+    reads each class's cap and the size of its neighbour classes off the
+    degree of its first member, and finds zeros next to a vertex in one
+    mask of the cap-0 vertices. The walk keeps its position in arrays
+    rather than on the call stack, so any number of classes is fine. It
+    keeps, for every class, the number of zeros next to each of its
+    positive members, and the most that its spread can carry, up to date as
+    totals change, so a change costs the degree of its class in the class
+    graph, not n. A class the walk backs out of keeps its total until the
+    walk sets it again, since only the complete vectors it yields are read.
     """
     if g.num_edges % k:
         return
     b = g.num_edges // k
     of = _class_of(g.n, classes)
-    vertex_caps = gamma_caps(g, k)
-    cap = [vertex_caps[members[0]] for members in classes]
+    rows, degrees = g.rows, g.degrees
+    reps = [members[0] for members in classes]
+    cap = [degrees[x] // k for x in reps]
     size = [len(members) for members in classes]
-    nbrs = [{of[w] for w in labels_of(g.rows[group[0]])} for group in classes]
+    nbrs = [{of[w] for w in labels_of(rows[x])} for x in reps]
     clique = [c in nbrs[c] for c in range(len(classes))]
-    zero = [x == 0 for x in cap]
-    if any(zero[c] and zero[w] for c in range(len(classes)) for w in nbrs[c]):
+    zeros = mask_of(x for x, d in enumerate(degrees) if d < k)  # the vertices of cap 0
+    if any(rows[x] & zeros for x in labels_of(zeros)):
         return
-    free = [c for c in range(len(classes)) if not zero[c]]
+    free = [c for c in range(len(classes)) if cap[c]]
     pos = {c: i for i, c in enumerate(free)}
     most = [size[c] * cap[c] for c in free]
     least = [
-        size[c] if any(zero[w] for w in nbrs[c]) else size[c] - 1 if clique[c] else 0
-        for c in free
+        size[c] if rows[reps[c]] & zeros else size[c] - 1 if clique[c] else 0 for c in free
     ]
     earlier = [[w for w in nbrs[c] if pos.get(w, i) < i] for i, c in enumerate(free)]
     f = len(free)
@@ -270,7 +273,9 @@ def iter_class_totals(g: Graph, k: int, classes):
     # included when c is a clique; room[c]: the most zeros next to a positive
     # member that c's spread carries under Hakimi's condition on the zeros
     # plus some of c's members; shorts: the classes with near[c] > room[c]
-    near = [sum(size[w] for w in nbrs[c]) for c in range(len(classes))]
+    # twin classes are modules, so c's neighbour classes hold the deg(rep)
+    # neighbours of its first member, and that member too when c is a clique
+    near = [degrees[x] + is_clique for x, is_clique in zip(reps, clique)]
     room = [g.n] * len(classes)  # a total of 0 has no positive member
     shorts = 0
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from stardecomp import embedding
 from stardecomp.embedding import (
     EmbeddingCertificate,
     ObstacleViolated,
@@ -25,7 +26,7 @@ from stardecomp.graphs import (
     join,
     join_edge_count,
 )
-from stardecomp.independence import independence_number
+from stardecomp.independence import caro_wei_floor, independence_number
 from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, sample_maximal_partial
 from stardecomp.solver import validate_decomposition
 
@@ -345,6 +346,48 @@ def test_embed_searches_when_core_alpha_too_small():
     assert validate_decomposition(join(leave, cert.s), cert.decomposition) is None
 
 
+def test_alpha_is_searched_only_past_the_caro_wei_floor(monkeypatch):
+    # over the pinned-answers grid (k = 3..5, n <= 12, seeds 0-1), whose
+    # ledgers hold no obstacle, and three leaves whose ledgers do, embed runs
+    # the exact independence search once on a leave where some requirement
+    # it tests exceeds the Caro-Wei floor and never on any other; each
+    # obstacle rejection keeps its exact alpha
+    calls = []
+
+    def spy(g, budget):
+        calls.append(g)
+        return independence_number(g, budget)
+
+    monkeypatch.setattr(embedding, "independence_number", spy)
+    cases = [
+        (sample_maximal_partial(n, k, seed)[1], k)
+        for k in range(3, 6)
+        for n in range(k + 1, 13)
+        for seed in (0, 1)
+    ]
+    cases += [(sample_maximal_partial(7, 6, seed)[1], 6) for seed in (0, 1)]
+    cases.append((complete_graph(2), 3))
+    searched = obstacles = 0
+    for leave, k in cases:
+        calls.clear()
+        cert = embed(leave, k, gamma_budget=2000, alpha_budget=100_000)
+        tested = [
+            s
+            for s in range(cert.s + 1)
+            if join_edge_count(leave, s) % k == 0 and degree_pair_check(leave, k, s) is None
+        ]
+        floor = caro_wei_floor(leave)
+        open_ = any(obstacle_required(leave, k, s) > floor for s in tested)
+        assert calls == [leave] * open_, (leave, k)
+        searched += open_
+        for r in cert.rejections:
+            if r.reason == "obstacle":
+                obstacles += 1
+                required = obstacle_required(leave, k, r.s)
+                assert r.detail == {"alpha": independence_number(leave), "required": required}
+    assert 0 < searched < len(cases) and obstacles == 3
+
+
 def test_certificate_json_round_trip():
     cert = embed(SINGLE_EDGE_8, 3)
     data = json.loads(json.dumps(cert.to_json_dict(), sort_keys=True))
@@ -361,6 +404,20 @@ def test_certificate_json_round_trip():
             (data["rejections"][0] if in_rejection else data)[key] = bad
             with pytest.raises(ValueError, match="integer"):
                 EmbeddingCertificate.from_json_dict(data)
+    # a reason or minimality outside the strings embed writes, and a detail
+    # that is not an object or null, are refused rather than passed through
+    for in_rejection, key, bad in (
+        (False, "minimality", 5),
+        (False, "minimality", "5"),
+        (True, "reason", None),
+        (True, "reason", "None"),
+        (True, "detail", [1]),
+        (True, "detail", "edge"),
+    ):
+        data = cert.to_json_dict()
+        (data["rejections"][0] if in_rejection else data)[key] = bad
+        with pytest.raises(ValueError, match=key):
+            EmbeddingCertificate.from_json_dict(data)
 
 
 def test_bound_report_threshold_is_eight_for_k8():

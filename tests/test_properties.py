@@ -1,6 +1,7 @@
 """Property-based checks tying the flow solver, the oracles, and the graph
 machinery together on small random instances."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from stardecomp import solver
 from stardecomp.embedding import REASON_UNKNOWN, embed, greedy_star_removal
 from stardecomp.exactnum import RootBound, Surd
+from stardecomp.families import generate
 from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
     Graph,
@@ -22,6 +24,7 @@ from stardecomp.graphs import (
     join,
     join_edge_count,
 )
+from stardecomp.independence import caro_wei_floor, independence_number
 from stardecomp.oracle import (
     EXHAUSTED,
     FOUND,
@@ -426,6 +429,26 @@ def test_embed_rejections_hold_for_the_given_leave(inst):
         if join_edge_count(leave, r.s) > 45:
             continue
         assert exhaustive_decomposition(join(leave, r.s), k).outcome == EXHAUSTED, r
+
+
+# disjoint cliques plus a few edges, where the floor is alpha or near it
+FAMILY_LEAVES = [
+    generate(family, **params).leave
+    for family, params in (
+        ("single-edge", {"k": 3, "n": 8}),
+        ("tightness-T2", {"t": 4}),
+        ("even-bound", {"t": 3}),
+        ("odd-bound", {"k": 27}),
+    )
+]
+
+
+@SETTINGS
+@given(st.one_of(small_graphs(max_n=14), st.sampled_from(FAMILY_LEAVES)))
+def test_caro_wei_floor_is_exact_and_at_most_alpha(g):
+    floor = caro_wei_floor(g)
+    assert floor == math.ceil(sum(Fraction(1, d + 1) for d in g.degrees))
+    assert floor <= independence_number(g)
 
 
 @SETTINGS

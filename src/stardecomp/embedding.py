@@ -33,7 +33,8 @@ from .independence import (
 from .solver import (
     Star,
     StarDecomposition,
-    decide_star_decomposition,
+    _decide_guaranteed,
+    _even_spread,
     two_star_decompose,
     validate_decomposition,
 )
@@ -101,11 +102,16 @@ class EmbeddingCertificate:
         """Read ``to_json_dict``'s record, refusing a k, n, s or rejection s
         that is not an int, as ``StarDecomposition.from_json_dict`` refuses
         labels that are not, a reason or minimality outside the strings
-        ``embed`` writes, and a detail that is neither an object nor null."""
-        rejections = tuple(
-            Rejection(r["s"], r["reason"], r.get("detail")) for r in data["rejections"]
-        )
-        k, n, s = data["k"], data["n"], data["s"]
+        ``embed`` writes, a detail that is neither an object nor null, and a
+        missing key or a record or rejection that is not an object."""
+        try:
+            rejections = tuple(
+                Rejection(r["s"], r["reason"], r.get("detail")) for r in data["rejections"]
+            )
+            k, n, s = data["k"], data["n"], data["s"]
+            minimality, decomposition = data["minimality"], data["decomposition"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed JSON certificate: {exc!r}") from None
         if any(type(x) is not int for x in (k, n, s, *(r.s for r in rejections))):
             raise ValueError("a JSON certificate needs integer k, n, s and rejection s")
         for r in rejections:
@@ -113,17 +119,10 @@ class EmbeddingCertificate:
                 raise ValueError(f"unknown rejection reason {r.reason!r}")
             if r.detail is not None and type(r.detail) is not dict:
                 raise ValueError("a rejection detail must be a JSON object or null")
-        minimality = data["minimality"]
         if minimality not in ("exact", "conditional"):
             raise ValueError(f"minimality must be 'exact' or 'conditional', got {minimality!r}")
-        return EmbeddingCertificate(
-            k,
-            n,
-            s,
-            StarDecomposition.from_json_dict(data["decomposition"]),
-            rejections,
-            minimality,
-        )
+        decomposition = StarDecomposition.from_json_dict(decomposition)
+        return EmbeddingCertificate(k, n, s, decomposition, rejections, minimality)
 
 
 def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
@@ -215,10 +214,7 @@ def _construct(
         target = join(base, s)
     elif target.n != n + s or target.num_edges != m:
         raise ValueError("target is not the join of the leave with K_s")
-    result = decide_star_decomposition(target, k, gamma)
-    if not isinstance(result, StarDecomposition):
-        raise RuntimeError(f"flow refused a {case}-case construction's centers")
-    return result
+    return _decide_guaranteed(target, k, gamma, f"{case}-case construction")
 
 
 def _construction_gamma(
@@ -231,10 +227,7 @@ def _construction_gamma(
     n = base.n
     m = join_edge_count(base, s)
     if m >= k * (n + s) and n >= k:
-        b = m // k
-        d = (b - n) // s
-        extras = b - n - s * d
-        return [1] * n + [d + 1] * extras + [d] * (s - extras)
+        return [1] * n + _even_spread(m // k - n, s)
     if m > k * (n + s):
         return None
     gamma = [1] * (n + s)
@@ -409,9 +402,7 @@ def embed(
         elif seed is not None:
             for star in removed:
                 seed[star.center] += 1
-            found = decide_star_decomposition(target, k, seed)
-            if not isinstance(found, StarDecomposition):
-                raise RuntimeError("flow refused the construction's center function")
+            found = _decide_guaranteed(target, k, seed, "seeded construction")
         else:
             transcript = oracle.exhaustive_gamma_search(target, k, budget=gamma_budget)
             if transcript.outcome == oracle.EXHAUSTED:

@@ -24,6 +24,8 @@ walked with an explicit stack, so they may be as long as the network has
 vertices. Out-lists are scanned in insertion order, so identical inputs give
 the same flow. After a maximum flow, the vertices with a directed path to
 unmet deficit are the smallest sink side over all minimum cuts.
+``reaching_on_rows`` reads that set for both forms: an arc network is
+handed to it as the masks of its ``successors()`` lists.
 
 On rows, ``out[x]`` is an int whose bit y is set iff the edge xy leaves x.
 A breadth-first frontier is the OR of its vertices' out-rows, a path step
@@ -164,26 +166,15 @@ class MaxFlow:
 
     def residual_reachable(self) -> list[bool]:
         """Vertices reached from surplus left over (source side of a min cut)."""
-        return _closure([e > 0 for e in self.excess], self.successors())
-
-    def residual_reaching(self) -> list[bool]:
-        """Vertices that reach unmet deficit (smallest sink side of a min cut)."""
-        into: list[list[int]] = [[] for _ in self.out]
-        for x, heads in enumerate(self.successors()):
-            for y in heads:
-                into[y].append(x)
-        return _closure([e < 0 for e in self.excess], into)
-
-
-def _closure(seen: list[bool], adj: list[list[int]]) -> list[bool]:
-    """Marks everything ``adj`` leads to from the vertices already in ``seen``."""
-    stack = [x for x, marked in enumerate(seen) if marked]
-    while stack:
-        for y in adj[stack.pop()]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return seen
+        seen = [e > 0 for e in self.excess]
+        stack = [x for x, marked in enumerate(seen) if marked]
+        heads = self.successors()
+        while stack:
+            for y in heads[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        return seen
 
 
 def max_flow_on_rows(out: list[int], excess: list[int]) -> int:

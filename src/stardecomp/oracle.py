@@ -33,6 +33,7 @@ from .solver import (
     Star,
     StarDecomposition,
     _check_gamma,
+    _even_spread,
     _stars_of,
     decide_star_decomposition,
 )
@@ -138,10 +139,6 @@ def exhaustive_decomposition(
     return SearchTranscript(nodes, FOUND, stars)
 
 
-def gamma_caps(g: Graph, k: int) -> list[int]:
-    return [g.degree(x) // k for x in range(g.n)]
-
-
 def count_gamma_candidates(g: Graph, k: int) -> int:
     """Upper bound on the number of k-precentral gamma with k*gamma(x) <= deg(x)
     (ignores the edge-coverage and twin pruning the enumerator applies)."""
@@ -149,7 +146,7 @@ def count_gamma_candidates(g: Graph, k: int) -> int:
         return 0
     b = g.num_edges // k
     counts = [1] + [0] * b
-    for cap in gamma_caps(g, k):
+    for cap in (d // k for d in g.degrees):
         nxt = [0] * (b + 1)
         for total, ways in enumerate(counts):
             if not ways:
@@ -211,9 +208,8 @@ def spread_gamma(n: int, classes, totals) -> tuple[int, ...]:
     d + 1 per vertex, the d + 1 values on the lowest labels."""
     gamma = [0] * n
     for members, total in zip(classes, totals):
-        d, extras = divmod(total, len(members))
-        for j, x in enumerate(members):
-            gamma[x] = d + 1 if j < extras else d
+        for x, c in zip(members, _even_spread(total, len(members))):
+            gamma[x] = c
     return tuple(gamma)
 
 

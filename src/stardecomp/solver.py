@@ -34,7 +34,9 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   Neither reads ``Graph.edges``, so a builder's graph never builds its
   edge tuple here.
 
-Both routes give the same verdict and witness; only the stars of a
+A refusal is read the same way on both routes: the final orientation, as
+out-rows, goes to ``flow.reaching_on_rows``, whose set is the witness. So
+both routes give the same verdict and witness; only the stars of a
 decomposition may differ. A bitset step costs O(n/64) word operations
 where an arc step costs one, so the rows pay only on large dense graphs.
 Times of the rows route relative to the arc route on the same inputs
@@ -98,9 +100,14 @@ class StarDecomposition:
 
     @staticmethod
     def from_json_dict(data: dict) -> "StarDecomposition":
-        """Read ``to_json_dict``'s record, refusing labels that are not ints."""
-        k = data["k"]
-        stars = tuple(Star(s["center"], tuple(s["leaves"])) for s in data["stars"])
+        """Read ``to_json_dict``'s record, refusing labels that are not ints
+        and, like them, a missing key or a record, star or leaf list of the
+        wrong JSON type."""
+        try:
+            k = data["k"]
+            stars = tuple(Star(s["center"], tuple(s["leaves"])) for s in data["stars"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed JSON decomposition: {exc!r}") from None
         labels = chain((k,), *((star.center, *star.leaves) for star in stars))
         if any(type(x) is not int for x in labels):
             raise ValueError("a JSON decomposition needs integer k, centers and leaves")
@@ -216,15 +223,16 @@ def _stars_of(k: int, gamma: tuple[int, ...], degrees, leaves) -> StarDecomposit
     return StarDecomposition(k, tuple(map(tuple.__new__, repeat(Star), pairs)))
 
 
-def _refusal(g: Graph, k: int, gamma, reach) -> DeficiencyWitness:
-    # Every edge between the set T that still reaches unmet deficit and the
-    # rest now leaves T and all unmet demand lies inside T, so
-    # |E incident to T| = out(T) < k*gamma(T). A cut with sink side T + sink
-    # has capacity (total surplus) + deficiency(T), so T has minimum
-    # deficiency and, being the smallest such sink side, lies inside every
-    # set that does: dropping a vertex always raises the deficiency, which
-    # is why no shrinking follows.
-    witness = deficiency(g, k, gamma, reach)
+def _refusal(g: Graph, k: int, gamma, out: list[int], excess: list[int]) -> DeficiencyWitness:
+    # Both routes read a flow that left deficit unmet here, off the final
+    # orientation's out-rows ``out`` and the excess left. Every edge between
+    # the set T that still reaches unmet deficit and the rest now leaves T
+    # and all unmet demand lies inside T, so |E incident to T| = out(T) <
+    # k*gamma(T). A cut with sink side T + sink has capacity (total surplus)
+    # + deficiency(T), so T has minimum deficiency and, being the smallest
+    # such sink side, lies inside every set that does: dropping a vertex
+    # always raises the deficiency, which is why no shrinking follows.
+    witness = deficiency(g, k, gamma, labels_of(reaching_on_rows(g.rows, out, excess)))
     if witness.delta >= 0:
         raise RuntimeError("min cut did not produce a deficient set")
     return witness
@@ -254,8 +262,7 @@ def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
     if net.max_flow() == net.surplus:
         heads = net.ascending_heads()
         return _stars_of(k, gamma, map(len, heads), chain.from_iterable(heads))
-    reach = net.residual_reaching()
-    return _refusal(g, k, gamma, [x for x in range(g.n) if reach[x]])
+    return _refusal(g, k, gamma, list(map(mask_of, net.successors())), excess)
 
 
 def _top_bits(mask: int, q: int) -> int:
@@ -304,7 +311,7 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
         labels = tuple(range(g.n))  # so that leaves with one label share its int
         leaves = chain.from_iterable(map(labels_in, out, repeat(labels)))
         return _stars_of(k, gamma, [row.bit_count() for row in out], leaves)
-    return _refusal(g, k, gamma, labels_of(reaching_on_rows(g.rows, out, excess)))
+    return _refusal(g, k, gamma, out, excess)
 
 
 def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
@@ -433,15 +440,32 @@ def _covers_on_rows(g: Graph, k: int, centers, star_leaves) -> bool:
     return True
 
 
+def _even_spread(total: int, m: int) -> list[int]:
+    """``total`` spread evenly over m >= 1 places: d or d + 1 each, the
+    d + 1 values first. ``balanced_gamma``, the large-case construction and
+    the gamma search's candidates all spread centers this one way, with the
+    d + 1 values on the lowest labels."""
+    d, extras = divmod(total, m)
+    return [d + 1] * extras + [d] * (m - extras)
+
+
 def balanced_gamma(g: Graph, k: int) -> tuple[int, ...]:
     """Spread |E|/k centers as evenly as possible over vertices 0..n-1."""
     if g.num_edges % k:
         raise ValueError("edge count not divisible by k")
-    b = g.num_edges // k
     if g.n == 0:
         return ()
-    base, extra = divmod(b, g.n)
-    return tuple(base + 1 if x < extra else base for x in range(g.n))
+    return tuple(_even_spread(g.num_edges // k, g.n))
+
+
+def _decide_guaranteed(g: Graph, k: int, gamma, centers: str) -> StarDecomposition:
+    """The decomposition of g with center counts gamma, which a theorem
+    guarantees: a refusal is an internal error, named by ``centers``."""
+    result = decide_star_decomposition(g, k, gamma)
+    if isinstance(result, StarDecomposition):
+        return result
+    size = len(result.vertices)
+    raise RuntimeError(f"{centers} centers refused: deficient set of {size} vertices")
 
 
 def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
@@ -458,12 +482,7 @@ def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
     Both callers (K_n with n >= 2k, dense family complements) meet the
     bound, so a refusal is an internal error.
     """
-    result = decide_star_decomposition(g, k, balanced_gamma(g, k))
-    if not isinstance(result, StarDecomposition):
-        raise RuntimeError(
-            f"balanced centers refused: deficient set of {len(result.vertices)} vertices"
-        )
-    return result
+    return _decide_guaranteed(g, k, balanced_gamma(g, k), "balanced")
 
 
 def decompose_complete(n: int, k: int) -> StarDecomposition | None:

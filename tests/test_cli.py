@@ -10,9 +10,17 @@ import pytest
 
 from stardecomp.cli import main
 from stardecomp.embedding import EmbeddingCertificate
-from stardecomp.graphs import complete_graph, graph_from_edges, graph_to_json_dict, join, write_graph
+from stardecomp.graphs import (
+    complete_graph,
+    graph_from_edges,
+    graph_to_json_dict,
+    join,
+    read_graph,
+    write_graph,
+)
 from stardecomp.solver import (
     StarDecomposition,
+    _on_rows,
     two_star_decompose,
     validate_decomposition,
 )
@@ -300,6 +308,19 @@ def test_decompose_witness_matches_golden(capsys):
     args = ["decompose", "--graph", str(GOLDEN / "n11_witness_graph.json"), "--k", "3"]
     assert run(args + ["--gamma", str(GOLDEN / "n11_witness_gamma.json")]) == 0
     assert capsys.readouterr().out == (GOLDEN / "n11_witness_decompose_k3.json").read_text()
+
+
+def test_decompose_rows_witness_matches_golden(capsys):
+    # the same on the rows route: C_128(1..8) has 1,024 = 128^2/16 edges,
+    # and 3 and 2 centers in turn on 0..63 overload them. Adding 63 to the
+    # witness 0..62 keeps its deficiency at -92 (8 more edges, 8 more
+    # demand), so the golden pins the smallest minimum-deficiency set
+    graph = GOLDEN / "c128_witness_graph.json"
+    g = read_graph(graph)
+    assert _on_rows(g.n, g.num_edges)
+    args = ["decompose", "--graph", str(graph), "--k", "4"]
+    assert run(args + ["--gamma", str(GOLDEN / "c128_witness_gamma.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "c128_witness_decompose_k4.json").read_text()
 
 
 def test_decompose_two_star_matches_golden(capsys):

@@ -418,6 +418,17 @@ def test_certificate_json_round_trip():
         (data["rejections"][0] if in_rejection else data)[key] = bad
         with pytest.raises(ValueError, match=key):
             EmbeddingCertificate.from_json_dict(data)
+    # a malformed record is refused with ValueError, not whatever the lookup raises
+    for edit in (
+        lambda data: data.update(rejections=[1]),
+        lambda data: data.pop("k"),
+        lambda data: data["decomposition"].update(stars=[1]),
+        lambda data: data["decomposition"]["stars"][0].update(leaves=3),
+    ):
+        data = cert.to_json_dict()
+        edit(data)
+        with pytest.raises(ValueError, match="malformed"):
+            EmbeddingCertificate.from_json_dict(data)
 
 
 def test_bound_report_threshold_is_eight_for_k8():

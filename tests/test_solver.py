@@ -5,14 +5,15 @@ from itertools import chain, combinations, product
 
 import pytest
 
+from stardecomp import solver
 from stardecomp.families import generate
-from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
     Graph,
     complete_graph,
     disjoint_cliques,
     graph_from_edges,
     join_edge_count,
+    labels_of,
 )
 from stardecomp.oracle import exhaustive_decomposition
 from stardecomp.solver import (
@@ -109,15 +110,22 @@ def test_witness_is_within_gamma_support_and_matches_oracle():
 
 def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
     # record, for each refused gamma, the vertices the surplus cannot reach
+    # in the orientation the shared refusal reader is handed
     unreached = []
-    reaching = MaxFlow.residual_reaching
+    reaching = solver.reaching_on_rows
 
-    def spy(net):
-        seen = net.residual_reachable()
+    def spy(rows, out, excess):
+        seen = [e > 0 for e in excess]
+        stack = [x for x, e in enumerate(excess) if e > 0]
+        while stack:
+            for y in labels_of(out[stack.pop()]):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
         unreached.append({x for x, reached in enumerate(seen) if not reached})
-        return reaching(net)
+        return reaching(rows, out, excess)
 
-    monkeypatch.setattr(MaxFlow, "residual_reaching", spy)
+    monkeypatch.setattr(solver, "reaching_on_rows", spy)
     rng = random.Random(41)
     checked = 0
     for trial in range(400):
@@ -138,7 +146,33 @@ def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
         assert [result.vertices] == smallest
         assert all(gamma[x] >= 1 for x in result.vertices)
         assert set(result.vertices) <= unreached[-1]
-    assert checked >= 100
+    assert checked >= 100 and len(unreached) == checked
+
+
+def test_both_routes_refuse_with_the_same_witness_past_enumeration():
+    # 30-60 vertices, beyond subset enumeration: the routes orient from
+    # different starts, yet read the same smallest minimum-deficiency set
+    rng = random.Random(28)
+    refused = 0
+    for trial in range(60):
+        n = rng.randint(30, 60)
+        k = rng.choice([2, 3, 4])
+        p = rng.choice([0.1, 0.3, 0.6])
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        g = graph_from_edges(n, edges[: len(edges) - len(edges) % k])
+        # a share q of the stars on half the vertices, so witnesses run large
+        half = rng.sample(range(n), n // 2)
+        q = rng.choice([0.0, 0.5, 0.9])
+        gamma = [0] * n
+        for _ in range(g.num_edges // k):
+            gamma[rng.choice(half) if rng.random() < q else rng.randrange(n)] += 1
+        on_arcs = solver._decide_on_arcs(g, k, tuple(gamma))
+        on_rows = solver._decide_on_rows(g, k, tuple(gamma))
+        assert type(on_arcs) is type(on_rows)
+        if isinstance(on_arcs, DeficiencyWitness):
+            assert on_arcs == on_rows
+            refused += 1
+    assert refused >= 40
 
 
 def test_validate_reports_duplicate_and_missing_edges():

@@ -164,14 +164,21 @@ def gen_single_edge(k: int, n: int) -> FamilyInstance:
     return FamilyInstance("single-edge", k, n, leave, tuple(claims), {"r": r})
 
 
-def gen_bound_n(t: int) -> FamilyInstance:
-    """Disjoint K_m blocks showing the n threshold is asymptotically sharp at s=k."""
-    if t < 7 or t % 2 == 0:
-        raise ValueError("this family needs odd t >= 7")
+def _block_sizes(t: int, least: int) -> tuple[int, int]:
+    """k = 2^t and the K_m block size m = 2^((t+1)/2), with m^2 = 2k, of
+    the two disjoint-block families, for odd t >= least."""
+    if t < least or t % 2 == 0:
+        raise ValueError(f"this family needs odd t >= {least}")
     k = 2**t
     m = 2 ** ((t + 1) // 2)
     if m * m != 2 * k:
         raise ValueError("internal block size failure")
+    return k, m
+
+
+def gen_bound_n(t: int) -> FamilyInstance:
+    """Disjoint K_m blocks showing the n threshold is asymptotically sharp at s=k."""
+    k, m = _block_sizes(t, 7)
     n = k * m // 4 - k
     leave = disjoint_cliques([m] * (n // m))
     required = k // 4 + 5 * m // 8
@@ -223,12 +230,7 @@ def gen_tightness_t2(t: int, n: int | None = None) -> FamilyInstance:
 
 def gen_even_bound(t: int) -> FamilyInstance:
     """Disjoint K_m blocks showing the even-k constant 6 - 2*sqrt(2) is sharp."""
-    if t < 3 or t % 2 == 0:
-        raise ValueError("this family needs odd t >= 3")
-    k = 2**t
-    m = 2 ** ((t + 1) // 2)
-    if m * m != 2 * k:
-        raise ValueError("internal block size failure")
+    k, m = _block_sizes(t, 3)
     n = m
     while not (n > m and (n - m) ** 2 > 4 * k * (2 * k + 1)):
         n += m
@@ -387,7 +389,7 @@ def _check_realizable_conditions(inst: FamilyInstance, params: dict, leave_alpha
     leave, k = inst.leave, inst.k
     n = leave.n
     comp_degrees = [n - 1 - leave.degree(v) for v in range(n)]
-    comp_edges = n * (n - 1) // 2 - leave.num_edges
+    _, comp_edges = _complement_size(inst, params)
     facts = {
         "complement_min_degree": min(comp_degrees) if n else 0,
         "degree_condition": all(2 * d >= n + 2 * k - 2 for d in comp_degrees),

@@ -10,9 +10,10 @@ All arcs have capacity one. ``MaxFlow`` numbers them itself from a list of
 heads per vertex, each vertex's arcs in one run of ids. Arc ids come in
 pairs: ``to[a]`` is the head of arc a and ``a ^ 1`` is its reverse. Each
 vertex has an out-list of the ids leaving it; a unit pushed along an arc
-reverses it, so the residual graph *is* the current orientation. A reversed id joins its new tail's out-list
-the first time, and ids reversed away are skipped. Instead of source and
-sink arcs, each vertex has a signed excess: surplus to send, or deficit.
+reverses it, so the residual graph *is* the current orientation. A reversed
+id joins its new tail's out-list the first time, and ids reversed away are
+skipped. Instead of source and sink arcs, each vertex has a signed excess:
+surplus to send, or deficit.
 A path first enters a vertex other than its source along a starting arc,
 whose reverse then joins that vertex's out-list; so the vertices that paths
 touched are the surplus ones and those whose out-lists grew, and
@@ -24,8 +25,9 @@ walked with an explicit stack, so they may be as long as the network has
 vertices. Out-lists are scanned in insertion order, so identical inputs give
 the same flow. After a maximum flow, the vertices with a directed path to
 unmet deficit are the smallest sink side over all minimum cuts.
-``reaching_on_rows`` reads that set for both forms: an arc network is
-handed to it as the masks of its ``successors()`` lists.
+``reaching`` reads that set for both forms, asking a function for the
+in-neighbour mask of each vertex it reaches: ``rows[y] & ~out[y]`` on rows,
+and the same with the mask of y's ``successors()`` list on arcs.
 
 On rows, ``out[x]`` is an int whose bit y is set iff the edge xy leaves x.
 A breadth-first frontier is the OR of its vertices' out-rows, a path step
@@ -247,15 +249,16 @@ def max_flow_on_rows(out: list[int], excess: list[int]) -> int:
                     d -= 1
 
 
-def reaching_on_rows(rows, out: list[int], excess: list[int]) -> int:
-    """The mask of the vertices that reach unmet deficit along ``out``, the
-    orientation of the graph with adjacency ``rows``: the smallest sink side
-    of a minimum cut, read through the in-rows ``rows[y] & ~out[y]``."""
+def reaching(into, excess: list[int]) -> int:
+    """The mask of the vertices that reach unmet deficit in the final
+    orientation, the smallest sink side of a minimum cut; ``into(y)`` is the
+    mask of y's in-neighbours there, and is called once for each vertex
+    reached."""
     reach = frontier = sum(1 << x for x, e in enumerate(excess) if e < 0)
     while frontier:
-        into = 0
+        tails = 0
         for y in labels_of(frontier):
-            into |= rows[y] & ~out[y]
-        frontier = into & ~reach
+            tails |= into(y)
+        frontier = tails & ~reach
         reach |= frontier
     return reach

@@ -12,11 +12,11 @@ whose bit w is set iff w is a neighbour. A row costs about n/8 bytes, so the
 rows of a graph cost about n^2/8 bytes whatever its edge count. The builders
 here (``complete_graph``, ``disjoint_cliques``, ``join``, ``complement`` and
 ``graph_from_rows``) fill only the rows, degrees and edge count, in O(n)
-big-int operations. The edge tuple is built on the first read of ``edges``:
-every builder but ``join`` reads it off the rows, and ``join`` splices it
-from its base's. Both emit label-ordered pairs by construction, so the
-per-edge check that ``Graph(n, edges)`` makes is skipped, and
-``num_edges`` is half the degree sum. An edge tuple costs about 64 bytes an
+big-int operations. The edge tuple is built on the first read of ``edges``,
+a ``functools.cached_property``: every builder but ``join`` reads it off
+the rows, and ``join`` splices it from its base's. Both emit label-ordered
+pairs by construction, so the per-edge check that ``Graph(n, edges)``
+makes is skipped, and ``num_edges`` is half the degree sum. An edge tuple costs about 64 bytes an
 edge, so a dense graph that is only decided and validated on its rows (see
 ``solver``) never pays for one. A graph built from edges computes its rows
 the first time they are read.
@@ -164,25 +164,16 @@ class Graph:
         return comps
 
 
-class _EdgesOnFirstRead:
-    """``Graph.edges`` of a builder's graph. A graph that holds its edges
-    keeps them in its instance dict, which Python reads before this
-    (non-data) descriptor, so only a builder's graph reaches it, once: it
-    runs the builder's edge code and keeps the tuple in the dict. Unlike a
-    ``__getattr__`` hook, this leaves every other attribute read as fast as
-    a plain dataclass's."""
-
-    def __get__(self, g, owner=None):
-        if g is None:
-            return self
-        state = vars(g)
-        edges = state["edges"] = state["_edges_of"]()
-        del state["_edges_of"]  # and with it what the edge code held
-        return edges
+def _edges_on_first_read(g: Graph) -> tuple[Edge, ...]:
+    # Only a builder's graph gets here, once: a graph built from edges
+    # holds them in its instance dict, which Python reads first. Popping
+    # the builder's edge code frees what it held.
+    return vars(g).pop("_edges_of")()
 
 
 # set after the dataclass is made, so that it is not taken for a default
-Graph.edges = _EdgesOnFirstRead()
+Graph.edges = cached_property(_edges_on_first_read)
+Graph.edges.__set_name__(Graph, "edges")
 
 
 def _built(rows, degrees, edges_of=None) -> Graph:
@@ -228,9 +219,7 @@ def graph_from_edges(n: int, edges) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    full = (1 << n) - 1
-    rows = [full ^ (1 << v) for v in range(n)]
-    return _built(rows, [n - 1] * n)
+    return disjoint_cliques([n])
 
 
 def disjoint_cliques(sizes: list[int]) -> Graph:

@@ -34,8 +34,9 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   Neither reads ``Graph.edges``, so a builder's graph never builds its
   edge tuple here.
 
-A refusal is read the same way on both routes: the final orientation, as
-out-rows, goes to ``flow.reaching_on_rows``, whose set is the witness. So
+A refusal is read the same way on both routes: ``flow.reaching`` walks
+the final orientation back from unmet deficit, asking for the in-neighbour
+masks of only the vertices it reaches, and its set is the witness. So
 both routes give the same verdict and witness; only the stars of a
 decomposition may differ. A bitset step costs O(n/64) word operations
 where an arc step costs one, so the rows pay only on large dense graphs.
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .flow import MaxFlow, max_flow_on_rows, reaching_on_rows
+from .flow import MaxFlow, max_flow_on_rows, reaching
 from .graphs import (
     Graph,
     complete_graph,
@@ -223,16 +224,17 @@ def _stars_of(k: int, gamma: tuple[int, ...], degrees, leaves) -> StarDecomposit
     return StarDecomposition(k, tuple(map(tuple.__new__, repeat(Star), pairs)))
 
 
-def _refusal(g: Graph, k: int, gamma, out: list[int], excess: list[int]) -> DeficiencyWitness:
+def _refusal(g: Graph, k: int, gamma, into, excess: list[int]) -> DeficiencyWitness:
     # Both routes read a flow that left deficit unmet here, off the final
-    # orientation's out-rows ``out`` and the excess left. Every edge between
-    # the set T that still reaches unmet deficit and the rest now leaves T
-    # and all unmet demand lies inside T, so |E incident to T| = out(T) <
-    # k*gamma(T). A cut with sink side T + sink has capacity (total surplus)
-    # + deficiency(T), so T has minimum deficiency and, being the smallest
-    # such sink side, lies inside every set that does: dropping a vertex
-    # always raises the deficiency, which is why no shrinking follows.
-    witness = deficiency(g, k, gamma, labels_of(reaching_on_rows(g.rows, out, excess)))
+    # orientation's in-neighbour masks ``into(y)`` and the excess left.
+    # Every edge between the set T that still reaches unmet deficit and the
+    # rest now leaves T and all unmet demand lies inside T, so |E incident
+    # to T| = out(T) < k*gamma(T). A cut with sink side T + sink has
+    # capacity (total surplus) + deficiency(T), so T has minimum deficiency
+    # and, being the smallest such sink side, lies inside every set that
+    # does: dropping a vertex always raises the deficiency, which is why no
+    # shrinking follows.
+    witness = deficiency(g, k, gamma, labels_of(reaching(into, excess)))
     if witness.delta >= 0:
         raise RuntimeError("min cut did not produce a deficient set")
     return witness
@@ -262,7 +264,8 @@ def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
     if net.max_flow() == net.surplus:
         heads = net.ascending_heads()
         return _stars_of(k, gamma, map(len, heads), chain.from_iterable(heads))
-    return _refusal(g, k, gamma, list(map(mask_of, net.successors())), excess)
+    rows, heads = g.rows, net.successors()
+    return _refusal(g, k, gamma, lambda y: rows[y] & ~mask_of(heads[y]), excess)
 
 
 def _top_bits(mask: int, q: int) -> int:
@@ -311,7 +314,8 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
         labels = tuple(range(g.n))  # so that leaves with one label share its int
         leaves = chain.from_iterable(map(labels_in, out, repeat(labels)))
         return _stars_of(k, gamma, [row.bit_count() for row in out], leaves)
-    return _refusal(g, k, gamma, out, excess)
+    rows = g.rows
+    return _refusal(g, k, gamma, lambda y: rows[y] & ~out[y], excess)
 
 
 def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
@@ -345,7 +349,8 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     writes plus O(n^2) bytes read in C, which is why sparse graphs keep the
     sorted codes.
 
-    Only a failed check walks the stars to name the first violation.
+    Only a failed check walks the stars, checking each of their pairs in
+    turn, to name the first violation.
     """
     k = d.k
     if not isinstance(k, int):
@@ -381,10 +386,6 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
             return f"star {idx} at {center} repeats a leaf"
         if center in leaves:
             return f"star {idx} has its center {center} as a leaf"
-        if edges.issuperset(pairs) and seen.isdisjoint(pairs):
-            seen.update(pairs)
-            continue
-        # some pair fails: walk them in order for the first violation
         for edge in pairs:
             u, v = edge
             if not (0 <= u < v < g.n):

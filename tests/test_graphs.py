@@ -30,6 +30,14 @@ def test_complete_graph_edge_counts(n, expected):
     assert complete_graph(n).num_edges == expected
 
 
+def test_complete_graph_is_one_clique():
+    for n in range(7):
+        g, one = complete_graph(n), disjoint_cliques([n])
+        assert (g.rows, g.degrees, g.edges) == (one.rows, one.degrees, one.edges)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        complete_graph(-1)
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, ((0, 3),))
@@ -254,6 +262,8 @@ def test_builders_defer_their_edges(builder):
         assert "edges" not in vars(g)  # counted from the degrees
         assert g.edges == expected
         assert g.num_edges == len(g.edges)
+        # the edge code, and what it holds, is dropped on the first read
+        assert "_edges_of" not in vars(g) and vars(g)["edges"] is g.edges
 
 
 @pytest.mark.parametrize("builder", BUILDERS)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from stardecomp.flow import reaching_on_rows
+from stardecomp.flow import reaching
 from stardecomp.graphs import graph_from_edges, join, join_edge_count, mask_of
 from stardecomp.independence import independence_number
 from stardecomp.solver import (
@@ -55,10 +55,11 @@ def test_max_flow_matches_networkx():
             continue
         # the vertices that still reach unmet deficit are the sink side of a
         # min cut: surplus fed into them, arcs into them, deficit outside.
-        # The solver reads them off out-rows, with in-rows from the graph's
+        # The solver reads them off in-neighbour masks: the graph's row less
+        # the vertex's successors
         rows = graph_from_edges(n, pairs).rows
-        out = list(map(mask_of, net.successors()))
-        sink_side = reaching_on_rows(rows, out, net.excess)
+        heads = net.successors()
+        sink_side = reaching(lambda y: rows[y] & ~mask_of(heads[y]), net.excess)
         inside = [bool(sink_side >> x & 1) for x in range(n)]
         cut = sum(e for x, e in enumerate(excess) if e > 0 and inside[x])
         cut += sum(1 for u, v in arcs if not inside[u] and inside[v])

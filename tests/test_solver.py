@@ -110,11 +110,14 @@ def test_witness_is_within_gamma_support_and_matches_oracle():
 
 def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
     # record, for each refused gamma, the vertices the surplus cannot reach
-    # in the orientation the shared refusal reader is handed
+    # in the orientation the shared refusal reader is handed; its out-rows
+    # are the test's graph rows less the in-neighbour masks the reader reads
     unreached = []
-    reaching = solver.reaching_on_rows
+    reaching = solver.reaching
+    g = None
 
-    def spy(rows, out, excess):
+    def spy(into, excess):
+        out = [row & ~into(x) for x, row in enumerate(g.rows)]
         seen = [e > 0 for e in excess]
         stack = [x for x, e in enumerate(excess) if e > 0]
         while stack:
@@ -123,9 +126,9 @@ def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
                     seen[y] = True
                     stack.append(y)
         unreached.append({x for x, reached in enumerate(seen) if not reached})
-        return reaching(rows, out, excess)
+        return reaching(into, excess)
 
-    monkeypatch.setattr(solver, "reaching_on_rows", spy)
+    monkeypatch.setattr(solver, "reaching", spy)
     rng = random.Random(41)
     checked = 0
     for trial in range(400):
@@ -147,6 +150,26 @@ def test_witness_is_the_smallest_minimum_deficiency_set(monkeypatch):
         assert all(gamma[x] >= 1 for x in result.vertices)
         assert set(result.vertices) <= unreached[-1]
     assert checked >= 100 and len(unreached) == checked
+
+
+def test_arc_refusal_reads_only_the_vertices_it_reaches(monkeypatch):
+    # a refused decide on a long cycle: the reader makes a mask for each
+    # vertex that reaches unmet deficit, not an out-row for every vertex
+    n = 4000
+    g = graph_from_edges(n, [(x, (x + 1) % n) for x in range(n)])
+    calls = 0
+    mask_of = solver.mask_of
+
+    def counting(labels):
+        nonlocal calls
+        calls += 1
+        return mask_of(labels)
+
+    monkeypatch.setattr(solver, "mask_of", counting)
+    result = decide_star_decomposition(g, 2, [1] * (n // 2) + [0] * (n // 2))
+    assert isinstance(result, DeficiencyWitness)
+    assert result.vertices == tuple(range(n // 2))
+    assert calls < n
 
 
 def test_both_routes_refuse_with_the_same_witness_past_enumeration():

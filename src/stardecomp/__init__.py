@@ -8,7 +8,6 @@ from .embedding import (
     degree_pair_check,
     embed,
     embed_large_case,
-    embed_small_case,
     guaranteed_s,
     obstacle_required,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "disjoint_cliques",
     "embed",
     "embed_large_case",
-    "embed_small_case",
     "graph_from_edges",
     "guaranteed_s",
     "independence_number",

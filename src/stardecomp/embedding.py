@@ -166,75 +166,71 @@ def embed_small_case(
     maximum independent set. Succeeds iff such a set exists; raises
     ObstacleViolated otherwise.
     """
-    return _construct(base, k, s, "small", alpha_budget=alpha_budget)
+    return _construct(base, k, s, "small", alpha_budget)
 
 
-def embed_large_case(
-    base: Graph, k: int, s: int, target: Graph | None = None
-) -> StarDecomposition:
+def embed_large_case(base: Graph, k: int, s: int) -> StarDecomposition:
     """Decompose L v K_s when |E(L v K_s)| >= k(n+s) and n >= k.
 
     Centers: one star per base vertex; join vertices get d or d+1 stars with
     d = floor((b-n)/s), the d+1 values on the lowest join labels. This is
     guaranteed feasible, so a flow failure here is an internal error.
-    ``target`` is ``join(base, s)`` when the caller has built it already.
     """
-    return _construct(base, k, s, "large", target)
+    return _construct(base, k, s, "large")
+
+
+def _applies(case: str, n: int, m: int, k: int, s: int) -> bool:
+    """Whether the ``case`` ("large" or "small") construction covers L v K_s
+    with n = |L| and m = |E(L v K_s)|: the large one iff m >= k(n+s) and
+    n >= k, the small one iff m <= k(n+s). Where both do, at m = k(n+s),
+    both give every vertex one star."""
+    if case == "large":
+        return m >= k * (n + s) and n >= k
+    return m <= k * (n + s)
 
 
 def _construct(
-    base: Graph,
-    k: int,
-    s: int,
-    case: str,
-    target: Graph | None = None,
-    alpha_budget: int = DEFAULT_ALPHA_BUDGET,
+    base: Graph, k: int, s: int, case: str, alpha_budget: int = DEFAULT_ALPHA_BUDGET
 ) -> StarDecomposition:
     """The ``case`` ("small" or "large") construction's decomposition of
-    L v K_s on ``target`` (built here when None), once its preconditions
-    hold. The flow decides exactly whether the construction's centers are
-    those of a decomposition, which the paper proves they are, so a refusal
-    is an internal error."""
-    n = base.n
+    L v K_s, once s >= k >= 2, L has maximum degree below k, k divides |E|
+    and ``_applies`` says the case covers L v K_s; a ValueError names the
+    first that fails. The flow decides exactly whether the construction's
+    centers are those of a decomposition, which the paper proves they are,
+    so a refusal is an internal error."""
     m = join_edge_count(base, s)
     if s < k or k < 2:
         raise ValueError(f"{case}-case construction needs s >= k >= 2")
-    if case == "large" and n < k:
-        raise ValueError("large-case construction needs n >= k")
     if base.max_degree() > k - 1:
         raise ValueError("leave must have maximum degree at most k-1")
     if m % k:
         raise ValueError("edge count of the join must be divisible by k")
-    if case == "large" and m < k * (n + s):
-        raise ValueError("large-case construction needs |E| >= k(n+s)")
-    if case == "small" and m > k * (n + s):
-        raise ValueError("small-case construction needs |E| <= k(n+s)")
+    if not _applies(case, base.n, m, k, s):
+        cover = f"|E| = {m} with k(n+s) = {k * (base.n + s)} and n = {base.n}"
+        raise ValueError(f"{case}-case construction does not cover {cover}")
     gamma = _construction_gamma(base, k, s, alpha_budget)
-    if target is None:
-        target = join(base, s)
-    elif target.n != n + s or target.num_edges != m:
-        raise ValueError("target is not the join of the leave with K_s")
-    return _decide_guaranteed(target, k, gamma, f"{case}-case construction")
+    return _decide_guaranteed(join(base, s), k, gamma, f"{case}-case construction")
 
 
 def _construction_gamma(
     base: Graph, k: int, s: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET
 ) -> list[int] | None:
-    """The centers of ``embed_large_case`` when |E(L v K_s)| >= k(n+s) and
-    n >= k, else of ``embed_small_case``; None when |E| > k(n+s) and n < k,
-    where neither applies. Raises ObstacleViolated when L has no large enough
-    independent set and BudgetExceeded when its search is cut off."""
+    """The centers of the large-case construction where it applies, else of
+    the small-case one, for a leave of maximum degree below k and a join
+    whose edge count k divides; None where neither applies. Raises
+    ObstacleViolated when L has no large enough independent set and
+    BudgetExceeded when its search is cut off."""
     n = base.n
     m = join_edge_count(base, s)
-    if m >= k * (n + s) and n >= k:
+    if _applies("large", n, m, k, s):
         return [1] * n + _even_spread(m // k - n, s)
-    if m > k * (n + s):
+    if not _applies("small", n, m, k, s):
         return None
     gamma = [1] * (n + s)
-    if m < k * (n + s):
+    required = obstacle_required(base, k, s)
+    if required > 0:
         # fewer than k(n+s) edges: some vertices must center no star
         best = maximum_independent_set(base, alpha_budget)
-        required = obstacle_required(base, k, s)
         if len(best) < required:
             raise ObstacleViolated(len(best), required)
         for x in best[:required]:
@@ -344,10 +340,11 @@ def embed(
     The obstacle test alpha(L) >= ``obstacle_required(L, k, s)`` needs the
     exact alpha(L) only when the requirement exceeds the Caro–Wei floor
     (``caro_wei_floor``), which is at most alpha(L); a requirement at or
-    below it holds without a search. So alpha's branch-and-bound runs at
-    most once, at the first requirement above the floor, and a search cut
-    off by ``alpha_budget`` gives no obstacle verdict at any s. Greedy star
-    removal likewise runs at the first s that needs a seed.
+    below it holds without a search. alpha(L) and greedy star removal are
+    each held as one cached call, made at its first need: alpha's
+    branch-and-bound at the first requirement above the floor, where a
+    search cut off by ``alpha_budget`` gives no obstacle verdict at any s,
+    and greedy removal at the first s that needs a seed.
     Minimality is "exact" when every smaller divisible s was rejected for a
     definite reason and "conditional" otherwise.
     Raises NoEmbeddingFound when no s up to the limit works.
@@ -361,9 +358,13 @@ def embed(
     rejections: list[Rejection] = []
     definite = True
     floor = caro_wei_floor(base)
-    alpha = None  # searched once, at the first requirement above the floor
-    searched = False
-    removed = core = None  # greedy star removal, at the first s that needs a seed
+
+    @cache
+    def alpha() -> int | None:  # None when the search is cut off: no verdict
+        with suppress(BudgetExceeded):
+            return independence_number(base, alpha_budget)
+
+    greedy = cache(lambda: greedy_star_removal(base, k))
 
     for s in range(0, limit + 1):
         if join_edge_count(base, s) % k:
@@ -376,20 +377,15 @@ def embed(
             )
             continue
         required = obstacle_required(base, k, s)
-        if required > floor and not searched:
-            searched = True
-            with suppress(BudgetExceeded):  # a cut-off search gives no verdict
-                alpha = independence_number(base, alpha_budget)
-        if alpha is not None and alpha < required:
+        if required > floor and alpha() is not None and alpha() < required:
             rejections.append(
-                Rejection(s, REASON_OBSTACLE, {"alpha": alpha, "required": required})
+                Rejection(s, REASON_OBSTACLE, {"alpha": alpha(), "required": required})
             )
             continue
         target = join(base, s)
         seed = None
         if k > 2 and s >= k:
-            if core is None:
-                removed, core = greedy_star_removal(base, k)
+            removed, core = greedy()
             with suppress(ObstacleViolated, BudgetExceeded):
                 seed = _construction_gamma(core, k, s, alpha_budget)
         if k == 2:

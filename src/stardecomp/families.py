@@ -468,9 +468,8 @@ def _check_nonexistence(inst: FamilyInstance, params: dict, leave_alpha) -> Verd
 
 def _check_success(inst: FamilyInstance, params: dict, leave_alpha) -> Verdict:
     s = params["s"]
-    target = join(inst.leave, s)
-    dec = embed_large_case(inst.leave, inst.k, s, target)
-    problem = validate_decomposition(target, dec)
+    dec = embed_large_case(inst.leave, inst.k, s)
+    problem = validate_decomposition(join(inst.leave, s), dec)
     if problem is not None:
         return False, {"violation": problem}
     join_gammas = sorted(dec.central_function(inst.n + s)[inst.n :])

@@ -43,7 +43,7 @@ reading them off the path at each step.
 
 from __future__ import annotations
 
-from .graphs import labels_of
+from .graphs import closure, labels_of, mask_of
 
 
 class MaxFlow:
@@ -254,11 +254,4 @@ def reaching(into, excess: list[int]) -> int:
     orientation, the smallest sink side of a minimum cut; ``into(y)`` is the
     mask of y's in-neighbours there, and is called once for each vertex
     reached."""
-    reach = frontier = sum(1 << x for x, e in enumerate(excess) if e < 0)
-    while frontier:
-        tails = 0
-        for y in labels_of(frontier):
-            tails |= into(y)
-        frontier = tails & ~reach
-        reach |= frontier
-    return reach
+    return closure(into, mask_of(x for x, e in enumerate(excess) if e < 0))

@@ -67,6 +67,20 @@ def mask_of(labels) -> int:
     return sum(map((1).__lshift__, labels))
 
 
+def closure(into, mask: int) -> int:
+    """``mask`` with every label reached from it through ``into``, breadth
+    first: ``into(y)`` is the mask of the labels y leads to, and is asked
+    once for each label in the result."""
+    reach = frontier = mask
+    while frontier:
+        step = 0
+        for y in labels_of(frontier):
+            step |= into(y)
+        frontier = step & ~reach
+        reach |= frontier
+    return reach
+
+
 def _norm_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
@@ -144,23 +158,11 @@ class Graph:
         for start in range(self.n):
             if seen[start]:
                 continue
-            if not rows[start]:
-                comps.append([start])
-                continue
-            # Every vertex below start lies in an earlier component, so the
-            # masks hold labels relative to start and stay as small as the
-            # component's span. They grow a breadth-first layer at a time.
-            comp = new = (rows[start] >> start) | 1
-            while new:
-                reach = 0
-                for i in labels_of(new):
-                    reach |= rows[start + i]
-                new = (reach >> start) & ~comp
-                comp |= new
-            comp_labels = [start + i for i in labels_of(comp)]
-            for x in comp_labels:
+            # a lone vertex, as most of a sparse leave's are, asks for no closure
+            comp = labels_of(closure(rows.__getitem__, 1 << start)) if rows[start] else [start]
+            for x in comp:
                 seen[x] = 1
-            comps.append(comp_labels)
+            comps.append(comp)
         return comps
 
 

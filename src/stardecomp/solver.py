@@ -380,15 +380,15 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
         try:
             pairs = [(center, x) if center < x else (x, center) for x in leaves]
             repeats = len(set(leaves)) != d.k
-        except TypeError:  # unordered against the others, or unhashable
+            in_range = [0 <= u < v < n for u, v in pairs]
+        except TypeError:  # unordered against the others or 0, or unhashable
             return f"star {idx} has a label that is not a number"
         if repeats:
             return f"star {idx} at {center} repeats a leaf"
         if center in leaves:
             return f"star {idx} has its center {center} as a leaf"
-        for edge in pairs:
-            u, v = edge
-            if not (0 <= u < v < g.n):
+        for edge, ok in zip(pairs, in_range):
+            if not ok:
                 return f"star {idx} uses out-of-range edge {edge}"
             if edge not in edges:
                 return f"star {idx} uses edge {edge} that is not in the graph"

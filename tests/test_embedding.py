@@ -1,4 +1,5 @@
 import json
+from contextlib import suppress
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,9 @@ import pytest
 from stardecomp import embedding
 from stardecomp.embedding import (
     EmbeddingCertificate,
+    REASON_EXHAUSTED,
+    REASON_UNKNOWN,
+    NoEmbeddingFound,
     ObstacleViolated,
     bound_report,
     degree_pair_check,
@@ -112,9 +116,7 @@ def test_large_case_even_bound_values():
     dec = embed_large_case(SEVEN_K4, 8, 20)
     g = join(SEVEN_K4, 20)
     assert validate_decomposition(g, dec) is None
-    assert embed_large_case(SEVEN_K4, 8, 20, g) == dec
-    with pytest.raises(ValueError, match="not the join"):
-        embed_large_case(SEVEN_K4, 8, 20, join(SEVEN_K4, 21))
+    assert embed_large_case(SEVEN_K4, 8, 20) == dec
     gamma = dec.central_function(48)
     assert all(gamma[x] == 1 for x in range(28))
     assert sorted(gamma[28:]) == [3] * 9 + [4] * 11
@@ -132,6 +134,40 @@ def test_large_case_uniform_boundary():
 def test_large_case_rejects_small_instances():
     with pytest.raises(ValueError):
         embed_large_case(Graph(6, ()), 3, 3)
+
+
+@pytest.mark.parametrize(
+    "leave, k, s",
+    [
+        (graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 3, 3),
+        (disjoint_cliques([4] * 6), 8, 8),
+        (Graph(6, ()), 3, 4),
+    ],
+    ids=["C6", "6K4", "empty6"],
+)
+def test_both_constructions_cover_the_shared_boundary(leave, k, s):
+    # |E| = k(n+s) and n >= k: each construction gives every vertex one star
+    assert join_edge_count(leave, s) == k * (leave.n + s) and leave.n >= k
+    for construct in (embed_large_case, embed_small_case):
+        dec = construct(leave, k, s)
+        assert validate_decomposition(join(leave, s), dec) is None
+        assert dec.central_function(leave.n + s) == (1,) * (leave.n + s)
+
+
+@pytest.mark.parametrize(
+    "construct, leave, k, s",
+    [
+        (embed_small_case, SEVEN_K4, 8, 20),  # |E| = 792 > k(n+s) = 384
+        (embed_large_case, Graph(6, ()), 3, 3),  # |E| = 21 < k(n+s) = 27
+        (embed_large_case, Graph(1, ()), 3, 6),  # |E| = k(n+s) = 21, n < k
+    ],
+)
+def test_each_construction_refuses_the_others_side(construct, leave, k, s):
+    case = "small" if construct is embed_small_case else "large"
+    with pytest.raises(ValueError, match=f"{case}-case construction does not cover"):
+        construct(leave, k, s)
+    other = embed_large_case if construct is embed_small_case else embed_small_case
+    assert validate_decomposition(join(leave, s), other(leave, k, s)) is None
 
 
 def test_greedy_star_removal():
@@ -467,3 +503,40 @@ def test_bound_report_json():
     report = bound_report(9, 8)
     assert float(report.n_threshold) == pytest.approx(8.0)
     assert report.n_above_threshold() is True
+
+
+def test_greedy_star_removal_runs_once_at_most_and_only_for_a_seed(monkeypatch):
+    # over the pinned-answers grid with k = 2 added, embed takes the greedy
+    # core once when it tests some s >= k with k > 2 (an s that reaches the
+    # seed, past divisibility, the degree pair and the obstacle) and never
+    # otherwise; with max_s below k it never does, and with no budgets, where
+    # each seed is cut off and each s skipped, it still does at most once
+    calls = []
+
+    def spy(g, k):
+        calls.append(g)
+        return greedy_star_removal(g, k)
+
+    monkeypatch.setattr(embedding, "greedy_star_removal", spy)
+    cases = [
+        (sample_maximal_partial(n, k, seed)[1], k)
+        for k in range(2, 6)
+        for n in range(k + 1, 13)
+        for seed in (0, 1)
+    ]
+    seeded = 0
+    for leave, k in cases:
+        calls.clear()
+        cert = embed(leave, k)
+        searched = [r.s for r in cert.rejections if r.reason in (REASON_EXHAUSTED, REASON_UNKNOWN)]
+        tested = any(s >= k for s in (*searched, cert.s))
+        assert calls == [leave] * (k > 2 and tested), (leave, k)
+        seeded += bool(calls)
+        calls.clear()
+        with suppress(NoEmbeddingFound):
+            embed(leave, k, max_s=k - 1)
+        assert calls == []
+        with suppress(NoEmbeddingFound):
+            embed(leave, k, gamma_budget=0, alpha_budget=0)
+        assert len(calls) <= 1
+    assert 0 < seeded < len(cases)

@@ -141,8 +141,8 @@ def test_dense_family_graphs_never_build_their_edge_tuples(monkeypatch):
 
     inst = gen_even_bound(7)
     s = next(c.params["s"] for c in inst.claims if c.kind == "success-at-s")
-    target = join(inst.leave, s)
-    assert validate_decomposition(target, embed_large_case(inst.leave, inst.k, s, target)) is None
+    dec = embed_large_case(inst.leave, inst.k, s)
+    assert validate_decomposition(join(inst.leave, s), dec) is None
 
     inst = gen_tightness_t2(6)
     assert exhaustive_gamma_search(join(inst.leave, inst.k - 1), inst.k).outcome == EXHAUSTED

@@ -8,6 +8,7 @@ import pytest
 
 from stardecomp.graphs import (
     Graph,
+    closure,
     complete_graph,
     disjoint_cliques,
     format_edge_list,
@@ -288,3 +289,31 @@ def test_deferred_edges_survive_pickling(builder):
         assert g.edges == expected
         assert pickle.loads(pickle.dumps(g)) == copy
 
+
+def test_closure_matches_a_set_based_search():
+    # random graphs on 1..30 labels plus isolated ones above them, closed
+    # from random start sets that may hold isolated labels; into(y) is asked
+    # once for each label of the closure and for no other
+    rnd = random.Random(11)
+    for _ in range(200):
+        n = rnd.randrange(1, 31)
+        g = graph_from_edges(
+            n + rnd.randrange(0, 6),
+            [(u, v) for u, v in ((rnd.randrange(n), rnd.randrange(n)) for _ in range(n)) if u != v],
+        )
+        start = set(rnd.sample(range(g.n), rnd.randrange(0, min(g.n, 3) + 1)))
+        reached, frontier = set(start), list(start)
+        while frontier:
+            y = frontier.pop()
+            for x in labels_of(g.rows[y]):
+                if x not in reached:
+                    reached.add(x)
+                    frontier.append(x)
+        asked = []
+
+        def into(y):
+            asked.append(y)
+            return g.rows[y]
+
+        assert labels_of(closure(into, mask_of(start))) == sorted(reached)
+        assert sorted(asked) == sorted(reached)

@@ -223,6 +223,22 @@ def test_validate_reports_structural_problems():
 
 
 @pytest.mark.parametrize(
+    "star",
+    [
+        Star("a", ("b", "c")),  # strings order among themselves, not against 0
+        Star(0, ("b", 2)),
+        Star("a", (1, 2)),
+        Star(None, (None, None)),
+        Star(0, (1, None)),
+    ],
+    ids=repr,
+)
+def test_validate_names_a_label_that_is_not_a_number(star):
+    problem = validate_decomposition(complete_graph(3), StarDecomposition(2, (star,)))
+    assert problem == "star 0 has a label that is not a number"
+
+
+@pytest.mark.parametrize(
     "n,k,stars", [(6, 3, 5), (9, 4, 9), (1, 5, 0), (2, 2, None), (5, 3, None)]
 )
 def test_decompose_complete_cases(n, k, stars):

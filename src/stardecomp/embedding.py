@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import isqrt
 
 from . import oracle
@@ -132,11 +132,13 @@ def degree_pair_check(base: Graph, k: int, s: int) -> tuple[int, int] | None:
     centered at one of its endpoints.
     """
     n = base.n
-    join_deg = n + s - 1
-    for u, v in base.edges:
-        if base.degree(u) + s < k and base.degree(v) + s < k:
-            return (u, v)
-    if s >= 1 and join_deg < k:
+    if s < k - 1:  # else each edge end has degree + s >= 1 + s >= k in the join
+        low = k - s
+        degrees = base.degrees
+        for u, v in base.edges:
+            if degrees[u] < low and degrees[v] < low:
+                return (u, v)
+    if s >= 1 and n + s - 1 < k:
         # every vertex of the join has degree below k, and L has no edge
         if n:
             return (0, n)
@@ -318,6 +320,23 @@ def guaranteed_s(n: int, k: int) -> int:
     return s
 
 
+class _LeaveFacts:
+    """Two facts about one leave that ``embed`` works out at most once, at
+    their first read: each is kept in the instance after it."""
+
+    def __init__(self, base: Graph, k: int, alpha_budget: int):
+        self.base, self.k, self.alpha_budget = base, k, alpha_budget
+
+    @cached_property
+    def alpha(self) -> int | None:  # None when the search is cut off: no verdict
+        with suppress(BudgetExceeded):
+            return independence_number(self.base, self.alpha_budget)
+
+    @cached_property
+    def greedy(self) -> tuple[tuple[Star, ...], Graph]:
+        return greedy_star_removal(self.base, self.k)
+
+
 def embed(
     base: Graph,
     k: int,
@@ -341,7 +360,7 @@ def embed(
     exact alpha(L) only when the requirement exceeds the Caro–Wei floor
     (``caro_wei_floor``), which is at most alpha(L); a requirement at or
     below it holds without a search. alpha(L) and greedy star removal are
-    each held as one cached call, made at its first need: alpha's
+    each worked out at most once, at its first need (``_LeaveFacts``): alpha's
     branch-and-bound at the first requirement above the floor, where a
     search cut off by ``alpha_budget`` gives no obstacle verdict at any s,
     and greedy removal at the first s that needs a seed.
@@ -359,13 +378,7 @@ def embed(
     definite = True
     floor = caro_wei_floor(base)
 
-    @cache
-    def alpha() -> int | None:  # None when the search is cut off: no verdict
-        with suppress(BudgetExceeded):
-            return independence_number(base, alpha_budget)
-
-    greedy = cache(lambda: greedy_star_removal(base, k))
-
+    facts = _LeaveFacts(base, k, alpha_budget)
     for s in range(0, limit + 1):
         if join_edge_count(base, s) % k:
             rejections.append(Rejection(s, REASON_DIVISIBILITY))
@@ -377,15 +390,15 @@ def embed(
             )
             continue
         required = obstacle_required(base, k, s)
-        if required > floor and alpha() is not None and alpha() < required:
+        if required > floor and facts.alpha is not None and facts.alpha < required:
             rejections.append(
-                Rejection(s, REASON_OBSTACLE, {"alpha": alpha(), "required": required})
+                Rejection(s, REASON_OBSTACLE, {"alpha": facts.alpha, "required": required})
             )
             continue
         target = join(base, s)
         seed = None
         if k > 2 and s >= k:
-            removed, core = greedy()
+            removed, core = facts.greedy
             with suppress(ObstacleViolated, BudgetExceeded):
                 seed = _construction_gamma(core, k, s, alpha_budget)
         if k == 2:

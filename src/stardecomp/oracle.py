@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from math import ceil, log
 
 from .graphs import Graph, labels_of, mask_of
 from .solver import (
@@ -421,12 +422,17 @@ def sample_maximal_partial(n: int, k: int, seed: int) -> tuple[StarDecomposition
 
     Stars are placed while some vertex still has k uncovered incident edges,
     so the leave always has maximum degree at most k-1. Deterministic for a
-    fixed seed. The generator ``random.Random(seed)`` sees exactly two calls
-    per star, which keeps every seeded star and leave the same from version
-    to version: ``choice`` over the ascending labels of the vertices with k
-    or more uncovered edges picks the center, then ``sample(., k)`` over the
-    center's ascending uncovered neighbours picks the leaves, which the star
-    lists ascending.
+    fixed seed, and the same from version to version: every random number is
+    a ``getrandbits`` draw of ``random.Random(seed)``, the one stream of
+    ``random`` Python keeps stable, and the draws are made exactly as
+    ``choice`` and ``sample`` make them. A number below m is
+    ``getrandbits(m.bit_length())``, drawn again while it is m or more. The
+    center is the number below the count of vertices with k or more
+    uncovered edges, read in their ascending list. The leaves are what
+    ``sample(row, k)`` picks from the center's ascending uncovered
+    neighbours, with the algorithm ``sample``'s own switch chooses:
+    swap-with-last on a row of at most ``setsize`` labels, indices redrawn
+    into a set on a longer one. The star lists them ascending.
 
     Each vertex keeps its uncovered neighbours as a sorted list, and the
     vertices with k or more as another; a star removes its 2k edge ends and
@@ -436,19 +442,49 @@ def sample_maximal_partial(n: int, k: int, seed: int) -> tuple[StarDecomposition
         raise ValueError("need at least one vertex")
     if k < 2:
         raise ValueError("star size k must be at least 2")
-    rng = random.Random(seed)
-    choice, sample = rng.choice, rng.sample
+    bits = random.Random(seed).getrandbits
+    width = [m.bit_length() for m in range(n + 1)]
+    # random.sample's switch: a row this long or shorter is drawn from by
+    # swap-with-last, a longer one by redrawing indices into a set
+    setsize = 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0)
     uncovered = [[*range(v), *range(v + 1, n)] for v in range(n)]
     eligible = list(range(n)) if n > k else []
     stars: list[Star] = []
     new = tuple.__new__
     while eligible:
-        center = choice(eligible)
+        m = len(eligible)
+        w = width[m]
+        i = bits(w)
+        while i >= m:
+            i = bits(w)
+        center = eligible[i]
         row = uncovered[center]
-        leaves = sorted(sample(row, k))
+        m = len(row)
+        if m <= setsize:
+            # each pick is swapped to the tail, so row[:m - k] stays unpicked
+            for last in range(m - 1, m - 1 - k, -1):
+                w = width[last + 1]
+                j = bits(w)
+                while j > last:
+                    j = bits(w)
+                row[j], row[last] = row[last], row[j]
+            leaves = sorted(row[m - k :])
+            del row[m - k :]
+            row.sort()
+        else:
+            w = width[m]
+            picked: set[int] = set()
+            for _ in range(k):
+                j = bits(w)
+                while j >= m or j in picked:
+                    j = bits(w)
+                picked.add(j)
+            at = sorted(picked)
+            leaves = [row[j] for j in at]
+            for j in reversed(at):
+                del row[j]
         stars.append(new(Star, (center, tuple(leaves))))
         for leaf in leaves:
-            row.remove(leaf)
             other = uncovered[leaf]
             other.remove(center)
             if len(other) == k - 1:  # it just fell below k

@@ -18,6 +18,10 @@ as the flow tests give their networks.
 ``oracle.sample_maximal_partial`` replaced: it rescans every vertex and sorts
 the center's uncovered set for each star, and makes the same random draws,
 so it pins the library's seeded stars and leaves.
+
+``degree_pair_by_walk`` is ``embedding.degree_pair_check`` as a plain walk
+over every edge at every s, so it checks the shortcut that skips the walk
+when no edge can qualify.
 """
 
 import random
@@ -142,3 +146,17 @@ def sample_maximal_partial_by_sets(n: int, k: int, seed: int) -> tuple[StarDecom
     if n * (n - 1) // 2 != leave.num_edges + k * len(stars):
         raise RuntimeError("sampled stars and leave do not partition K_n")
     return StarDecomposition(k, tuple(stars)), leave
+
+
+def degree_pair_by_walk(base: Graph, k: int, s: int) -> tuple[int, int] | None:
+    """First edge of L v K_s whose endpoints both have degree below k, if any."""
+    n = base.n
+    for u, v in base.edges:
+        if base.degree(u) + s < k and base.degree(v) + s < k:
+            return (u, v)
+    if s >= 1 and n + s - 1 < k:
+        if n:
+            return (0, n)
+        if s >= 2:
+            return (n, n + 1)
+    return None

@@ -1,4 +1,5 @@
 import json
+import random
 from contextlib import suppress
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +35,7 @@ from stardecomp.independence import caro_wei_floor, independence_number
 from stardecomp.oracle import EXHAUSTED, exhaustive_decomposition, sample_maximal_partial
 from stardecomp.solver import validate_decomposition
 
-from reference import stepped_even_guaranteed_s
+from reference import degree_pair_by_walk, stepped_even_guaranteed_s
 
 SINGLE_EDGE_8 = graph_from_edges(8, [(0, 1)])
 SEVEN_K4 = disjoint_cliques([4] * 7)
@@ -61,6 +62,19 @@ def test_degree_pair_flags_join_edges_for_tiny_graphs():
     assert degree_pair_check(g, 5, 2) == (0, 1)
     # no base vertex: the one edge of K_2 is the join's own
     assert degree_pair_check(Graph(0, ()), 5, 2) == (0, 1)
+
+
+def test_degree_pair_matches_the_plain_walk():
+    # random graphs with isolated vertices and sparse to dense edge sets,
+    # every s from 0 to k + 1: the walk skipped at s >= k - 1 loses nothing
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randrange(0, 13)
+        p = rng.random()
+        g = graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for k in range(2, 8):
+            for s in range(k + 2):
+                assert degree_pair_check(g, k, s) == degree_pair_by_walk(g, k, s)
 
 
 def test_obstacle_violated_for_clique_blocks():

@@ -379,7 +379,14 @@ def test_sample_maximal_partial_deterministic():
 
 def test_sample_maximal_partial_matches_the_set_based_sampler():
     # Same random draws, so the same stars and leave for every seed; the
-    # benchmark's and the CLI's seeded leaves rest on this.
-    for k, n, seed in product(range(2, 9), range(1, 41), range(3)):
+    # benchmark's and the CLI's seeded leaves rest on this. For k > 5
+    # random.sample draws by swap-with-last only from rows of at most
+    # 21 + 4**ceil(log(3k, 4)) labels (85 for k = 6..21, 277 for k = 22..85)
+    # and redraws into a set from longer ones, so rows of up to 99 (and 279)
+    # labels meet both
+    cells = [*product(range(2, 9), range(1, 41), range(3))]
+    cells += [(k, n, 0) for k in range(6, 9) for n in range(87, 101)]
+    cells += [(21, 100, 0), (22, 280, 0)]
+    for k, n, seed in cells:
         assert sample_maximal_partial(n, k, seed) == sample_maximal_partial_by_sets(n, k, seed)
 

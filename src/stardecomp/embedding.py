@@ -290,8 +290,8 @@ def guaranteed_s(n: int, k: int) -> int:
     The answer depends on (n, k) alone, so it is cached: the exact check
     ``general_cap(k) > s`` that guards it runs once per (n, k).
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    if n < 0 or k < 2:
+        raise ValueError("need n >= 0 and k >= 2")
     if k == 2:
         s = next(s for s in range(1, 5) if (n + s) % 4 == 0)
     elif k % 2 == 0:

@@ -3,33 +3,40 @@
 Vertices are labeled 0..n-1. A join ``L v K_s`` places the s new mutually
 adjacent vertices at labels n..n+s-1 so certificates are reproducible.
 Graphs are immutable and hashable; all operations return new graphs. A
-graph keeps its edges once, as the tuple of pairs (u, v) with u < v in label
-order: ``Graph(n, edges)`` takes them only in that form, and
-``graph_from_edges`` accepts any pairs.
+graph's edges are the pairs (u, v) with u < v in label order: ``Graph(n,
+edges)`` takes them only in that form, and ``graph_from_edges`` accepts any
+pairs.
 
-Its one adjacency is a bitset row per vertex (``Graph.rows``): a Python int
-whose bit w is set iff w is a neighbour. A row costs about n/8 bytes, so the
-rows of a graph cost about n^2/8 bytes whatever its edge count. The builders
-here (``complete_graph``, ``disjoint_cliques``, ``join``, ``complement`` and
-``graph_from_rows``) fill only the rows, degrees and edge count, in O(n)
-big-int operations. The edge tuple is built on the first read of ``edges``,
-a ``functools.cached_property``: every builder but ``join`` reads it off
-the rows, and ``join`` splices it from its base's. Both emit label-ordered
-pairs by construction, so the per-edge check that ``Graph(n, edges)``
-makes is skipped, and ``num_edges`` is half the degree sum. An edge tuple costs about 64 bytes an
-edge, so a dense graph that is only decided and validated on its rows (see
-``solver``) never pays for one. A graph built from edges computes its rows
-the first time they are read.
+A graph holds its edges in up to three forms, each built on its first read
+(a ``functools.cached_property``) unless the graph was made with it:
+
+- ``edges``, the tuple of pairs, about 64 bytes an edge;
+- ``upper``, per vertex u the tuple of its neighbours above u, ascending:
+  the edges (u, v) in label order, one int reference each, which the
+  solver walks vertex by vertex on its arc route;
+- ``rows``, one bitset per vertex: a Python int whose bit w is set iff w
+  is a neighbour, about n/8 bytes a row whatever the edge count.
+
+``Graph(n, edges)`` holds its edges and reads ``upper``, ``rows`` and its
+degrees off them. The builders (``complete_graph``, ``disjoint_cliques``,
+``join``, ``complement`` and ``graph_from_rows``) hold the rows, degrees
+and edge count, filled in O(n) big-int operations. Their ``upper`` is read
+off the rows, except that ``join`` splices its own from its base's edges
+and the new labels; their edge tuple is read off ``upper``. Both readers
+emit ascending tuples by construction, so the per-edge check that
+``Graph(n, edges)`` makes is skipped, and ``num_edges`` is half the
+degree sum. So a join that is only decided and validated (see ``solver``)
+builds ``upper`` and never an edge tuple, and a dense graph decided on its
+rows builds neither.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations, compress, repeat
+from itertools import compress
 from pathlib import Path
 
 Edge = tuple[int, int]
@@ -89,13 +96,16 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """A graph on labels 0..n-1: its edges in label order and its bitset
-    rows, one int of about n/8 bytes per vertex.
+    """A graph on labels 0..n-1: its edges in label order, its upper
+    neighbour tuples and its bitset rows, one int of about n/8 bytes per
+    vertex.
 
-    ``Graph(n, edges)`` checks the edges and reads the rows off them on
-    first use. A builder's graph holds its rows, degrees and edge count and
-    builds its edge tuple on the first read of ``edges``. Equality, hashing and ``repr``
-    read the edges, so they mean the same for both kinds."""
+    ``Graph(n, edges)`` checks the edges and reads ``upper`` and the rows
+    off them on first use. A builder's graph holds its rows, degrees and
+    edge count; it builds ``upper`` on first use (a join splices it, the
+    other builders read it off the rows) and its edge tuple off ``upper``
+    on the first read of ``edges``. Equality, hashing and ``repr`` read the
+    edges, so they mean the same for both kinds."""
 
     n: int
     edges: tuple[Edge, ...]  # distinct pairs (u, v), u < v, in label order
@@ -118,6 +128,14 @@ class Graph:
     def num_edges(self) -> int:
         # a builder's graph has it already: half its degree sum
         return len(self.edges)
+
+    @cached_property
+    def upper(self) -> tuple[tuple[int, ...], ...]:
+        """``upper[u]`` holds the neighbours of u above u, ascending."""
+        upper_of = vars(self).pop("_upper_of", None)  # a builder's splice
+        if upper_of is not None:
+            return upper_of()
+        return tuple(map(tuple, _upper_lists(self.n, self.edges)))
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -166,11 +184,18 @@ class Graph:
         return comps
 
 
+def _upper_lists(n: int, edges) -> list[list[int]]:
+    """Per vertex u of 0..n-1, the v of the label-ordered ``edges`` (u, v)."""
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        upper[u].append(v)
+    return upper
+
+
 def _edges_on_first_read(g: Graph) -> tuple[Edge, ...]:
     # Only a builder's graph gets here, once: a graph built from edges
-    # holds them in its instance dict, which Python reads first. Popping
-    # the builder's edge code frees what it held.
-    return vars(g).pop("_edges_of")()
+    # holds them in its instance dict, which Python reads first.
+    return tuple((u, v) for u, up in enumerate(g.upper) for v in up)
 
 
 # set after the dataclass is made, so that it is not taken for a default
@@ -178,11 +203,12 @@ Graph.edges = cached_property(_edges_on_first_read)
 Graph.edges.__set_name__(Graph, "edges")
 
 
-def _built(rows, degrees, edges_of=None) -> Graph:
+def _built(rows, degrees, upper_of=None) -> Graph:
     """A builder's graph on ``len(rows)`` vertices: its rows, degrees and
-    edge count now, and its edges on first read, from ``edges_of()`` when
-    given and off the rows otherwise. ``edges_of`` must emit them in label
-    order; unlike ``Graph(n, edges)`` nothing is re-checked."""
+    edge count now, and ``upper`` on first read, from ``upper_of()`` when
+    given and off the rows otherwise. ``upper_of`` must emit ascending
+    tuples; unlike ``Graph(n, edges)`` nothing is re-checked. Popping the
+    code on that read frees what it held."""
     g = object.__new__(Graph)
     rows = tuple(rows)
     degrees = tuple(degrees)
@@ -191,25 +217,22 @@ def _built(rows, degrees, edges_of=None) -> Graph:
         rows=rows,
         degrees=degrees,
         num_edges=sum(degrees) // 2,
-        _edges_of=edges_of or partial(_upper_edges, rows),
+        _upper_of=upper_of or partial(_upper_of_rows, rows),
     )
     return g
 
 
 def graph_from_rows(rows) -> Graph:
     """The graph whose adjacency is ``rows``, which must be symmetric and free
-    of self-loops (not checked); its edges are read off the rows in label order."""
+    of self-loops (not checked)."""
     rows = tuple(rows)
     return _built(rows, [row.bit_count() for row in rows])
 
 
-def _upper_edges(rows: tuple[int, ...]) -> tuple[Edge, ...]:
-    """The edges of the graph with adjacency ``rows`` in label order."""
-    edges: list[Edge] = []
-    for u, row in enumerate(rows):
-        # the labels above u, read with u's own and lower bits cleared
-        edges += zip(repeat(u), labels_of((row >> (u + 1)) << (u + 1)))
-    return tuple(edges)
+def _upper_of_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The upper neighbour tuples of the graph with adjacency ``rows``."""
+    # the labels above u, read with u's own and lower bits cleared
+    return tuple(tuple(labels_of((row >> (u + 1)) << (u + 1))) for u, row in enumerate(rows))
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -250,30 +273,20 @@ def join(base: Graph, s: int) -> Graph:
     rows += [full ^ (1 << z) for z in range(n, n + s)]
     degrees = [d + s for d in base.degrees]
     degrees += [n + s - 1] * s
-    return _built(rows, degrees, partial(_join_edges, base, s))
+    return _built(rows, degrees, partial(_join_upper, base, s))
 
 
-def _join_edges(base: Graph, s: int) -> tuple[Edge, ...]:
-    """The edges of ``join(base, s)`` in label order."""
-    # Joins alone splice their edges rather than read them off the rows:
-    # on the joins of 7-57 vertices that embed decides, the row reader is
-    # 1.6-3.4x slower (2.5x median), and this code already takes 0.14 s of
-    # a 1.3 s pass of the constructions benchmark. The other builders' edge
-    # tuples are cold: 4 of them, 534 edges and about 1 ms in all, over a
-    # whole families pass.
+def _join_upper(base: Graph, s: int) -> tuple[tuple[int, ...], ...]:
+    """The upper neighbour tuples of ``join(base, s)``: each base vertex's
+    upper neighbours in base, then every new label; each new label's, the
+    new labels above it."""
+    # read off the base's edges, not its cached ``upper``, so that a leave
+    # joined at many s keeps no second copy of its edges
     n = base.n
-    new = tuple(range(n, n + s))  # one int object per label, shared by its edges
-    below = base.edges
-    edges: list[Edge] = []
-    start = 0
-    for u in range(n):
-        # the edges (u, v) of base with u < v, then u's edges to the new vertices
-        end = bisect_left(below, (u + 1,), start)
-        edges += below[start:end]
-        edges += zip(repeat(u), new)
-        start = end
-    edges += combinations(new, 2)
-    return tuple(edges)
+    new = tuple(range(n, n + s))  # one int object per label, shared by the tuples
+    upper = [(*up, *new) for up in _upper_lists(n, base.edges)]
+    upper += [new[i:] for i in range(1, s + 1)]
+    return tuple(upper)
 
 
 def join_edge_count(base: Graph, s: int) -> int:

@@ -17,13 +17,16 @@ inside the support of gamma, and it does not depend on the start.
 
 The orientation is held in one of two ways, picked from n and |E| alone:
 
-- **Arcs** (the default). One pass over the edges orients each one, leaving
-  the endpoint with the larger share of its not yet oriented edges still to
-  take, and appends its head to the tail's list. A ``flow.MaxFlow``
-  numbers its arcs from those lists. The lists ascend, as the edges do; so
-  when the start needs no repair they are the stars as they stand, and
-  after a repair only the vertices some reversed path touched are re-read
-  and sorted.
+- **Arcs** (the default). One walk over ``Graph.upper``, vertex by vertex
+  in label order, orients each edge, leaving the endpoint with the larger
+  share of its not yet oriented edges still to take, and appends its head
+  to the tail's list. A ``flow.MaxFlow`` numbers its arcs from those lists.
+  The lists ascend, as the edges do; so when the start needs no repair
+  they are the stars as they stand, and after a repair only the vertices
+  some reversed path touched are re-read and sorted. Validation compares
+  the stars' sorted pair codes with codes read off ``Graph.upper``. So a
+  join, which splices its ``upper`` from its base, never builds its edge
+  tuple here.
 - **Rows**, for graphs of at least 128 vertices and n^2/16 edges, such as
   the dense family complements and joins: one out-neighbour bitset per
   vertex. Vertices are oriented in label order, each pointing at the
@@ -31,8 +34,8 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   operations in all, and ``flow.max_flow_on_rows`` repairs the start.
   Validation of these graphs writes the stars into an n-by-n byte matrix
   and reads each vertex's row and column of it against its row of g.
-  Neither reads ``Graph.edges``, so a builder's graph never builds its
-  edge tuple here.
+  Neither reads ``Graph.edges`` or ``Graph.upper``, so a builder's graph
+  builds neither here.
 
 A refusal is read the same way on both routes: ``flow.reaching`` walks
 the final orientation back from unmet deficit, asking for the in-neighbour
@@ -41,19 +44,22 @@ both routes give the same verdict and witness; only the stars of a
 decomposition may differ. A bitset step costs O(n/64) word operations
 where an arc step costs one, so the rows pay only on large dense graphs.
 Times of the rows route relative to the arc route on the same inputs
-(best of three, one core of a 2-core x86-64 host):
+(one core of a 2-core x86-64 host; the first two rows are the median
+ratio over nine paired repetitions, in each of two runs, each route
+deciding every join of the pass afresh, so that it pays for the ``upper``
+tuples or rows it reads; the others are best of three):
 
     graphs                                  rows vs arcs
-    seed-0 sweep decides (all)              about even (1.01x)
-    seed-0 constructions decides (all)      0.91x
+    seed-0 sweep decides (all)              0.80x-0.83x
+    seed-0 constructions decides (all)      0.78x-0.79x
     path joins of 504 and 2,004 vertices    1.3x and 1.7x
     dense K_n, n = 48..256                  0.25x-0.62x
 
 The 128-vertex floor keeps every sweep and constructions join (at most 58
-vertices) on arcs, where the gain is small and would move their pinned
-stars. The density floor keeps long sparse graphs off the rows, whose
-bitsets and validation matrix take about n^2/8 and n^2 bytes: at most 2
-and 16 bytes an edge at the floor.
+vertices) on arcs: the rows would save about a fifth of their decide time
+there, but would move their pinned stars. The density floor keeps long
+sparse graphs off the rows, whose bitsets and validation matrix take about
+n^2/8 and n^2 bytes: at most 2 and 16 bytes an edge at the floor.
 """
 
 from __future__ import annotations
@@ -240,26 +246,40 @@ def _refusal(g: Graph, k: int, gamma, into, excess: list[int]) -> DeficiencyWitn
     return witness
 
 
-def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
-    # One pass orients each edge, appending its head to its tail's list.
-    # excess[x] is x's out-degree so far minus k*gamma(x), and rem[x] counts
-    # x's edges not yet oriented. An edge leaves the endpoint whose need
-    # (-excess) is the larger share of its rem, ties going to the lower
-    # label: (u, v) leaves v iff need[v]*rem[u] > need[u]*rem[v].
-    excess = [-k * c for c in gamma]
+def _orient_by_need(g: Graph, excess: list[int]) -> list[list[int]]:
+    """Orient every edge of g, appending its head to its tail's list, and
+    return the lists. ``excess[x]``, x's out-degree so far less k*gamma(x),
+    gains one per edge leaving x. An edge leaves the endpoint whose need (-excess) is the
+    larger share of its edges not yet oriented (rem), ties going to the
+    lower label: (u, v) leaves v iff need[v]*rem[u] > need[u]*rem[v].
+    Edges go in label order, vertex by vertex over ``g.upper``, so every
+    list ascends."""
     rem = list(g.degrees)
-    heads: list[list[int]] = [[] for _ in gamma]
-    for u, v in g.edges:
-        ru = rem[u]
-        rv = rem[v]
-        rem[u] = ru - 1
-        rem[v] = rv - 1
-        if excess[u] * rv > excess[v] * ru:
-            u, v = v, u
-        excess[u] += 1
-        heads[u].append(v)
+    heads: list[list[int]] = [[] for _ in range(g.n)]
+    for u, up in enumerate(g.upper):
+        # u's edges to lower labels are oriented already, so its rem is
+        # len(up), and only u's own edges change its excess from here on
+        eu = excess[u]
+        ru = len(up)
+        hu = heads[u]
+        for v in up:
+            rv = rem[v]
+            rem[v] = rv - 1
+            if eu * rv > excess[v] * ru:
+                excess[v] += 1
+                heads[v].append(u)
+            else:
+                eu += 1
+                hu.append(v)
+            ru -= 1
+        excess[u] = eu
+    return heads
 
-    # Edge order made every list ascend, as ``ascending_heads`` needs.
+
+def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
+    excess = [-k * c for c in gamma]
+    heads = _orient_by_need(g, excess)
+    # the lists ascend, as ``ascending_heads`` needs
     net = MaxFlow(heads, excess)
     if net.max_flow() == net.surplus:
         heads = net.ascending_heads()
@@ -333,9 +353,10 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     With sorted codes, once no label is n or more, the code low*n + high of
     a pair in 0..n-1 names exactly that pair, and a pair with a negative
     label gets a negative code, which no edge has. So the sorted codes of
-    the star pairs equal the codes of g's edges iff the stars cover every
-    edge exactly once: a repeated leaf, a center as its own leaf, a
-    non-edge, a double cover and a missing edge each break the equality.
+    the star pairs equal the codes of g's edges, read in label order off
+    ``g.upper``, iff the stars cover every edge exactly once: a repeated
+    leaf, a center as its own leaf, a non-edge, a double cover and a
+    missing edge each break the equality.
 
     On rows, once every center is in 0..n-1 and no leaf is negative, each
     star writes byte x of its center's row of an n-by-n matrix of n^2
@@ -350,7 +371,9 @@ def validate_decomposition(g: Graph, d: StarDecomposition) -> str | None:
     sorted codes.
 
     Only a failed check walks the stars, checking each of their pairs in
-    turn, to name the first violation.
+    turn, to name the first violation; only that walk reads ``g.edges``, so
+    a valid decomposition of a builder's graph (a join, say) builds no
+    edge tuple.
     """
     k = d.k
     if not isinstance(k, int):
@@ -412,7 +435,7 @@ def _covers_by_codes(g: Graph, centers, star_leaves) -> bool:
         for x in xs
     ]
     codes.sort()
-    return codes == [u * n + v for u, v in g.edges]
+    return codes == [u * n + v for u, up in enumerate(g.upper) for v in up]
 
 
 def _covers_on_rows(g: Graph, k: int, centers, star_leaves) -> bool:
@@ -489,14 +512,14 @@ def decompose_with_repair(g: Graph, k: int) -> StarDecomposition:
 def decompose_complete(n: int, k: int) -> StarDecomposition | None:
     """A k-star decomposition of K_n, or None when none exists.
 
-    For n >= 2 one exists iff n >= 2k and C(n,2) is divisible by k; K_1 is
-    decomposed by the empty set of stars.
+    For n >= 2 one exists iff n >= 2k and C(n,2) is divisible by k; K_0 and
+    K_1 are decomposed by the empty set of stars.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     if k < 2:
         raise ValueError("star size k must be at least 2")
-    if n == 1:
+    if n <= 1:
         return StarDecomposition(k, ())
     pairs = n * (n - 1) // 2
     if n < 2 * k or pairs % k != 0:
@@ -517,10 +540,11 @@ def two_star_decompose(g: Graph) -> StarDecomposition | None:
     of its component's edge count, so an odd root means there is none.
     O(n + |E|) apart from sorting each vertex's out-neighbours.
     """
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]  # ascending: lower, then upper
+    for u, up in enumerate(g.upper):
+        nbrs[u] += up
+        for v in up:
+            nbrs[v].append(u)
     heads: list[list[int]] = [[] for _ in range(g.n)]
     parent = [-1] * g.n  # a root is its own parent
     order: list[int] = []  # the forest, breadth-first

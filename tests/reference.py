@@ -19,6 +19,10 @@ as the flow tests give their networks.
 the center's uncovered set for each star, and makes the same random draws,
 so it pins the library's seeded stars and leaves.
 
+``orient_edge_by_edge`` is the per-edge walk over ``Graph.edges`` that
+``solver._orient_by_need`` replaced, so it pins the vertex-by-vertex
+orientation edge for edge.
+
 ``degree_pair_by_walk`` is ``embedding.degree_pair_check`` as a plain walk
 over every edge at every s, so it checks the shortcut that skips the walk
 when no edge can qualify.
@@ -160,3 +164,22 @@ def degree_pair_by_walk(base: Graph, k: int, s: int) -> tuple[int, int] | None:
         if s >= 2:
             return (n, n + 1)
     return None
+
+
+def orient_edge_by_edge(g: Graph, excess: list[int]) -> list[list[int]]:
+    """Orient each edge of ``g.edges`` in turn, appending its head to its
+    tail's list: (u, v) leaves v iff need[v]*rem[u] > need[u]*rem[v], with
+    need = -excess and rem the edges not yet oriented. ``excess`` gains one
+    per edge leaving a vertex."""
+    rem = list(g.degrees)
+    heads: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        ru = rem[u]
+        rv = rem[v]
+        rem[u] = ru - 1
+        rem[v] = rv - 1
+        if excess[u] * rv > excess[v] * ru:
+            u, v = v, u
+        excess[u] += 1
+        heads[u].append(v)
+    return heads

@@ -59,6 +59,16 @@ def test_decompose_complete_none_exists(tmp_path):
     assert json.loads(out.read_text()) == {"exists": False, "n": 5, "k": 3}
 
 
+def test_decompose_complete_accepts_k0(tmp_path, capsys):
+    out = tmp_path / "dec.json"
+    assert run(["decompose", "--complete", "0", "--k", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "exists": True, "n": 0, "k": 3, "decomposition": {"k": 3, "stars": []}
+    }
+    assert run(["decompose", "--complete", "-1", "--k", "3"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_decompose_graph_two_star(tmp_path):
     g = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
     gpath = tmp_path / "g.json"
@@ -263,6 +273,17 @@ def test_embed_single_edge(tmp_path):
     assert cert.s == 4
     assert cert.minimality == "exact"
     assert {r.s: r.reason for r in cert.rejections}[2] == "exhausted-nonexistence"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_embed_empty_leave(tmp_path, k):
+    gpath = tmp_path / "leave.json"
+    write_graph(graph_from_edges(0, []), gpath)
+    out = tmp_path / "cert.json"
+    assert run(["embed", "--leave", str(gpath), "--k", str(k), "--out", str(out)]) == 0
+    cert = EmbeddingCertificate.from_json_dict(json.loads(out.read_text()))
+    assert (cert.n, cert.s, cert.minimality, cert.rejections) == (0, 0, "exact", ())
+    assert cert.decomposition.stars == ()
 
 
 def test_embed_caterpillar(tmp_path):

@@ -210,6 +210,13 @@ def test_guaranteed_s_values(n, k, expected):
     assert s == expected
 
 
+def test_guaranteed_s_takes_an_empty_leave():
+    # K_{2k} absorbs it (k = 2: n + s divisible by 4); embed stops at s = 0
+    assert [guaranteed_s(0, k) for k in (2, 3, 4, 7)] == [4, 6, 8, 14]
+    with pytest.raises(ValueError, match="n >= 0"):
+        guaranteed_s(-1, 3)
+
+
 def test_guaranteed_s_caps_hold_everywhere():
     for k in range(2, 10):
         for n in range(1, 41):
@@ -554,3 +561,40 @@ def test_greedy_star_removal_runs_once_at_most_and_only_for_a_seed(monkeypatch):
             embed(leave, k, gamma_budget=0, alpha_budget=0)
         assert len(calls) <= 1
     assert 0 < seeded < len(cases)
+
+
+def _construction_cases(k, n, seed):
+    """(leave, s, large) for every s in [k, 4k] at which k divides the join's
+    edge count, on one sampled leave; large says which case covers it."""
+    leave = sample_maximal_partial(n, k, seed)[1]
+    for s in range(k, 4 * k + 1):
+        m = join_edge_count(leave, s)
+        if m % k == 0:
+            yield leave, s, m >= k * (n + s) and n >= k
+
+
+def test_embed_and_constructions_build_no_join_edge_tuple(monkeypatch):
+    # The solver walks a join's upper neighbour tuples, never its edge
+    # tuple: over a small grid of the benchmark's ops and their checks, no
+    # join that embed or a construction makes, nor one a check validates
+    # against, holds an edge tuple afterwards.
+    made = []
+
+    def recording_join(base, s):
+        made.append(join(base, s))
+        return made[-1]
+
+    monkeypatch.setattr(embedding, "join", recording_join)
+    checked, cases = [], set()
+    for k in range(2, 8):
+        for n in range(k + 1, 15):
+            leave = sample_maximal_partial(n, k, 0)[1]
+            cert = embed(leave, k)
+            checked.append((join(leave, cert.s), cert.decomposition))
+            for leave, s, large in _construction_cases(k, n, 0) if k > 2 else ():
+                construct = embed_large_case if large else embed_small_case
+                checked.append((join(leave, s), construct(leave, k, s)))
+                cases.add(large)
+    assert all(validate_decomposition(g, dec) is None for g, dec in checked)
+    assert len(checked) > 200 and cases == {False, True}
+    assert sum("edges" in vars(g) for g in made + [g for g, _ in checked]) == 0

@@ -263,8 +263,38 @@ def test_builders_defer_their_edges(builder):
         assert "edges" not in vars(g)  # counted from the degrees
         assert g.edges == expected
         assert g.num_edges == len(g.edges)
-        # the edge code, and what it holds, is dropped on the first read
-        assert "_edges_of" not in vars(g) and vars(g)["edges"] is g.edges
+        # the edges are read off ``upper``, whose code, and what it holds,
+        # is dropped on the first read
+        assert "_upper_of" not in vars(g) and vars(g)["upper"] is g.upper
+        assert vars(g)["edges"] is g.edges
+
+
+def _upper_off(n, edges):
+    upper = [[] for _ in range(n)]
+    for u, v in edges:
+        upper[u].append(v)
+    return tuple(map(tuple, upper))
+
+
+@pytest.mark.parametrize("builder", [*BUILDERS, "Graph"])
+def test_upper_lists_the_edges_above_each_vertex(builder):
+    cases = _builder_cases("join" if builder == "Graph" else builder)
+    for build, expected in cases:
+        g = Graph(build().n, expected) if builder == "Graph" else build()
+        assert g.upper == _upper_off(g.n, expected)
+        assert "edges" not in vars(g) or builder == "Graph"
+        assert all(type(up) is tuple for up in g.upper)
+
+
+@pytest.mark.parametrize("s", range(5))
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_join_upper_on_edgeless_bases(n, s):
+    g = join(Graph(n, ()), s)
+    expected = tuple((u, v) for u, v in combinations(range(n + s), 2) if v >= n)
+    assert g.upper == _upper_off(n + s, expected)
+    # the new labels' tuples are suffixes of one another
+    assert all(g.upper[z] == g.upper[z - 1][1:] for z in range(n + 1, n + s))
+    assert g.edges == expected
 
 
 @pytest.mark.parametrize("builder", BUILDERS)

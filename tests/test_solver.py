@@ -12,6 +12,7 @@ from stardecomp.graphs import (
     complete_graph,
     disjoint_cliques,
     graph_from_edges,
+    join,
     join_edge_count,
     labels_of,
 )
@@ -33,7 +34,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import arc_network, enumerate_min_deficiency
+from reference import arc_network, enumerate_min_deficiency, orient_edge_by_edge
 
 
 def test_deficiency_empty_set_is_zero():
@@ -57,6 +58,22 @@ def test_decide_on_k6_keeps_requested_centers():
     assert isinstance(result, StarDecomposition)
     assert validate_decomposition(g, result) is None
     assert result.central_function(6) == gamma
+
+
+def test_orientation_matches_the_per_edge_walk():
+    # random graphs of every density, plain and joined, under random needs
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.randint(0, 16)
+        density = rng.random()
+        g = Graph(n, tuple(p for p in combinations(range(n), 2) if rng.random() < density))
+        if rng.random() < 0.5:
+            g = join(g, rng.randint(0, 5))
+        excess = [-rng.randint(0, 3) * rng.randint(2, 4) for _ in range(g.n)]
+        walked = list(excess)
+        heads = solver._orient_by_need(g, excess)
+        assert heads == orient_edge_by_edge(g, walked)
+        assert excess == walked
 
 
 def test_decide_on_empty_graph():
@@ -239,7 +256,7 @@ def test_validate_names_a_label_that_is_not_a_number(star):
 
 
 @pytest.mark.parametrize(
-    "n,k,stars", [(6, 3, 5), (9, 4, 9), (1, 5, 0), (2, 2, None), (5, 3, None)]
+    "n,k,stars", [(6, 3, 5), (9, 4, 9), (1, 5, 0), (0, 3, 0), (2, 2, None), (5, 3, None)]
 )
 def test_decompose_complete_cases(n, k, stars):
     result = decompose_complete(n, k)

@@ -79,7 +79,8 @@ class Surd:
         return self._diff(other).sign() == 0
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c))
+        # a rational value equals its int or Fraction, so it hashes as one
+        return hash(self.a if not (self.b and self.c) else (self.a, self.b, self.c))
 
     def __lt__(self, other: "Surd | RationalLike") -> bool:
         return self._diff(other).sign() < 0

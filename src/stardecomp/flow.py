@@ -16,8 +16,10 @@ skipped. Instead of source and sink arcs, each vertex has a signed excess:
 surplus to send, or deficit.
 A path first enters a vertex other than its source along a starting arc,
 whose reverse then joins that vertex's out-list; so the vertices that paths
-touched are the surplus ones and those whose out-lists grew, and
-``ascending_heads`` re-reads those alone.
+touched are the surplus ones and those whose out-lists grew. Every other
+vertex keeps the arcs it was given, after any flow, full or not, so
+``ascending_heads``, the one reader of a finished arc flow, re-reads the
+touched ones alone.
 
 Each phase is a breadth-first search from all surplus vertices, and
 augmenting paths end at deficit vertices on the nearest level. Paths are
@@ -27,7 +29,9 @@ the same flow. After a maximum flow, the vertices with a directed path to
 unmet deficit are the smallest sink side over all minimum cuts.
 ``reaching`` reads that set for both forms, asking a function for the
 in-neighbour mask of each vertex it reaches: ``rows[y] & ~out[y]`` on rows,
-and the same with the mask of y's ``successors()`` list on arcs.
+and the same with the mask of y's ``ascending_heads()`` list on arcs.
+``residual_reachable`` gives the other side, the ``graphs.closure`` forward
+from the surplus left.
 
 On rows, ``out[x]`` is an int whose bit y is set iff the edge xy leaves x.
 A breadth-first frontier is the OR of its vertices' out-rows, a path step
@@ -152,31 +156,22 @@ class MaxFlow:
 
     def ascending_heads(self) -> list[list[int]]:
         """The heads of the arcs leaving each vertex in the current
-        orientation, ascending when every list given ascended. Only the
-        vertices some path touched, the starting surplus ones and those
-        whose out-lists grew, are re-read; the others keep their lists."""
+        orientation after any flow, ascending when every list given
+        ascended. Only the vertices some path touched, the starting surplus
+        ones and those whose out-lists grew, are re-read; the others keep
+        their lists."""
         heads, out, to, live = self.heads, self.out, self.to, self.live
         grown = [x for x, arcs in enumerate(out) if len(arcs) != len(heads[x])]
         for x in {*self.sources, *grown}:
             heads[x] = sorted([to[a] for a in out[x] if live[a]])
         return heads
 
-    def successors(self) -> list[list[int]]:
-        """The heads of the arcs leaving each vertex in the current orientation."""
-        to, live = self.to, self.live
-        return [[to[a] for a in arcs if live[a]] for arcs in self.out]
-
-    def residual_reachable(self) -> list[bool]:
-        """Vertices reached from surplus left over (source side of a min cut)."""
-        seen = [e > 0 for e in self.excess]
-        stack = [x for x, marked in enumerate(seen) if marked]
-        heads = self.successors()
-        while stack:
-            for y in heads[stack.pop()]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return seen
+    def residual_reachable(self) -> int:
+        """The mask of the vertices reached from surplus left over, the
+        source side of a minimum cut; parallel arcs share one bit."""
+        heads = self.ascending_heads()
+        surplus = mask_of(x for x, e in enumerate(self.excess) if e > 0)
+        return closure(lambda x: mask_of({*heads[x]}), surplus)
 
 
 def max_flow_on_rows(out: list[int], excess: list[int]) -> int:

@@ -39,7 +39,10 @@ The orientation is held in one of two ways, picked from n and |E| alone:
 
 A refusal is read the same way on both routes: ``flow.reaching`` walks
 the final orientation back from unmet deficit, asking for the in-neighbour
-masks of only the vertices it reaches, and its set is the witness. So
+masks of only the vertices it reaches, and its set is the witness. The arc
+route reads both outcomes off one ``MaxFlow.ascending_heads()``: the stars
+of a full flow, and otherwise each reached vertex's row less the mask of
+its list, since a vertex no path touched keeps the list it was given. So
 both routes give the same verdict and witness; only the stars of a
 decomposition may differ. A bitset step costs O(n/64) word operations
 where an arc step costs one, so the rows pay only on large dense graphs.
@@ -281,10 +284,11 @@ def _decide_on_arcs(g: Graph, k: int, gamma: tuple[int, ...]):
     heads = _orient_by_need(g, excess)
     # the lists ascend, as ``ascending_heads`` needs
     net = MaxFlow(heads, excess)
-    if net.max_flow() == net.surplus:
-        heads = net.ascending_heads()
+    full = net.max_flow() == net.surplus
+    heads = net.ascending_heads()
+    if full:
         return _stars_of(k, gamma, map(len, heads), chain.from_iterable(heads))
-    rows, heads = g.rows, net.successors()
+    rows = g.rows
     return _refusal(g, k, gamma, lambda y: rows[y] & ~mask_of(heads[y]), excess)
 
 

@@ -14,6 +14,10 @@ comparisons, so it checks the closed form the library uses.
 ``arc_network`` builds a ``MaxFlow`` from a list of ``(tail, head)`` arcs,
 as the flow tests give their networks.
 
+``successors`` is the full re-read of a ``MaxFlow``'s orientation that was
+once ``MaxFlow.successors``: it reads every vertex's live arcs, so it checks
+``MaxFlow.ascending_heads``, which re-reads only the vertices paths touched.
+
 ``sample_maximal_partial_by_sets`` is the set-based sampler that
 ``oracle.sample_maximal_partial`` replaced: it rescans every vertex and sorts
 the center's uncovered set for each star, and makes the same random draws,
@@ -44,6 +48,11 @@ def arc_network(arcs, excess) -> MaxFlow:
     for u, v in arcs:
         heads[u].append(v)
     return MaxFlow(heads, list(excess))
+
+
+def successors(net: MaxFlow) -> list[list[int]]:
+    """The heads of the arcs leaving each vertex in the current orientation."""
+    return [[net.to[a] for a in arcs if net.live[a]] for arcs in net.out]
 
 
 @cache

@@ -12,6 +12,16 @@ def test_perfect_square_folds_into_rational():
     assert s == 7
 
 
+def test_rational_values_hash_as_their_int_or_fraction():
+    # equal objects must hash equal, so a rational Surd stands in for its value
+    assert hash(Surd.of(3)) == hash(3)
+    assert hash(Surd.of(1, 2, 9)) == hash(7)
+    assert hash(Surd.of(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({Surd.of(3), 3}) == 1
+    assert len({Surd.of(Fraction(1, 2)), Fraction(1, 2), Surd.of(1, 2, 2)}) == 2
+    assert hash(Surd.of(1, 2, 2)) == hash(Surd.of(1, 2, 2))
+
+
 def test_sign_tracking_opposite_signs():
     assert Surd.of(3, -2, 2).sign() == 1  # 3 > 2*sqrt(2)
     assert Surd.of(-3, 2, 2).sign() == -1

@@ -18,7 +18,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import arc_network
+from reference import arc_network, successors
 
 nx = pytest.importorskip("networkx")
 
@@ -58,7 +58,7 @@ def test_max_flow_matches_networkx():
         # The solver reads them off in-neighbour masks: the graph's row less
         # the vertex's successors
         rows = graph_from_edges(n, pairs).rows
-        heads = net.successors()
+        heads = successors(net)
         sink_side = reaching(lambda y: rows[y] & ~mask_of(heads[y]), net.excess)
         inside = [bool(sink_side >> x & 1) for x in range(n)]
         cut = sum(e for x, e in enumerate(excess) if e > 0 and inside[x])

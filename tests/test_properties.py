@@ -44,7 +44,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import enumerate_min_deficiency, short_on_zeros_plus_one_class
+from reference import enumerate_min_deficiency, short_on_zeros_plus_one_class, successors
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -219,34 +219,40 @@ def test_decide_matches_subset_enumeration_on_every_branch(monkeypatch, route):
 
 
 def test_repaired_stars_match_a_fresh_read_of_every_vertex(monkeypatch):
-    # After a repair the arc route re-reads only the vertices some reversed
+    # After any flow the arc route re-reads only the vertices some reversed
     # path touched and takes every other vertex's starting list as it is.
-    # Reading every vertex's heads afresh must give the same stars.
+    # Reading every vertex's heads afresh must give the same stars, and on
+    # a refusal the same lists, whose masks the witness is read through.
     nets = []
     max_flow = MaxFlow.max_flow
 
     def kept(net):
-        nets.append(net)
-        return max_flow(net)
+        nets.append((net, max_flow(net)))
+        return nets[-1][1]
 
     monkeypatch.setattr(MaxFlow, "max_flow", kept)
     rng = random.Random(20)
-    repaired = partial = 0
+    repaired = partial = refused_after_flow = 0
     for trial in range(6000):
         g, k, gamma = _star_union(rng)
         nets.clear()
         result = decide_star_decomposition(g, k, gamma)
-        (net,) = nets
+        ((net, routed),) = nets
+        if not isinstance(result, StarDecomposition):
+            assert net.ascending_heads() == list(map(sorted, successors(net)))
+            refused_after_flow += routed > 0
+            continue
         # an odd id is listed iff a path reversed the arc it is the reverse of
         flipped = [b for b in range(1, len(net.to), 2) if net.listed[b]]
         reversed_ends = {net.to[b] for b in flipped} | {net.to[b ^ 1] for b in flipped}
-        if not isinstance(result, StarDecomposition) or not reversed_ends:
+        if not reversed_ends:
             continue
         repaired += 1
         partial += len(reversed_ends) < g.n
-        heads = list(map(sorted, net.successors()))
+        heads = list(map(sorted, successors(net)))
         assert result == solver._stars_of(k, gamma, map(len, heads), chain.from_iterable(heads))
     assert repaired >= 300 and partial >= 50, (repaired, partial)
+    assert refused_after_flow >= 20, refused_after_flow
 
 
 @SETTINGS

@@ -15,6 +15,7 @@ from stardecomp.graphs import (
     join,
     join_edge_count,
     labels_of,
+    mask_of,
 )
 from stardecomp.oracle import exhaustive_decomposition
 from stardecomp.solver import (
@@ -34,7 +35,7 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import arc_network, enumerate_min_deficiency, orient_edge_by_edge
+from reference import arc_network, enumerate_min_deficiency, orient_edge_by_edge, successors
 
 
 def test_deficiency_empty_set_is_zero():
@@ -422,13 +423,25 @@ def test_max_flow_reverses_each_path_and_keeps_every_arc_once():
     # An arc reversed, reversed back and reversed again must still appear
     # once in the out-lists; a few of these networks do that.
     rng = random.Random(5)
+    flows = {"full": 0, "partial": 0}
     for trial in range(2000):
         n = rng.randint(2, 12)
         arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4 * n))]
         excess = [rng.randint(-4, 4) for _ in range(n)]
         net = arc_network(arcs, excess)
         value = net.max_flow()
-        after = net.successors()
+        after = successors(net)
+        # the source side of a min cut, after full and partial flows alike,
+        # against a set-based search over every vertex's live arcs
+        seen = {x for x, e in enumerate(net.excess) if e > 0}
+        stack = list(seen)
+        while stack:
+            for y in after[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        assert net.residual_reachable() == mask_of(seen)
+        flows["full" if value == net.surplus else "partial"] += 1
         assert sorted(sorted(a) for a in arcs) == sorted(
             sorted((x, y)) for x, heads in enumerate(after) for y in heads
         )
@@ -438,6 +451,7 @@ def test_max_flow_reverses_each_path_and_keeps_every_arc_once():
         for x in range(n):
             before = sum(1 for u, _ in arcs if u == x)
             assert len(after[x]) == before - (excess[x] - net.excess[x])
+    assert min(flows.values()) >= 300, flows
 
 
 def test_decide_repairs_along_path_longer_than_recursion_limit():

@@ -27,6 +27,7 @@ from .embedding import (
     embed,
     general_cap,
     large_n_cap,
+    n_threshold,
 )
 from .graphs import complete_graph, read_graph
 from .solver import (
@@ -166,10 +167,7 @@ def _sweep_cell(task: tuple[int, int, int, int]) -> dict:
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     cap = general_cap(k)
     s1_cap = large_n_cap(k)
-    if k >= 3:
-        above_threshold = bound_report(n, k).n_above_threshold()
-    else:
-        above_threshold = True
+    above_threshold = k < 3 or n_threshold(k) < n
     return {
         "k": k,
         "n": n,
@@ -234,7 +232,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    n_values = _parse_range(args.n) if args.n else [None]
     buf = io.StringIO()
     buf.write("# stardecomp bounds v1\n")
     columns = [
@@ -251,15 +248,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     ]
     writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
-    for n in n_values:
-        report = bound_report(n if n is not None else 1, args.k)
+    for n in _parse_range(args.n) if args.n else [None]:
         row = {
             "k": args.k,
-            "n_threshold": f"{float(report.n_threshold):.6f}",
-            "general_cap": f"{float(report.general_cap):.6f}",
-            "large_n_cap": report.large_n_cap,
+            "n_threshold": f"{float(n_threshold(args.k)):.6f}",
+            "general_cap": f"{float(general_cap(args.k)):.6f}",
+            "large_n_cap": large_n_cap(args.k),
         }
         if n is not None:
+            report = bound_report(n, args.k)
             row |= {
                 "n": n,
                 "s_lower_general": f"{float(report.s_lower_general):.6f}",

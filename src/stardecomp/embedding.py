@@ -271,8 +271,17 @@ def general_cap(k: int) -> Fraction | Surd:
     return Surd.of(6 * k, -2 * k, 2)
 
 
+def n_threshold(k: int) -> Surd:
+    """The paper's large-n threshold k(k-1)/(sqrt(8k) - 1), exactly: the
+    ``large_n_cap`` holds once n is above it. Needs k >= 3."""
+    if k < 3:
+        raise ValueError("bound formulas need k >= 3")
+    thr = Fraction(k * (k - 1), 8 * k - 1)  # the threshold is thr * (1 + sqrt(8k))
+    return Surd.of(thr, thr, 8 * k)
+
+
 def large_n_cap(k: int) -> int:
-    """The paper's cap once n clears the threshold of ``bound_report``:
+    """The paper's cap once n is above ``n_threshold(k)``:
     s <= 2k-2 for odd k, s <= 3k-2 for even k."""
     return 2 * k - 2 if k % 2 == 1 else 3 * k - 2
 
@@ -454,11 +463,11 @@ class BoundReport:
 
 
 def bound_report(n: int, k: int) -> BoundReport:
-    """Exact bound values; k >= 3 (k = 2 is settled by component parity)."""
-    if k < 3:
-        raise ValueError("bound formulas need k >= 3")
+    """Exact bound values; k >= 3 (k = 2 is settled by component parity) and
+    n >= 1 (a 0-vertex leave embeds at s = 0, which no formula here reads)."""
+    threshold = n_threshold(k)  # refuses k < 3
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError("bound formulas need a nonempty leave, n >= 1")
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
     general = RootBound(
@@ -471,6 +480,4 @@ def bound_report(n: int, k: int) -> BoundReport:
             Fraction(k - n) + half,
             Surd.of(Fraction(4 * k * (n - k) + k * k - k) + quarter, -4 * k, 2 * (n - k)),
         )
-    thr = Fraction(k * (k - 1), 8 * k - 1)
-    threshold = Surd.of(thr, thr, 8 * k)
     return BoundReport(k, n, general, clique, threshold, general_cap(k), large_n_cap(k))

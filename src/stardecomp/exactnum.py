@@ -3,8 +3,10 @@
 All threshold comparisons in the embedder reduce to questions of the form
 ``integer vs a + b*sqrt(c)`` or ``integer vs q + sqrt(a + b*sqrt(c))`` with
 rational a, b, q and nonnegative integer c. Deciding these with floats would
-misclassify tight boundary cases, so everything here is done with Fractions,
-isolating the radical and squaring while tracking signs.
+misclassify tight boundary cases, so everything here is done with Fractions.
+Each ``Surd`` is kept in one normal form, so equality compares fields; an
+ordering and the nested-radical comparison isolate the radical and square
+it, tracking signs.
 """
 
 from __future__ import annotations
@@ -22,12 +24,18 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
 @dataclass(frozen=True, eq=False)
 class Surd:
     """Exact value ``a + b*sqrt(c)`` with a, b rational and c a nonnegative int.
 
-    Use :meth:`Surd.of` to construct; it folds perfect-square radicands into
-    the rational part so equality of values matches equality of fields.
+    Use :meth:`Surd.of` to construct. Its normal form has c square-free and
+    at least 2, or b = c = 0 for a rational value, so equal values have
+    equal fields: ``==`` compares them and never raises. Ordering two values
+    over different radicands raises ``ValueError``.
     """
 
     a: Fraction
@@ -41,29 +49,22 @@ class Surd:
         c = int(c)
         if c < 0:
             raise ValueError("radicand must be nonnegative")
-        if b == 0 or c == 0:
-            return Surd(a, Fraction(0), 0)
-        r = math.isqrt(c)
-        if r * r == c:
-            return Surd(a + b * r, Fraction(0), 0)
+        p = 2
+        while p * p <= c:  # move each square factor p*p of c out into b
+            while c % (p * p) == 0:
+                c //= p * p
+                b *= p
+            p += 1
+        if b == 0 or c <= 1:
+            return Surd(a + b * c, Fraction(0), 0)
         return Surd(a, b, c)
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 * c
-        t = self.a * self.a - self.b * self.b * self.c
-        if t == 0:
-            return 0
-        if self.a > 0:
-            return 1 if t > 0 else -1
-        return -1 if t > 0 else 1
+        sa, sb = _sign(self.a), _sign(self.b)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the larger of a^2 and b^2 * c wins
+        return sa * _sign(self.a * self.a - self.b * self.b * self.c)
 
     def _diff(self, other: "Surd | RationalLike") -> "Surd":
         if isinstance(other, Surd):
@@ -74,13 +75,15 @@ class Surd:
         return Surd.of(self.a - _as_fraction(other), self.b, self.c)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Surd, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            other = Surd.of(other)
+        if not isinstance(other, Surd):
             return NotImplemented
-        return self._diff(other).sign() == 0
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
 
     def __hash__(self) -> int:
         # a rational value equals its int or Fraction, so it hashes as one
-        return hash(self.a if not (self.b and self.c) else (self.a, self.b, self.c))
+        return hash(self.a if not self.c else (self.a, self.b, self.c))
 
     def __lt__(self, other: "Surd | RationalLike") -> bool:
         return self._diff(other).sign() < 0
@@ -102,8 +105,9 @@ class Surd:
 class RootBound:
     """Exact value ``q + sqrt(radicand)`` where the radicand is a nonnegative Surd.
 
-    Supports exact three-way comparison against rationals, which is all the
-    bound formulas need: they are only ever compared to candidate integers s.
+    Compared with rationals by the exact three-way :meth:`cmp`, which is all
+    the bound formulas need: they are only ever compared to candidate
+    integers s.
     """
 
     q: Fraction
@@ -119,18 +123,6 @@ class RootBound:
         if d < 0:
             return 1
         return self.radicand._diff(d * d).sign()
-
-    def __lt__(self, t: RationalLike) -> bool:
-        return self.cmp(t) < 0
-
-    def __le__(self, t: RationalLike) -> bool:
-        return self.cmp(t) <= 0
-
-    def __gt__(self, t: RationalLike) -> bool:
-        return self.cmp(t) > 0
-
-    def __ge__(self, t: RationalLike) -> bool:
-        return self.cmp(t) >= 0
 
     def __float__(self) -> float:
         return float(self.q) + math.sqrt(float(self.radicand))

@@ -17,7 +17,6 @@ import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 
 from . import oracle
@@ -328,18 +327,18 @@ def generate(family_id: str, **params: int) -> FamilyInstance:
 # claim verification
 
 
-def _even_positivity(k: int, n: int, s: int) -> Fraction:
+def _even_positivity(k: int, n: int, s: int) -> int:
     m = math.isqrt(2 * k)
     if m * m != 2 * k:
         raise ValueError(f"even positivity needs 2k a square, got k={k}")
-    return Fraction(n * (2 * k - 2 * m + 1) - s * (s + 2 * n - 2 * k - 1))
+    return n * (2 * k - 2 * m + 1) - s * (s + 2 * n - 2 * k - 1)
 
 
-def _odd_positivity(k: int, n: int, s: int) -> Fraction:
+def _odd_positivity(k: int, n: int, s: int) -> int:
     m = math.isqrt(2 * n - 2 * k)
     if m * m != 2 * n - 2 * k:
         raise ValueError(f"odd positivity needs 2n-2k a square, got k={k}, n={n}")
-    return Fraction(n * (6 * k - n + 1) - 4 * k * (k + m) - s * (s + 2 * n - 2 * k - 1))
+    return n * (6 * k - n + 1) - 4 * k * (k + m) - s * (s + 2 * n - 2 * k - 1)
 
 
 # A check takes the instance, the claim's params and the leave's cached

@@ -440,12 +440,22 @@ def test_bounds_without_n(tmp_path):
     assert rows[0]["n_threshold"] == "8.000000"
 
 
-@pytest.mark.parametrize("k", [7, 8])
+@pytest.mark.parametrize("k", [7, 8, 9])
 def test_bounds_match_golden(tmp_path, k):
-    # odd and even cap strings, thresholds and lower bounds, byte for byte
+    # odd and even cap strings, thresholds and lower bounds, byte for byte;
+    # k = 9 puts a square factor in every kind of radicand (72, 18, 2(n - k))
     out = tmp_path / "bounds.csv"
     assert run(["bounds", "--k", str(k), "--n", "6:40", "--out", str(out)]) == 0
     assert out.read_text() == (GOLDEN / f"bounds_k{k}_n6-40.csv").read_text()
+
+
+@pytest.mark.parametrize("n", ["0", "0:5"])
+def test_bounds_refuse_an_empty_leave(capsys, n):
+    # the bound formulas need n >= 1, so a range that starts at 0 writes no row
+    assert run(["bounds", "--k", "3", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound formulas need a nonempty leave, n >= 1\n"
 
 
 def test_sweep_matches_golden(tmp_path):

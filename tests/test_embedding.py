@@ -498,7 +498,7 @@ def test_bound_report_threshold_is_eight_for_k8():
 
 def test_bound_report_k3_collapses_for_large_n():
     report = bound_report(100, 3)
-    assert report.s_lower_general < 3
+    assert report.s_lower_general.cmp(3) < 0
     assert report.large_n_cap == 4
     assert report.general_cap == Fraction(27, 4)
 

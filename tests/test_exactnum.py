@@ -51,6 +51,23 @@ def test_mixed_radicands_rejected():
         Surd.of(0, 1, 2) < Surd.of(0, 1, 3)
 
 
+def test_square_factors_move_out_of_the_radicand():
+    # sqrt(8) is 2*sqrt(2): one normal form, so equal values share fields
+    s = Surd.of(0, 1, 8)
+    assert (s.a, s.b, s.c) == (0, 2, 2)
+    assert s == Surd.of(0, 2, 2)
+    assert hash(s) == hash(Surd.of(0, 2, 2))
+    assert Surd.of(1, 1, 8) < Surd.of(1, Fraction(5, 2), 2)  # same radicand once normal
+    assert Surd.of(Fraction(1, 3), 3, 72) == Surd.of(Fraction(1, 3), 18, 2)
+
+
+def test_equality_across_radicands_is_false():
+    assert not (Surd.of(0, 1, 2) == Surd.of(0, 1, 3))
+    assert Surd.of(0, 1, 2) != Surd.of(0, 1, 3)
+    assert Surd.of(0, 1, 2) != 0
+    assert Surd.of(0, 1, 2) != Fraction(1, 2)
+
+
 def test_negative_radicand_rejected():
     with pytest.raises(ValueError):
         Surd.of(0, 1, -1)
@@ -59,8 +76,8 @@ def test_negative_radicand_rejected():
 def test_root_bound_exact_threshold():
     # value = sqrt(2): integers 1 and 2 must land on opposite sides
     v = RootBound(Fraction(0), Surd.of(2))
-    assert v > 1
-    assert v < 2
+    assert v.cmp(1) > 0
+    assert v.cmp(2) < 0
     assert v.min_integer_above() == 2
 
 
@@ -68,8 +85,8 @@ def test_root_bound_exact_tie():
     # q + sqrt(X) with X = 0 hits an integer exactly
     v = RootBound(Fraction(3), Surd.of(0))
     assert v.cmp(3) == 0
-    assert not (v > 3)
-    assert not (v < 3)
+    assert not (v.cmp(3) > 0)
+    assert not (v.cmp(3) < 0)
     assert v.min_integer_above() == 4
 
 
@@ -78,8 +95,8 @@ def test_root_bound_nested_radical():
     v = RootBound(
         Fraction(-193, 2), Surd.of(Fraction(40025, 4), -200, 6)
     )
-    assert v > 1
-    assert v < 2
+    assert v.cmp(1) > 0
+    assert v.cmp(2) < 0
     assert float(v) == pytest.approx(
         -96.5 + math.sqrt(10006.25 - 200 * math.sqrt(6)), abs=1e-9
     )

@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stardecomp import solver
-from stardecomp.embedding import REASON_UNKNOWN, embed, greedy_star_removal
+from stardecomp.embedding import (
+    REASON_UNKNOWN,
+    bound_report,
+    embed,
+    greedy_star_removal,
+    n_threshold,
+)
 from stardecomp.exactnum import RootBound, Surd
 from stardecomp.families import generate
 from stardecomp.flow import MaxFlow
@@ -509,3 +515,69 @@ def test_root_bound_cmp_matches_floats_away_from_ties(q, x, t):
     approx = float(q) + float(x) ** 0.5
     if abs(approx - t) > 1e-6:
         assert (bound.cmp(t) > 0) == (approx > t)
+
+
+SQUARE_FREE = [c for c in range(1, 80) if all(c % (p * p) for p in range(2, 9))]
+
+
+@SETTINGS
+@given(
+    st.fractions(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20),
+    st.sampled_from(SQUARE_FREE),
+    st.integers(min_value=1, max_value=6),
+)
+def test_square_factors_leave_one_normal_form(a, b, c, r):
+    moved, kept = Surd.of(a, b, c * r * r), Surd.of(a, b * r, c)
+    assert (moved.a, moved.b, moved.c) == (kept.a, kept.b, kept.c)
+    assert moved == kept
+    assert hash(moved) == hash(kept)
+    assert moved.c in (0, c) and (moved.c == 0) == (moved.b == 0)
+
+
+@SETTINGS
+@given(
+    st.fractions(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20).filter(bool),
+    st.fractions(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20).filter(bool),
+    st.lists(st.sampled_from(SQUARE_FREE), min_size=2, max_size=2, unique=True),
+)
+def test_surds_over_different_radicands_are_unequal(a1, b1, a2, b2, radicands):
+    # square-free radicands are independent over the rationals
+    c1, c2 = radicands
+    assert not (Surd.of(a1, b1, c1) == Surd.of(a2, b2, c2))
+    assert Surd.of(a1, b1, c1) != Surd.of(a2, b2, c2)
+
+
+def _fraction_sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+@SETTINGS
+@given(
+    st.fractions(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=7),
+    st.booleans(),
+)
+def test_surd_sign_matches_squared_magnitudes(a, b, c, r, tie):
+    if tie:  # a + b*sqrt(r^2) with a = -b*r is exactly 0
+        a, c = -b * r, r * r
+    # a + b*sqrt(c): the larger of |a| and |b|*sqrt(c) decides, squared
+    square = b * b * c
+    if a * a != square:
+        expected = _fraction_sign(a) if a * a > square else _fraction_sign(b)
+    else:
+        expected = _fraction_sign(a) if _fraction_sign(a) == _fraction_sign(b) else 0
+    assert Surd.of(a, b, c).sign() == expected
+
+
+def test_n_threshold_is_the_reports_threshold():
+    for k in range(3, 61):
+        threshold = n_threshold(k)
+        assert float(threshold) == pytest.approx(k * (k - 1) / (math.sqrt(8 * k) - 1))
+        for n in (1, k, 2 * k, k * k):
+            assert bound_report(n, k).n_threshold == threshold
+            assert bound_report(n, k).n_above_threshold() == (threshold < n)

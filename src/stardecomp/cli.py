@@ -205,20 +205,35 @@ def run_sweep(
     return rows
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _int_list(text: str) -> list[int]:
+    """An argparse type for a comma list of ints. An empty list is a usage
+    error: a run over nothing would read as a clean pass."""
+    try:
+        values = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"lists no values: {text!r}")
+    return values
 
 
-def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+def _int_range(text: str) -> list[int]:
+    """An argparse type for a range lo:hi, both ends included, or a comma
+    list of ints. An empty range is a usage error, as an empty list is."""
+    if ":" not in text:
+        return _int_list(text)
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a range lo:hi of integers: {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"range {text!r} is empty, {hi} < {lo}")
+    return list(range(lo, hi + 1))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(
-        _parse_int_list(args.k), _parse_range(args.n), args.seeds, args.budget, args.jobs
+        args.k, args.n, args.seeds, args.budget, args.jobs
     )
     buf = io.StringIO()
     buf.write(SWEEP_HEADER + "\n")
@@ -248,7 +263,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     ]
     writer = csv.DictWriter(buf, fieldnames=columns)
     writer.writeheader()
-    for n in _parse_range(args.n) if args.n else [None]:
+    for n in args.n or [None]:
         row = {
             "k": args.k,
             "n_threshold": f"{float(n_threshold(args.k)):.6f}",
@@ -324,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("sweep", help="sample leaves and embed across a (k, n) grid")
-    p.add_argument("--k", required=True, help="comma-separated list, e.g. 3,5")
-    p.add_argument("--n", required=True, help="range lo:hi or comma list")
+    p.add_argument("--k", type=_int_list, required=True, help="comma-separated list, e.g. 3,5")
+    p.add_argument("--n", type=_int_range, required=True, help="range lo:hi or comma list")
     p.add_argument("--seeds", type=_int_at_least(0), default=20)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_GAMMA_SEARCH_BUDGET)
@@ -334,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="tabulate the embedding-size bounds")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", help="range lo:hi or comma list")
+    p.add_argument("--n", type=_int_range, help="range lo:hi or comma list")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 

@@ -1,31 +1,34 @@
 """Deterministic unit-arc max-flow (Dinic) for the orientation-repair networks.
 
 Two forms hold the same network, the current orientation of a graph's
-edges: ``MaxFlow`` keeps one arc id per edge, and ``max_flow_on_rows`` keeps
-one out-neighbour bitset per vertex. The solver takes the rows for graphs of
+edges: ``MaxFlow`` keeps one list of heads per vertex, naming each arc by
+its tail and its position there, and ``max_flow_on_rows`` keeps one
+out-neighbour bitset per vertex. The solver takes the rows for graphs of
 at least 128 vertices and n^2/16 edges and the arcs otherwise; the
 ``solver`` docstring times one against the other.
 
-All arcs have capacity one. ``MaxFlow`` numbers them itself from a list of
-heads per vertex, each vertex's arcs in one run of ids. Arc ids come in
-pairs: ``to[a]`` is the head of arc a and ``a ^ 1`` is its reverse. Each
-vertex has an out-list of the ids leaving it; a unit pushed along an arc
-reverses it, so the residual graph *is* the current orientation. A reversed
-id joins its new tail's out-list the first time, and ids reversed away are
-skipped. Instead of source and sink arcs, each vertex has a signed excess:
-surplus to send, or deficit.
-A path first enters a vertex other than its source along a starting arc,
-whose reverse then joins that vertex's out-list; so the vertices that paths
-touched are the surplus ones and those whose out-lists grew. Every other
-vertex keeps the arcs it was given, after any flow, full or not, so
-``ascending_heads``, the one reader of a finished arc flow, re-reads the
-touched ones alone.
+All arcs have capacity one. ``MaxFlow`` repairs the orientation in place on
+the list of heads per vertex it is given: arc (x, i) is entry i of
+``heads[x]``, and no arc ids or arc tables are built. A unit pushed along an
+arc reverses it, so the residual graph *is* the current orientation.
+Instead of source and sink arcs, each vertex has a signed excess: surplus
+to send, or deficit. A network without surplus is answered at once.
+A vertex gets state only when a path first reverses an arc at it, either
+end: a live flag per entry of its list (a ``bytearray``) and, per entry,
+where its reverse sits in its head's list, or -1 until that is listed.
+Reversing an arc clears its flag and appends its reverse to the head's list
+the first time, or sets the reverse's flag again after that; so every list
+holds its given arcs and then each reverse in the order it was first made,
+the order an arc-id network would number them in. A clean vertex's list is
+scanned as it is, a dirty one's through its flags. After any flow, full or
+not, only the dirty vertices' lists changed, so ``ascending_heads``, the one
+reader of a finished arc flow, re-reads and sorts them alone.
 
 Each phase is a breadth-first search from all surplus vertices, and
 augmenting paths end at deficit vertices on the nearest level. Paths are
 walked with an explicit stack, so they may be as long as the network has
-vertices. Out-lists are scanned in insertion order, so identical inputs give
-the same flow. After a maximum flow, the vertices with a directed path to
+vertices. Lists are scanned in order, so identical inputs give the same
+flow. After a maximum flow, the vertices with a directed path to
 unmet deficit are the smallest sink side over all minimum cuts.
 ``reaching`` reads that set for both forms, asking a function for the
 in-neighbour mask of each vertex it reaches: ``rows[y] & ~out[y]`` on rows,
@@ -47,41 +50,51 @@ reading them off the path at each step.
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat, zip_longest
+
 from .graphs import closure, labels_of, mask_of
 
 
 class MaxFlow:
     def __init__(self, heads: list[list[int]], excess: list[int]) -> None:
         """The network on ``len(heads)`` vertices with a unit arc from x to
-        each entry of ``heads[x]``, taking over both lists. Arcs are
-        numbered tail by tail, each list in its order: arc i has id 2i, head
-        ``to[2i]`` and tail ``to[2i + 1]``, and ``out[x]`` lists the ids
-        leaving x, so the flow scans them as if added one by one."""
-        to = [0] * (2 * sum(map(len, heads)))
-        out: list[list[int]] = []
-        a = 0
-        for x, xs in enumerate(heads):
-            b = a + 2 * len(xs)
-            to[a:b:2] = xs
-            to[a + 1 : b : 2] = [x] * len(xs)
-            out.append(list(range(a, b, 2)))
-            a = b
+        each entry of ``heads[x]``, taking over both lists: the flow
+        reverses arcs in them in place. Arc (x, i) is entry i of
+        ``heads[x]``, and the flow scans each list in its order."""
         self.heads = heads
-        self.out = out
-        self.to = to
         self.excess = excess
-        # what the flow starts from: the surplus vertices and their total
-        self.sources = [x for x, e in enumerate(excess) if e > 0]
-        self.surplus = sum(excess[x] for x in self.sources)
-        # live[a]: arc a is the current direction; listed[a]: a is in an out-list
-        self.live = bytearray(b"\x01\x00") * (len(to) // 2)
-        self.listed = bytearray(self.live)
+        self.surplus = sum(e for e in excess if e > 0)
+        # per vertex, None until a path reverses one of its arcs: live[x][i]
+        # flags arc (x, i) as the current direction, and rev[x][i] is where
+        # its reverse sits in its head's list, or -1 until it is listed
+        self.live: list[bytearray | None] = []
+        self.rev: list[list[int] | None] = []
+
+    @property
+    def to(self) -> list[int]:
+        """The heads and tails of the current orientation's arcs,
+        interleaved tail by tail in list order: before any flow, ``to[2i]``
+        and ``to[2i + 1]`` are the head and tail of the i-th given arc.
+        Built on each read; the flow itself never reads it."""
+        heads = [
+            xs if flags is None else list(compress(xs, flags))
+            for xs, flags in zip_longest(self.heads, self.live)
+        ]
+        to = [0] * (2 * sum(map(len, heads)))
+        to[::2] = chain.from_iterable(heads)
+        to[1::2] = chain.from_iterable(repeat(x, len(xs)) for x, xs in enumerate(heads))
+        return to
 
     def max_flow(self) -> int:
         """Route surplus to deficit along arc paths, reversing each path; the
         return value is the number of units routed."""
-        to, out, live, listed, excess = self.to, self.out, self.live, self.listed, self.excess
-        n = len(out)
+        if not self.surplus:
+            return 0
+        heads, excess = self.heads, self.excess
+        n = len(heads)
+        if not self.live:
+            self.live, self.rev = [None] * n, [None] * n
+        live, rev = self.live, self.rev
         total = 0
         while True:
             sources = [x for x in range(n) if excess[x] > 0]
@@ -95,14 +108,13 @@ class MaxFlow:
                 depth += 1
                 later = []
                 for x in frontier:
-                    for a in out[x]:
-                        if live[a]:
-                            y = to[a]
-                            if level[y] < 0:
-                                level[y] = depth
-                                later.append(y)
-                                if excess[y] < 0:
-                                    reached = True
+                    flags = live[x]
+                    for y in heads[x] if flags is None else compress(heads[x], flags):
+                        if level[y] < 0:
+                            level[y] = depth
+                            later.append(y)
+                            if excess[y] < 0:
+                                reached = True
                 frontier = later
             if not reached:
                 return total
@@ -112,17 +124,30 @@ class MaxFlow:
                     level[y] = -1
             it = [0] * n
             for s in sources:
-                path: list[int] = []  # arc ids of the current s -> x path
+                # the current s -> x path; it leaves each vertex u on it
+                # along arc (u, it[u])
+                path = [s]
                 x = s
                 while True:
                     if level[x] == depth:
-                        for a in path:
-                            live[a] = 0
-                            b = a ^ 1
-                            live[b] = 1
-                            if not listed[b]:
-                                listed[b] = 1
-                                out[to[a]].append(b)
+                        # every vertex on the path is an end of a reversed arc
+                        for u in path:
+                            if live[u] is None:
+                                live[u] = bytearray(b"\x01") * len(heads[u])
+                                rev[u] = [-1] * len(heads[u])
+                        u = s
+                        for v in path[1:]:
+                            i = it[u]
+                            live[u][i] = 0
+                            j = rev[u][i]
+                            if j < 0:
+                                rev[u][i] = len(heads[v])
+                                heads[v].append(u)
+                                live[v].append(1)
+                                rev[v].append(i)
+                            else:
+                                live[v][j] = 1
+                            u = v
                         total += 1
                         excess[s] -= 1
                         excess[x] += 1
@@ -131,39 +156,42 @@ class MaxFlow:
                         if not excess[s]:
                             break
                         # every arc of the path is reversed now
-                        path.clear()
+                        del path[1:]
                         x = s
                         continue
-                    arcs = out[x]
+                    xs = heads[x]
+                    flags = live[x]
                     i = it[x]
-                    end = len(arcs)
+                    end = len(xs)
                     want = level[x] + 1
-                    while i < end:
-                        a = arcs[i]
-                        if live[a] and level[to[a]] == want:
-                            break
-                        i += 1
+                    if flags is None:
+                        while i < end and level[xs[i]] != want:
+                            i += 1
+                    else:
+                        while i < end and not (flags[i] and level[xs[i]] == want):
+                            i += 1
                     it[x] = i
                     if i < end:
-                        path.append(a)
-                        x = to[a]
+                        x = xs[i]
+                        path.append(x)
                     else:
                         # dead end for the rest of the phase: retreat
                         level[x] = -1
+                        path.pop()
                         if not path:
                             break
-                        x = to[path.pop() ^ 1]
+                        x = path[-1]
 
     def ascending_heads(self) -> list[list[int]]:
         """The heads of the arcs leaving each vertex in the current
         orientation after any flow, ascending when every list given
-        ascended. Only the vertices some path touched, the starting surplus
-        ones and those whose out-lists grew, are re-read; the others keep
-        their lists."""
-        heads, out, to, live = self.heads, self.out, self.to, self.live
-        grown = [x for x, arcs in enumerate(out) if len(arcs) != len(heads[x])]
-        for x in {*self.sources, *grown}:
-            heads[x] = sorted([to[a] for a in out[x] if live[a]])
+        ascended. Only the vertices some reversed arc touched are re-read,
+        and their state dropped; the others keep their lists."""
+        heads = self.heads
+        for x, flags in enumerate(self.live):
+            if flags is not None:
+                heads[x] = sorted(compress(heads[x], flags))
+        self.live, self.rev = [], []
         return heads
 
     def residual_reachable(self) -> int:

@@ -20,10 +20,13 @@ The orientation is held in one of two ways, picked from n and |E| alone:
 - **Arcs** (the default). One walk over ``Graph.upper``, vertex by vertex
   in label order, orients each edge, leaving the endpoint with the larger
   share of its not yet oriented edges still to take, and appends its head
-  to the tail's list. A ``flow.MaxFlow`` numbers its arcs from those lists.
-  The lists ascend, as the edges do; so when the start needs no repair
-  they are the stars as they stand, and after a repair only the vertices
-  some reversed path touched are re-read and sorted. Validation compares
+  to the tail's list. A ``flow.MaxFlow`` repairs those lists in place,
+  naming each arc by its tail and its position in the tail's list, and
+  builds nothing when no vertex has surplus. The lists ascend, as the
+  edges do; so when the start needs no repair (922 of the 3,600 seed-0
+  ``constructions`` decides and 984 of the 2,741 ``sweep`` ones) they are
+  the stars as they stand, and after a repair only the ends of reversed
+  arcs are re-read and sorted. Validation compares
   the stars' sorted pair codes with codes read off ``Graph.upper``. So a
   join, which splices its ``upper`` from its base, never builds its edge
   tuple here.
@@ -48,19 +51,21 @@ decomposition may differ. A bitset step costs O(n/64) word operations
 where an arc step costs one, so the rows pay only on large dense graphs.
 Times of the rows route relative to the arc route on the same inputs
 (one core of a 2-core x86-64 host; the first two rows are the median
-ratio over nine paired repetitions, in each of two runs, each route
+ratio over nine paired repetitions, in each of four runs, each route
 deciding every join of the pass afresh, so that it pays for the ``upper``
 tuples or rows it reads; the others are best of three):
 
     graphs                                  rows vs arcs
-    seed-0 sweep decides (all)              0.80x-0.83x
-    seed-0 constructions decides (all)      0.78x-0.79x
-    path joins of 504 and 2,004 vertices    1.3x and 1.7x
-    dense K_n, n = 48..256                  0.25x-0.62x
+    seed-0 sweep decides (all)              1.00x-1.09x
+    seed-0 constructions decides (all)      0.84x-0.96x
+    path joins of 504 and 2,004 vertices    5.4x and 12x-13x
+    dense K_n, n = 48..256                  0.34x-0.63x
 
-The 128-vertex floor keeps every sweep and constructions join (at most 58
-vertices) on arcs: the rows would save about a fifth of their decide time
-there, but would move their pinned stars. The density floor keeps long
+(The path joins are P_500 and P_2,000 joined with K_4 at k = 3 and the
+large-case centers; K_n takes k = 8 and balanced centers.) The 128-vertex
+floor keeps every sweep and constructions join (at most 58 vertices) on
+arcs: the rows gain little or nothing there (the first two rows above),
+and would move their pinned stars. The density floor keeps long
 sparse graphs off the rows, whose bitsets and validation matrix take about
 n^2/8 and n^2 bytes: at most 2 and 16 bytes an edge at the floor.
 """

@@ -11,12 +11,16 @@ checks the two sizes per class the gamma walk tests and the counts it keeps.
 ``embedding.guaranteed_s`` by stepping s up one at a time with exact surd
 comparisons, so it checks the closed form the library uses.
 
-``arc_network`` builds a ``MaxFlow`` from a list of ``(tail, head)`` arcs,
+``arc_network`` builds a flow network from a list of ``(tail, head)`` arcs,
 as the flow tests give their networks.
 
-``successors`` is the full re-read of a ``MaxFlow``'s orientation that was
-once ``MaxFlow.successors``: it reads every vertex's live arcs, so it checks
-``MaxFlow.ascending_heads``, which re-reads only the vertices paths touched.
+``successors`` is the full re-read of a ``MaxFlow``'s orientation: it reads
+every vertex's live arcs, so it checks ``MaxFlow.ascending_heads``, which
+re-reads only the vertices some reversed arc touched.
+
+``ArcIdFlow`` is the flow that ``MaxFlow`` replaced: it numbers every arc
+and its reverse up front and keeps a live flag and a listed flag per id, so
+it pins the paths, the orientation and the memory of the in-place repair.
 
 ``sample_maximal_partial_by_sets`` is the set-based sampler that
 ``oracle.sample_maximal_partial`` replaced: it rescans every vertex and sorts
@@ -34,6 +38,7 @@ when no edge can qualify.
 
 import random
 from functools import cache
+from itertools import compress, zip_longest
 
 from stardecomp.exactnum import Surd
 from stardecomp.flow import MaxFlow
@@ -41,18 +46,133 @@ from stardecomp.graphs import Graph
 from stardecomp.solver import Star, StarDecomposition
 
 
-def arc_network(arcs, excess) -> MaxFlow:
+def arc_network(arcs, excess, flow=MaxFlow):
     """Unit arcs ``(tail, head)`` on ``len(excess)`` vertices, each tail's
-    arcs in the order given; the network gets a copy of ``excess``."""
+    arcs in the order given, as a ``flow`` network (``MaxFlow`` or
+    ``ArcIdFlow``); the network gets a copy of ``excess``."""
     heads: list[list[int]] = [[] for _ in excess]
     for u, v in arcs:
         heads[u].append(v)
-    return MaxFlow(heads, list(excess))
+    return flow(heads, list(excess))
 
 
 def successors(net: MaxFlow) -> list[list[int]]:
-    """The heads of the arcs leaving each vertex in the current orientation."""
-    return [[net.to[a] for a in arcs if net.live[a]] for arcs in net.out]
+    """The heads of the arcs leaving each vertex in the current orientation,
+    each list in its scan order."""
+    return [
+        list(xs) if flags is None else list(compress(xs, flags))
+        for xs, flags in zip_longest(net.heads, net.live)
+    ]
+
+
+class ArcIdFlow:
+    """``MaxFlow`` on arc ids: arc i has id 2i, head ``to[2i]`` and tail
+    ``to[2i + 1]``, ``a ^ 1`` is the reverse of a, and ``out[x]`` lists the
+    ids leaving x, reversed ids joining their new tail's list the first
+    time."""
+
+    def __init__(self, heads: list[list[int]], excess: list[int]) -> None:
+        to = [0] * (2 * sum(map(len, heads)))
+        out: list[list[int]] = []
+        a = 0
+        for x, xs in enumerate(heads):
+            b = a + 2 * len(xs)
+            to[a:b:2] = xs
+            to[a + 1 : b : 2] = [x] * len(xs)
+            out.append(list(range(a, b, 2)))
+            a = b
+        self.heads = heads
+        self.out = out
+        self.to = to
+        self.excess = excess
+        self.sources = [x for x, e in enumerate(excess) if e > 0]
+        self.surplus = sum(excess[x] for x in self.sources)
+        # live[a]: arc a is the current direction; listed[a]: a is in an out-list
+        self.live = bytearray(b"\x01\x00") * (len(to) // 2)
+        self.listed = bytearray(self.live)
+
+    def max_flow(self) -> int:
+        to, out, live, listed, excess = self.to, self.out, self.live, self.listed, self.excess
+        n = len(out)
+        total = 0
+        while True:
+            sources = [x for x in range(n) if excess[x] > 0]
+            level = [-1] * n
+            for x in sources:
+                level[x] = 0
+            frontier = sources
+            depth = 0
+            reached = False
+            while frontier and not reached:
+                depth += 1
+                later = []
+                for x in frontier:
+                    for a in out[x]:
+                        if live[a]:
+                            y = to[a]
+                            if level[y] < 0:
+                                level[y] = depth
+                                later.append(y)
+                                if excess[y] < 0:
+                                    reached = True
+                frontier = later
+            if not reached:
+                return total
+            for y in frontier:
+                if excess[y] >= 0:
+                    level[y] = -1
+            it = [0] * n
+            for s in sources:
+                path: list[int] = []  # arc ids of the current s -> x path
+                x = s
+                while True:
+                    if level[x] == depth:
+                        for a in path:
+                            live[a] = 0
+                            b = a ^ 1
+                            live[b] = 1
+                            if not listed[b]:
+                                listed[b] = 1
+                                out[to[a]].append(b)
+                        total += 1
+                        excess[s] -= 1
+                        excess[x] += 1
+                        if not excess[x]:
+                            level[x] = -1
+                        if not excess[s]:
+                            break
+                        path.clear()
+                        x = s
+                        continue
+                    arcs = out[x]
+                    i = it[x]
+                    end = len(arcs)
+                    want = level[x] + 1
+                    while i < end:
+                        a = arcs[i]
+                        if live[a] and level[to[a]] == want:
+                            break
+                        i += 1
+                    it[x] = i
+                    if i < end:
+                        path.append(a)
+                        x = to[a]
+                    else:
+                        level[x] = -1
+                        if not path:
+                            break
+                        x = to[path.pop() ^ 1]
+
+    def successors(self) -> list[list[int]]:
+        """Every vertex's live heads, each list in its scan order."""
+        return [[self.to[a] for a in arcs if self.live[a]] for arcs in self.out]
+
+    def ascending_heads(self) -> list[list[int]]:
+        heads, out, to, live = self.heads, self.out, self.to, self.live
+        grown = [x for x, arcs in enumerate(out) if len(arcs) != len(heads[x])]
+        for x in {*self.sources, *grown}:
+            heads[x] = sorted([to[a] for a in out[x] if live[a]])
+        return heads
 
 
 @cache

@@ -458,6 +458,26 @@ def test_bounds_refuse_an_empty_leave(capsys, n):
     assert captured.err == "error: bound formulas need a nonempty leave, n >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["bounds", "--k", "3", "--n", "5:2"], "--n"),
+        (["bounds", "--k", "3", "--n", "3:4:5"], "--n"),
+        (["bounds", "--k", "3", "--n", ","], "--n"),
+        (["sweep", "--k", "3", "--n", "9:4", "--seeds", "1"], "--n"),
+        (["sweep", "--k", "3", "--n", "3:4:5", "--seeds", "1"], "--n"),
+        (["sweep", "--k", ",", "--n", "5", "--seeds", "1"], "--k"),
+    ],
+)
+def test_empty_or_malformed_selection_exits_1_naming_the_flag(capsys, args, flag):
+    # a header with no rows and exit 0 would read as "no cap broken"
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and f"argument {flag}: " in captured.err
+
+
 def test_sweep_matches_golden(tmp_path):
     # k = 2 takes the even caps; every column but runtime_ms is deterministic
     out = tmp_path / "sweep.csv"

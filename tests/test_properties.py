@@ -50,7 +50,12 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import enumerate_min_deficiency, short_on_zeros_plus_one_class, successors
+from reference import (
+    ArcIdFlow,
+    enumerate_min_deficiency,
+    short_on_zeros_plus_one_class,
+    successors,
+)
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -226,15 +231,18 @@ def test_decide_matches_subset_enumeration_on_every_branch(monkeypatch, route):
 
 def test_repaired_stars_match_a_fresh_read_of_every_vertex(monkeypatch):
     # After any flow the arc route re-reads only the vertices some reversed
-    # path touched and takes every other vertex's starting list as it is.
+    # arc touched and takes every other vertex's starting list as it is.
     # Reading every vertex's heads afresh must give the same stars, and on
     # a refusal the same lists, whose masks the witness is read through.
     nets = []
     max_flow = MaxFlow.max_flow
 
     def kept(net):
-        nets.append((net, max_flow(net)))
-        return nets[-1][1]
+        routed = max_flow(net)
+        # a vertex has state iff it is an end of an arc some path reversed
+        reversed_ends = {x for x, flags in enumerate(net.live) if flags is not None}
+        nets.append((net, routed, reversed_ends, list(map(sorted, successors(net)))))
+        return routed
 
     monkeypatch.setattr(MaxFlow, "max_flow", kept)
     rng = random.Random(20)
@@ -243,22 +251,42 @@ def test_repaired_stars_match_a_fresh_read_of_every_vertex(monkeypatch):
         g, k, gamma = _star_union(rng)
         nets.clear()
         result = decide_star_decomposition(g, k, gamma)
-        ((net, routed),) = nets
+        ((net, routed, reversed_ends, heads),) = nets
         if not isinstance(result, StarDecomposition):
-            assert net.ascending_heads() == list(map(sorted, successors(net)))
+            assert net.heads == heads
             refused_after_flow += routed > 0
             continue
-        # an odd id is listed iff a path reversed the arc it is the reverse of
-        flipped = [b for b in range(1, len(net.to), 2) if net.listed[b]]
-        reversed_ends = {net.to[b] for b in flipped} | {net.to[b ^ 1] for b in flipped}
         if not reversed_ends:
             continue
         repaired += 1
         partial += len(reversed_ends) < g.n
-        heads = list(map(sorted, successors(net)))
         assert result == solver._stars_of(k, gamma, map(len, heads), chain.from_iterable(heads))
     assert repaired >= 300 and partial >= 50, (repaired, partial)
     assert refused_after_flow >= 20, refused_after_flow
+
+
+def test_decide_matches_the_arc_id_reference_flow(monkeypatch):
+    # The in-place repair walks the same paths as the arc-id flow it
+    # replaced, so every decide gives the same stars or the same witness.
+    routed = []
+    max_flow = MaxFlow.max_flow
+
+    def counted(net):
+        routed.append(max_flow(net))
+        return routed[-1]
+
+    monkeypatch.setattr(MaxFlow, "max_flow", counted)
+    rng = random.Random(21)
+    after_flow = {"repaired": 0, "refused": 0}
+    for trial in range(6000):
+        g, k, gamma = _star_union(rng)
+        result = decide_star_decomposition(g, k, gamma)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "MaxFlow", ArcIdFlow)
+            assert decide_star_decomposition(g, k, gamma) == result
+        if routed[-1]:
+            after_flow["repaired" if isinstance(result, StarDecomposition) else "refused"] += 1
+    assert after_flow["repaired"] >= 300 and after_flow["refused"] >= 40, after_flow
 
 
 @SETTINGS

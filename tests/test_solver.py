@@ -1,12 +1,14 @@
 import json
 import random
 import sys
+import tracemalloc
 from itertools import chain, combinations, product
 
 import pytest
 
 from stardecomp import solver
 from stardecomp.families import generate
+from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
     Graph,
     complete_graph,
@@ -35,7 +37,13 @@ from stardecomp.solver import (
     validate_decomposition,
 )
 
-from reference import arc_network, enumerate_min_deficiency, orient_edge_by_edge, successors
+from reference import (
+    ArcIdFlow,
+    arc_network,
+    enumerate_min_deficiency,
+    orient_edge_by_edge,
+    successors,
+)
 
 
 def test_deficiency_empty_set_is_zero():
@@ -452,6 +460,48 @@ def test_max_flow_reverses_each_path_and_keeps_every_arc_once():
             before = sum(1 for u, _ in arcs if u == x)
             assert len(after[x]) == before - (excess[x] - net.excess[x])
     assert min(flows.values()) >= 300, flows
+
+
+def test_max_flow_matches_the_arc_id_reference():
+    # The in-place repair scans each list in the order the arc-id flow it
+    # replaced scans its ids, so on the networks above, parallel and
+    # opposite arcs included, it routes the same paths: the same value and
+    # excess, and the same live heads, list for list and in order. With
+    # every list given ascending, ``ascending_heads`` agrees too. Before a
+    # flow, ``to`` holds the arc-id table, whose length the bench counts.
+    rng = random.Random(5)
+    for trial in range(2000):
+        n = rng.randint(2, 12)
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4 * n))]
+        excess = [rng.randint(-4, 4) for _ in range(n)]
+        for given in (arcs, sorted(arcs)):
+            net, ref = arc_network(given, excess), arc_network(given, excess, ArcIdFlow)
+            assert net.to == ref.to
+            assert net.max_flow() == ref.max_flow()
+            assert net.excess == ref.excess
+            assert successors(net) == ref.successors()
+        # the last pair was given sorted(arcs), whose lists ascend
+        assert net.ascending_heads() == ref.ascending_heads()
+
+
+def test_max_flow_repair_takes_less_memory_than_arc_ids():
+    # Two parallel arcs a hop along a chain, both units routed end to end:
+    # every arc is reversed, so every vertex gets repair state.
+    def peak(flow):
+        n = 50_000
+        heads = [[x + 1, x + 1] for x in range(n - 1)] + [[]]
+        excess = [0] * n
+        excess[0], excess[n - 1] = 2, -2
+        tracemalloc.start()
+        try:
+            net = flow(heads, excess)
+            assert net.max_flow() == 2
+            assert net.ascending_heads()[1] == [0, 0]
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(MaxFlow) <= peak(ArcIdFlow)
 
 
 def test_decide_repairs_along_path_longer_than_recursion_limit():

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import families, oracle
 from .embedding import (
-    DEFAULT_GAMMA_SEARCH_BUDGET,
     NoEmbeddingFound,
     bound_report,
     embed,
@@ -51,6 +50,10 @@ SWEEP_COLUMNS = [
     "runtime_ms",
 ]
 SWEEP_HEADER = "# stardecomp sweep v1: " + ",".join(SWEEP_COLUMNS)
+_BUDGET_HELP = (
+    "gamma candidates tried per gamma search, so per searched s in embed and "
+    f"sweep (default {oracle.DEFAULT_GAMMA_BUDGET})"
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -232,9 +235,10 @@ def _int_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = run_sweep(
-        args.k, args.n, args.seeds, args.budget, args.jobs
-    )
+    rows = run_sweep(args.k, args.n, args.seeds, args.budget, args.jobs)
+    if not rows:  # --seeds is at least 1, so no n is above the least k
+        least = min(args.k)
+        raise ValueError(f"argument --n: selects no cell, each n is at most the least k, {least}")
     buf = io.StringIO()
     buf.write(SWEEP_HEADER + "\n")
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
@@ -299,11 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--complete", type=int, help="use K_n for the given n")
     source.add_argument("--graph", help="graph file (edge list or JSON)")
     p.add_argument("--gamma", help="JSON list of per-vertex center counts")
-    p.add_argument(
-        "--budget",
-        type=_int_at_least(0),
-        help=f"gamma candidates tried (default {oracle.DEFAULT_GAMMA_BUDGET})",
-    )
+    p.add_argument("--budget", type=_int_at_least(0), help=_BUDGET_HELP)
     p.add_argument("--out")
     p.add_argument("--dot", help="write a DOT rendering of the decomposition")
     p.set_defaults(func=_cmd_decompose)
@@ -313,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-s", type=_int_at_least(0), dest="max_s")
     p.add_argument(
-        "--budget",
-        type=_int_at_least(0),
-        default=DEFAULT_GAMMA_SEARCH_BUDGET,
-        help="gamma candidates tried per searched s",
+        "--budget", type=_int_at_least(0), default=oracle.DEFAULT_GAMMA_BUDGET, help=_BUDGET_HELP
     )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_embed)
@@ -341,9 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sample leaves and embed across a (k, n) grid")
     p.add_argument("--k", type=_int_list, required=True, help="comma-separated list, e.g. 3,5")
     p.add_argument("--n", type=_int_range, required=True, help="range lo:hi or comma list")
-    p.add_argument("--seeds", type=_int_at_least(0), default=20)
+    p.add_argument("--seeds", type=_int_at_least(1), default=20)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_GAMMA_SEARCH_BUDGET)
+    p.add_argument(
+        "--budget", type=_int_at_least(0), default=oracle.DEFAULT_GAMMA_BUDGET, help=_BUDGET_HELP
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 

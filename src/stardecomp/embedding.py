@@ -52,8 +52,6 @@ _REASONS = (
     REASON_UNKNOWN,
 )
 
-DEFAULT_GAMMA_SEARCH_BUDGET = 2000
-
 
 class NoEmbeddingFound(RuntimeError):
     """No embedding was found for any s up to the search limit."""
@@ -350,7 +348,7 @@ def embed(
     base: Graph,
     k: int,
     max_s: int | None = None,
-    gamma_budget: int = DEFAULT_GAMMA_SEARCH_BUDGET,
+    gamma_budget: int = oracle.DEFAULT_GAMMA_BUDGET,
     alpha_budget: int = DEFAULT_ALPHA_BUDGET,
 ) -> EmbeddingCertificate:
     """Smallest-s embedding certificate for a leave of a partial decomposition.
@@ -362,8 +360,11 @@ def embed(
     stars and the core's construction decompose L v K_s with exactly these
     center counts, and the flow decides exactly whether a decomposition with
     given center counts exists, so it must accept the seed; a refusal is an
-    internal error. Every other s runs the gamma search on L v K_s,
-    and an s whose search hits ``gamma_budget`` is "unknown-skipped".
+    internal error. Every other s runs the gamma search on L v K_s, and
+    each such search may try ``gamma_budget`` candidates (the default is
+    ``oracle.DEFAULT_GAMMA_BUDGET``, the one gamma budget of every caller).
+    An s whose search runs out of them is "unknown-skipped", and its detail
+    names the budget: ``{"gamma_search": "budget", "budget": gamma_budget}``.
 
     The obstacle test alpha(L) >= ``obstacle_required(L, k, s)`` needs the
     exact alpha(L) only when the requirement exceeds the Caro–Wei floor
@@ -431,7 +432,9 @@ def embed(
                 )
                 continue
             if transcript.outcome != oracle.FOUND:
-                rejections.append(Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget"}))
+                rejections.append(
+                    Rejection(s, REASON_UNKNOWN, {"gamma_search": "budget", "budget": gamma_budget})
+                )
                 definite = False
                 continue
             found = transcript.decomposition

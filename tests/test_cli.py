@@ -314,13 +314,22 @@ def test_embed_large_k_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "k21_n50_seed0_embed_k21.json").read_text()
 
 
-def test_embed_large_k_conditional_matches_golden(capsys):
-    # k = 21, n = 60, seed 0: the s = 18 search spends its budget; flowing
-    # each of its 2000 candidates took seconds, Hakimi's condition refuses
-    # every one of them without a flow
+def test_embed_large_k_exact_matches_golden(capsys):
+    # k = 21, n = 60, seed 0: the s = 18 search finds a decomposition at its
+    # 6,352nd candidate, so s = 18 is exact; Hakimi's condition refuses its
+    # first 2,001 candidates without a flow, and a budget of 2,000 left
+    # s = 24 conditional
     leave = GOLDEN / "k21_n60_seed0_leave.json"
     assert run(["embed", "--leave", str(leave), "--k", "21"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "k21_n60_seed0_embed_k21.json").read_text()
+
+
+def test_embed_large_k_conditional_matches_golden(capsys):
+    # k = 21, n = 68, seed 0: the s = 17 search spends the default budget,
+    # so s = 23 is conditional and the ledger names the budget at s = 17
+    leave = GOLDEN / "k21_n68_seed0_leave.json"
+    assert run(["embed", "--leave", str(leave), "--k", "21"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "k21_n68_seed0_embed_k21.json").read_text()
 
 
 def test_decompose_witness_matches_golden(capsys):
@@ -467,6 +476,8 @@ def test_bounds_refuse_an_empty_leave(capsys, n):
         (["sweep", "--k", "3", "--n", "9:4", "--seeds", "1"], "--n"),
         (["sweep", "--k", "3", "--n", "3:4:5", "--seeds", "1"], "--n"),
         (["sweep", "--k", ",", "--n", "5", "--seeds", "1"], "--k"),
+        (["sweep", "--k", "3", "--n", "5", "--seeds", "0"], "--seeds"),
+        (["sweep", "--k", "7", "--n", "3:5", "--seeds", "1"], "--n"),  # every n <= k
     ],
 )
 def test_empty_or_malformed_selection_exits_1_naming_the_flag(capsys, args, flag):

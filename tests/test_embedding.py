@@ -174,6 +174,7 @@ def test_both_constructions_cover_the_shared_boundary(leave, k, s):
         (embed_small_case, SEVEN_K4, 8, 20),  # |E| = 792 > k(n+s) = 384
         (embed_large_case, Graph(6, ()), 3, 3),  # |E| = 21 < k(n+s) = 27
         (embed_large_case, Graph(1, ()), 3, 6),  # |E| = k(n+s) = 21, n < k
+        (embed_large_case, Graph(4, ()), 5, 8),  # |E| = k(n+s) = 60, n = k - 1
     ],
 )
 def test_each_construction_refuses_the_others_side(construct, leave, k, s):
@@ -338,7 +339,7 @@ def test_embed_conditional_when_search_skipped():
     reasons = {r.s: r.reason for r in cert.rejections}
     assert reasons[2] == "unknown-skipped"
     unknown = [r.detail for r in cert.rejections if r.reason == "unknown-skipped"]
-    assert unknown == [{"gamma_search": "budget"}]
+    assert unknown == [{"gamma_search": "budget", "budget": 0}]
 
 
 def test_embed_decides_the_thick_sweep_cell():
@@ -349,6 +350,19 @@ def test_embed_decides_the_thick_sweep_cell():
     cert = embed(leave, 4, gamma_budget=2000)
     assert (cert.s, cert.minimality) == (3, "exact")
     assert [r.reason for r in cert.rejections] == ["divisibility", "divisibility", "degree-pair"]
+
+
+@pytest.mark.parametrize(
+    "k, n, seed, s",
+    [(11, 36, 0, 9), (19, 62, 0, 15), (20, 48, 1, 17), (18, 48, 1, 16), (22, 58, 0, 19)],
+)
+def test_default_budget_settles_held_out_cells(k, n, seed, s):
+    # each cell has one sub-k search that needs more than 2,000 candidates;
+    # a budget of 2,000 left it conditional, up to 18 above the least s
+    _, leave = sample_maximal_partial(n, k, seed)
+    cert = embed(leave, k)
+    assert (cert.s, cert.minimality) == (s, "exact")
+    assert REASON_UNKNOWN not in [r.reason for r in cert.rejections]
 
 
 def test_sub_k_exhaustions_agree_with_edge_search():

@@ -462,6 +462,8 @@ def _check_nonexistence(inst: FamilyInstance, params: dict, leave_alpha) -> Verd
         "outcome": transcript.outcome,
         "decomposition": None,  # a decomposition found refutes the claim and is not kept
     }
+    if transcript.outcome == oracle.BUDGET_EXCEEDED:  # name what would settle it
+        evidence["budget"] = oracle.DEFAULT_GAMMA_BUDGET
     return _SEARCH_STATUS[transcript.outcome], {"gamma_search": evidence}
 
 

@@ -44,8 +44,11 @@ DEFAULT_SEARCH_BUDGET = 100_000_000
 # searched s), sweep, decompose --graph and the family claims. At 50,000 the
 # held-out grid (k = 8..22, n = 2k..5k, sample seeds 0-1) keeps 2
 # conditional certificates of 1,380 against 17 at 2,000, its slowest embed
-# taking about 0.9 s on a 2-core host. 300,000 settles no further held-out
-# cell, and it takes 6x as long on 96 thick k = 3 leaves (214 s against 35 s).
+# taking about 0.9 s on a 2-core host; 20,000 keeps 5, one at s = 23 against
+# the exact 15. 300,000 settles no further held-out cell, and it takes 6x as
+# long on 96 thick k = 3 leaves (214 s against 35 s). A search that no budget
+# settles spends it all: embed --k 4 on a 24,000-vertex caterpillar takes
+# 4.6 s against 1.3 s at 2,000.
 DEFAULT_GAMMA_BUDGET = 50_000
 # 2^30 - 35: a prime of one CPython int digit, so a row's residue takes one
 # short pass, with 2 as a primitive root

@@ -54,6 +54,21 @@ def test_single_edge_runs_its_gamma_search_once(monkeypatch):
     assert calls == [10]
 
 
+def test_nonexistence_cut_off_by_the_gamma_budget_names_it(monkeypatch):
+    spent = oracle.SearchTranscript(oracle.DEFAULT_GAMMA_BUDGET + 1, oracle.BUDGET_EXCEEDED)
+    monkeypatch.setattr(oracle, "exhaustive_gamma_search", lambda g, k: spent)
+    nonexistence = claim_results(verify_instance(gen_single_edge(3, 8)), "nonexistence-at-s")[0]
+    assert nonexistence.status == "skipped-budget"
+    assert nonexistence.evidence == {
+        "gamma_search": {
+            "nodes_explored": oracle.DEFAULT_GAMMA_BUDGET + 1,
+            "outcome": oracle.BUDGET_EXCEEDED,
+            "decomposition": None,
+            "budget": oracle.DEFAULT_GAMMA_BUDGET,
+        }
+    }
+
+
 def test_single_edge_k3_n8_search_agrees_with_backtracking():
     # the flow-free backtracking search over edges confirms the gamma search
     # on the smallest blocked join; it is far too slow a few sizes up

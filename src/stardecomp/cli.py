@@ -28,6 +28,7 @@ from .embedding import (
     large_n_cap,
     n_threshold,
 )
+from .exactnum import to_fixed
 from .graphs import complete_graph, read_graph
 from .solver import (
     StarDecomposition,
@@ -177,7 +178,7 @@ def _sweep_cell(task: tuple[int, int, int, int]) -> dict:
         "seed": seed,
         "s": cert.s,
         "minimality": cert.minimality,
-        "general_cap": f"{float(cap):.6f}",
+        "general_cap": to_fixed(cap),
         "within_general_cap": int(cap > cert.s),
         "large_n_cap": s1_cap,
         "within_large_n_cap": int(cert.s <= s1_cap) if above_threshold else "",
@@ -270,20 +271,20 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for n in args.n or [None]:
         row = {
             "k": args.k,
-            "n_threshold": f"{float(n_threshold(args.k)):.6f}",
-            "general_cap": f"{float(general_cap(args.k)):.6f}",
+            "n_threshold": to_fixed(n_threshold(args.k)),
+            "general_cap": to_fixed(general_cap(args.k)),
             "large_n_cap": large_n_cap(args.k),
         }
         if n is not None:
             report = bound_report(n, args.k)
             row |= {
                 "n": n,
-                "s_lower_general": f"{float(report.s_lower_general):.6f}",
+                "s_lower_general": to_fixed(report.s_lower_general),
                 "s_lower_general_min_s": report.s_lower_general.min_integer_above(),
                 "n_above_threshold": int(report.n_above_threshold()),
             }
             if report.s_lower_clique is not None:
-                row["s_lower_clique"] = f"{float(report.s_lower_clique):.6f}"
+                row["s_lower_clique"] = to_fixed(report.s_lower_clique)
                 row["s_lower_clique_min_s"] = report.s_lower_clique.min_integer_above()
         writer.writerow(row)
     _write_text(buf.getvalue(), args.out)

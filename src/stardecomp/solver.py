@@ -32,9 +32,19 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   tuple here.
 - **Rows**, for graphs of at least 128 vertices and n^2/16 edges, such as
   the dense family complements and joins: one out-neighbour bitset per
-  vertex. Vertices are oriented in label order, each pointing at the
-  highest-labelled upper neighbours it still needs, with O(n) big-int
-  operations in all, and ``flow.max_flow_on_rows`` repairs the start.
+  vertex. Vertices are oriented in label order, each pointing at the upper
+  neighbours it still needs, with O(n) big-int operations in all, and
+  ``flow.max_flow_on_rows`` repairs the start. A vertex below the block
+  of universal vertices that ends the label order (a join's K_s, a
+  complement's isolated leave vertices) takes its share of the block as a
+  window of labels that rotates from one such vertex to the next; every
+  other choice is the highest-labelled neighbours. So a join's base
+  vertices spread over its K_s instead of piling onto its top labels:
+  even-bound t = 7's 768-vertex success join leaves the flow 784 units
+  instead of 14,862, and t = 9's 3,072-vertex one 9,717 instead of
+  249,298. Tightness-T2's complements pay: 114 -> 1,177 units at t = 8
+  and 482 -> 10,318 at t = 10, whose block is all but 34 and 66 of the
+  vertices.
   Validation of these graphs writes the stars into an n-by-n byte matrix
   and reads each vertex's row and column of it against its row of g.
   Neither reads ``Graph.edges`` or ``Graph.upper``, so a builder's graph
@@ -312,25 +322,62 @@ def _top_bits(mask: int, q: int) -> int:
 
 def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
     # Vertices are oriented in label order. When u's turn comes, its edges
-    # to lower labels are oriented already; u points at the q highest-
-    # labelled of its upper neighbours, q being its need clamped to
-    # 0..|upper|, and every upper neighbour it declines points at u. So
-    # u's out-row is final after its turn. Declines are not written one by
-    # one: u points at v > u iff v is a neighbour at or above u's lowest
-    # choice, so pointing[v] collects the u whose lowest choice is v, and
-    # ``pointers`` the u whose lowest choice is at most the current label.
+    # to lower labels are oriented already; u points at q of its upper
+    # neighbours, q being its need clamped to 0..|upper|, and every upper
+    # neighbour it declines points at u. So u's out-row is final after its
+    # turn. Declines are not written one by one, so each choice is a
+    # segment whose chooser a later label can look up:
+    # - The block: the universal vertices z..n-1 that end the label order
+    #   (a join's K_s, a complement's isolated leave vertices). A vertex
+    #   below z that needs fewer than all of them takes a window of q
+    #   block labels, rotating: it starts where the previous window ended
+    #   and wraps from n back to z, so the choices of the vertices below z
+    #   spread evenly over the block instead of piling onto its top labels.
+    #   flip[v] toggles, at label v, the bits of the u whose window starts
+    #   or stops there, and ``window`` holds the u whose window covers the
+    #   current label.
+    # - Any other choice is the q highest-labelled upper neighbours. Then u
+    #   points at v > u iff v is a neighbour at or above u's lowest choice,
+    #   so pointing[v] collects the u whose lowest choice is v, and
+    #   ``pointers`` the u whose lowest choice is at most the current label.
+    # Without a block (z = n), or when it is every vertex (K_n, z = 0), the
+    # windows never run.
+    rows = g.rows
+    n = g.n
+    full = (1 << n) - 1
+    z = n
+    while z and rows[z - 1] == full ^ (1 << (z - 1)):
+        z -= 1
+    size = n - z
+    at = 0  # where the next window starts, counted from z
+    flip = [0] * n
+    window = 0
     out: list[int] = []
     excess: list[int] = []
-    pointing = [0] * g.n
+    pointing = [0] * n
     pointers = 0
     below = 0  # the mask of the labels below u
-    for u, row in enumerate(g.rows):
+    for u, row in enumerate(rows):
         pointers |= pointing[u]
-        down = row & below & ~pointers
+        window ^= flip[u]
+        down = row & below & ~(pointers | window)
         have = down.bit_count()
         upper = row >> (u + 1)
         q = max(0, min(k * gamma[u] - have, upper.bit_count()))
-        if q:
+        if 0 < q < size and u < z:
+            lo = z + at
+            hi = lo + q
+            at = (at + q) % size
+            flip[lo] ^= 1 << u
+            if hi > n:  # wrapped: [lo, n) and [z, hi - size)
+                hi -= size
+                flip[z] ^= 1 << u
+                down |= (full ^ ((1 << lo) - 1)) | ((1 << hi) - (1 << z))
+            else:
+                down |= (1 << hi) - (1 << lo)
+            if hi < n:
+                flip[hi] ^= 1 << u
+        elif q:
             chosen = _top_bits(upper, q) << (u + 1)
             pointing[(chosen & -chosen).bit_length() - 1] |= 1 << u
             down |= chosen
@@ -340,10 +387,9 @@ def _decide_on_rows(g: Graph, k: int, gamma: tuple[int, ...]):
 
     surplus = sum(x for x in excess if x > 0)
     if max_flow_on_rows(out, excess) == surplus:
-        labels = tuple(range(g.n))  # so that leaves with one label share its int
+        labels = tuple(range(n))  # so that leaves with one label share its int
         leaves = chain.from_iterable(map(labels_in, out, repeat(labels)))
         return _stars_of(k, gamma, [row.bit_count() for row in out], leaves)
-    rows = g.rows
     return _refusal(g, k, gamma, lambda y: rows[y] & ~out[y], excess)
 
 

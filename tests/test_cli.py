@@ -458,6 +458,31 @@ def test_bounds_match_golden(tmp_path, k):
     assert out.read_text() == (GOLDEN / f"bounds_k{k}_n6-40.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        # 8k keeps a square-free part near 10^17, which nothing may factor
+        (["--k", "100000000000000001"], "bounds_k100000000000000001.csv"),
+        # min_s exactly 2k - 5, where a float start answered 2k - 2
+        (["--k", "100000000000000000000", "--n", "5"], "bounds_k1e20_n5.csv"),
+    ],
+)
+def test_bounds_at_large_k_match_golden(tmp_path, args, golden):
+    out = tmp_path / "bounds.csv"
+    assert run(["bounds", *args, "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / golden).read_text()
+
+
+def test_bounds_past_the_float_range(capsys):
+    # every column of k = 10^320 is past the largest float
+    k = 10**320
+    assert run(["bounds", "--k", str(k), "--n", "1:2"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert [row["s_lower_general_min_s"] for row in rows] == [str(2 * k - 1), str(2 * k - 2)]
+    assert rows[0]["large_n_cap"] == str(3 * k - 2)
+    assert rows[0]["general_cap"].startswith("3171572875253809902396622551")
+
+
 @pytest.mark.parametrize("n", ["0", "0:5"])
 def test_bounds_refuse_an_empty_leave(capsys, n):
     # the bound formulas need n >= 1, so a range that starts at 0 writes no row

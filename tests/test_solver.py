@@ -7,6 +7,7 @@ from itertools import chain, combinations, product
 import pytest
 
 from stardecomp import solver
+from stardecomp.embedding import embed_large_case
 from stardecomp.families import generate
 from stardecomp.flow import MaxFlow
 from stardecomp.graphs import (
@@ -222,6 +223,76 @@ def test_both_routes_refuse_with_the_same_witness_past_enumeration():
             assert on_arcs == on_rows
             refused += 1
     assert refused >= 40
+
+
+def _with_universal_block(rng) -> tuple[Graph, int]:
+    """A random L v K_s, or the complement of a random leave whose last
+    vertices are isolated: either way the graph ends in universal vertices.
+    Also returns n = |L|, the first label of the block."""
+    n = rng.randint(3, 30)
+    p = rng.choice([0.1, 0.3, 0.6])
+    leave = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+    if rng.random() < 0.5:
+        return join(leave, rng.randint(1, 30)), n
+    return Graph(n + rng.randint(1, 30), leave.edges).complement(), n
+
+
+def test_routes_agree_on_graphs_ending_in_a_universal_block():
+    # The rows start spreads each lower vertex's choices over the universal
+    # block; the arc route knows nothing of the block. Both must give the
+    # same verdict and witness, and valid stars with the asked-for centers.
+    rng = random.Random(37)
+    branches = {"decomposed": 0, "refused": 0}
+    for trial in range(400):
+        g, n = _with_universal_block(rng)
+        divisors = [k for k in (2, 3, 4, 5) if g.num_edges % k == 0]
+        if not divisors:
+            continue
+        k = rng.choice(divisors)
+        stars = g.num_edges // k
+        shape = rng.choice(["balanced", "large-case", "random"])
+        if shape == "balanced":
+            gamma = balanced_gamma(g, k)
+        elif shape == "large-case" and stars >= n:
+            # one star on each leave vertex, the rest spread over the block
+            gamma = (1,) * n + tuple(solver._even_spread(stars - n, g.n - n))
+        else:
+            # centers leaning on a random part of the graph
+            part = rng.sample(range(g.n), rng.randint(1, g.n))
+            gamma = [0] * g.n
+            for _ in range(stars):
+                gamma[rng.choice(part) if rng.random() < 0.5 else rng.randrange(g.n)] += 1
+            gamma = tuple(gamma)
+        on_arcs = solver._decide_on_arcs(g, k, gamma)
+        on_rows = solver._decide_on_rows(g, k, gamma)
+        assert type(on_arcs) is type(on_rows)
+        if isinstance(on_rows, DeficiencyWitness):
+            assert on_arcs == on_rows
+            branches["refused"] += 1
+            continue
+        for dec in (on_arcs, on_rows):
+            assert validate_decomposition(g, dec) is None
+            assert dec.central_function(g.n) == gamma
+            centers = [star.center for star in dec.stars]
+            assert solver._covers_on_rows(g, k, centers, [star.leaves for star in dec.stars])
+        branches["decomposed"] += 1
+    assert min(branches.values()) >= 60, branches
+
+
+@pytest.mark.parametrize("t, most", [(5, 30), (7, 1000)])
+def test_rows_start_leaves_few_units_on_family_joins(monkeypatch, t, most):
+    # even-bound's success-at-s join, L v K_s. Every base vertex takes its
+    # share of the K_s block as a rotating window, so the flow has little
+    # to repair; taking the block's highest labels left 855 units at t = 5
+    # (192 vertices) and 14,862 at t = 7 (768 vertices). t = 7 leaves 784.
+    routed = []
+    flow = solver.max_flow_on_rows
+    monkeypatch.setattr(solver, "max_flow_on_rows", lambda *a: routed.append(flow(*a)) or routed[-1])
+    inst = generate("even-bound", t=t)
+    (s,) = [c.params["s"] for c in inst.claims if c.kind == "success-at-s"]
+    dec = embed_large_case(inst.leave, inst.k, s)
+    assert validate_decomposition(join(inst.leave, s), dec) is None
+    assert len(routed) == 1 and routed[0] <= most, routed
 
 
 def test_validate_reports_duplicate_and_missing_edges():

@@ -145,9 +145,6 @@ class Surd:
     def __ge__(self, other: "Surd | RationalLike") -> bool:
         return self.cmp(other) >= 0
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.c)
-
 
 @dataclass(frozen=True)
 class RootBound:
@@ -172,9 +169,6 @@ class RootBound:
             return 1
         return self.radicand._diff(d * d).sign()
 
-    def __float__(self) -> float:
-        return float(self.q) + math.sqrt(float(self.radicand))
-
     def floor(self, scale: int = 1) -> int:
         """floor(self * scale), exactly, for an int scale >= 1."""
         root = math.isqrt(max(0, self.radicand._estimate(scale * scale)))
@@ -186,17 +180,17 @@ class RootBound:
         return self.floor() + 1
 
 
-def to_fixed(value: "RationalLike | Surd | RootBound", places: int = 6) -> str:
-    """``value`` to ``places`` decimals, as ``f"{float(value):.6f}"`` would
-    print it but exactly and at any size: rounded to nearest, a tie to the
-    even last digit."""
+def to_fixed(value: "RationalLike | Surd | RootBound") -> str:
+    """``value`` to six decimals, as ``f"{value:.6f}"`` prints a float but
+    exactly and at any size: rounded to nearest, a tie to the even last
+    digit."""
     if not isinstance(value, (Surd, RootBound)):
         value = Surd.of(value)
-    scale = 10**places
+    scale = 10**6
     twice = value.floor(2 * scale)
     units, half = divmod(twice, 2)
     # half: value * scale is at least units + 1/2, and a tie rounds to even
     if half and (units % 2 or value.cmp(Fraction(twice, 2 * scale)) > 0):
         units += 1
     whole, frac = divmod(abs(units), scale)
-    return f"{'-' if units < 0 else ''}{whole}.{frac:0{places}d}"
+    return f"{'-' if units < 0 else ''}{whole}.{frac:06d}"

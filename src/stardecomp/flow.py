@@ -43,12 +43,10 @@ arc xy flips bit y of ``out[x]`` and bit x of ``out[y]``. Each step costs an
 operation on n-bit ints, so the rows pay off only on dense graphs. Every
 unit of the five rows decides of a ``family --verify`` run over bound-n
 t = 7, even-bound t = 7, tightness-T2 t = 8 and odd-bound k = 125 walks
-two arcs (3,753 units; 16,768 before the solver's start spread a join's
-choices over its K_s), so what a unit costs besides its int operations
-counts: the single-bit ints 1 << x are made
-once per call, in one table that every mask, level update and arc flip
-reads, and the walk keeps its last vertex and length at hand instead of
-reading them off the path at each step.
+two arcs, so what a unit costs besides its int operations counts: the
+single-bit ints 1 << x are made once per call, in one table that every
+mask, level update and arc flip reads, and the walk keeps its last vertex
+and length at hand instead of reading them off the path at each step.
 """
 
 from __future__ import annotations

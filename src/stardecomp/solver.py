@@ -39,12 +39,10 @@ The orientation is held in one of two ways, picked from n and |E| alone:
   complement's isolated leave vertices) takes its share of the block as a
   window of labels that rotates from one such vertex to the next; every
   other choice is the highest-labelled neighbours. So a join's base
-  vertices spread over its K_s instead of piling onto its top labels:
-  even-bound t = 7's 768-vertex success join leaves the flow 784 units
-  instead of 14,862, and t = 9's 3,072-vertex one 9,717 instead of
-  249,298. Tightness-T2's complements pay: 114 -> 1,177 units at t = 8
-  and 482 -> 10,318 at t = 10, whose block is all but 34 and 66 of the
-  vertices.
+  vertices spread over its K_s instead of piling onto its top labels, and
+  the flow has little left to repair. Complements like tightness-T2's,
+  whose block is nearly every vertex, pay for that: their few lower
+  vertices each take most of the block, and the windows overlap.
   Validation of these graphs writes the stars into an n-by-n byte matrix
   and reads each vertex's row and column of it against its row of g.
   Neither reads ``Graph.edges`` or ``Graph.upper``, so a builder's graph

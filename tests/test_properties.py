@@ -608,7 +608,9 @@ def test_surd_sign_matches_squared_magnitudes(a, b, c, r, tie):
 def test_n_threshold_is_the_reports_threshold():
     for k in range(3, 61):
         threshold = n_threshold(k)
-        assert float(threshold) == pytest.approx(k * (k - 1) / (math.sqrt(8 * k) - 1))
+        near = Fraction(k * (k - 1) / (math.sqrt(8 * k) - 1))
+        assert threshold.cmp(near * (1 - Fraction(1, 10**6))) > 0
+        assert threshold.cmp(near * (1 + Fraction(1, 10**6))) < 0
         for n in (1, k, 2 * k, k * k):
             assert bound_report(n, k).n_threshold == threshold
             assert bound_report(n, k).n_above_threshold() == (threshold < n)
